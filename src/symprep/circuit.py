@@ -163,13 +163,18 @@ def simulate(c: Circuit) -> np.ndarray:
     return psi
 
 
+def _cnot_price(g: GateOp) -> int:
+    # every two-qubit unitary is priced at 2 CNOTs, a named CNOT at 1 and
+    # one-qubit gates are free
+    return 2 if g.kind == "unitary2" else 1 if g.kind == "cnot" else 0
+
+
 def _counted_cnot_depth(c: Circuit) -> int:
-    # greedy layering; each two-qubit unitary occupies 2 sequential CNOT
-    # slots on its pair, named CNOTs occupy 1, one-qubit gates are free
+    # greedy layering; each gate occupies _cnot_price sequential CNOT slots
+    # on its qubits
     clock = [0] * c.n_qubits
     for g in c.gates:
-        cost = 2 if g.kind == "unitary2" else 1 if g.kind == "cnot" else 0
-        t = max(clock[q] for q in g.qubits) + cost
+        t = max(clock[q] for q in g.qubits) + _cnot_price(g)
         for q in g.qubits:
             clock[q] = t
     return max(clock, default=0)
@@ -189,12 +194,10 @@ def accounting(c: Circuit, num_layers: int = 1, symmetry: bool = False) -> GateS
     depth = 2 * ((n - 2) + (l - 1))
     if symmetry:
         depth += n - 1
-    n_u2 = sum(1 for g in c.gates if g.kind == "unitary2")
-    n_cx = sum(1 for g in c.gates if g.kind == "cnot")
     return GateStats(
-        cnot_count_analytic=2 * n_u2 + n_cx,
+        cnot_count_analytic=sum(_cnot_price(g) for g in c.gates),
         cnot_depth_analytic=depth,
-        two_qubit_gate_count=n_u2 + n_cx,
+        two_qubit_gate_count=sum(1 for g in c.gates if len(g.qubits) == 2),
         total_gate_count=len(c.gates),
         cnot_depth_counted=_counted_cnot_depth(c),
     )

@@ -15,17 +15,21 @@ from __future__ import annotations
 import argparse
 import dataclasses
 import json
+import os
 import sys
 
 from .circuit import export_circuit
 from .dist import amplitudes, left_half, sample_pdf
 from .mps import is_left_canonical, mps_from_statevector, mps_to_json
 from .pipeline import (
+    METRIC_COLUMNS,
     ConfigError,
     PipelineError,
     RunConfig,
     SweepConfig,
-    parse_config,
+    config_from_dict,
+    read_config,
+    report_row,
     rows_to_csv,
     run_full,
     sweep_full,
@@ -58,69 +62,97 @@ def _build_parser() -> argparse.ArgumentParser:
     return ap
 
 
+@dataclasses.dataclass(frozen=True)
+class Outputs:
+    """Where `run` writes its report and circuit; the config's 'outputs'."""
+
+    report_path: str | None = None
+    circuit_path: str | None = None
+
+
+def _outputs_from_dict(doc: dict) -> Outputs:
+    section = doc.get("outputs", {})
+    if not isinstance(section, dict):
+        raise ConfigError("outputs must be an object")
+    unknown = sorted(set(section) - {f.name for f in dataclasses.fields(Outputs)})
+    if unknown:
+        raise ConfigError(f"unknown key(s) {unknown} in outputs")
+    for key, value in section.items():
+        if value is not None and not isinstance(value, str):
+            raise ConfigError(f"outputs.{key} must be a path string, got {value!r}")
+    return Outputs(**section)
+
+
+def _load(args, want: type):
+    """Read the config file once: the pipeline config and the CLI's Outputs."""
+    doc = read_config(args.config)
+    cfg = config_from_dict(doc, assume_symmetric=args.assume_symmetric)
+    if not isinstance(cfg, want):
+        need = "a sweep config (a 'vary' section)" if want is SweepConfig else "a run config"
+        raise ConfigError(f"'{args.command}' needs {need}")
+    return cfg, _outputs_from_dict(doc["base"] if isinstance(cfg, SweepConfig) else doc)
+
+
 def _emit(text: str, out: str | None) -> None:
-    if out:
-        with open(out, "w") as fh:
-            fh.write(text)
-    else:
+    """Write text to stdout, or atomically to the file out: a temp file in
+    the same directory is renamed over it, so out is never half written."""
+    if not out:
         sys.stdout.write(text if text.endswith("\n") else text + "\n")
-
-
-def _need_run_config(cfg, command: str) -> RunConfig:
-    if not isinstance(cfg, RunConfig):
-        raise ConfigError(f"'{command}' needs a run config, got a sweep config")
-    return cfg
+        return
+    tmp = f"{out}.{os.getpid()}.tmp"
+    fh = open(tmp, "x")
+    try:
+        with fh:
+            fh.write(text)
+        os.replace(tmp, out)
+    except BaseException:
+        os.unlink(tmp)
+        raise
 
 
 def _cmd_run(args) -> int:
-    cfg = _need_run_config(parse_config(args.config, assume_symmetric=args.assume_symmetric), "run")
-    cfg = dataclasses.replace(
-        cfg,
-        report_path=args.out or cfg.report_path,
-        out_format=args.format,
-        seed=args.seed if args.seed is not None else cfg.seed,
-    )
+    cfg, outputs = _load(args, RunConfig)
+    if args.seed is not None:  # report metadata only
+        cfg = dataclasses.replace(cfg, seed=args.seed)
     res = run_full(cfg)
-    if cfg.report_path:
-        print(f"report written to {cfg.report_path}")
-    elif args.format == "csv":
-        from .pipeline import _report_csv
-
-        sys.stdout.write(_report_csv(res.report_doc))
+    if args.format == "csv":
+        text = rows_to_csv([report_row(res.report, cfg.num_layers)], METRIC_COLUMNS)
     else:
-        print(json.dumps(res.report_doc, indent=2))
+        text = json.dumps(res.report_doc, indent=2) + "\n"
+    report_path = args.out or outputs.report_path
+    _emit(text, report_path)
+    if report_path:
+        print(f"report written to {report_path}")
+    if outputs.circuit_path:
+        fmt = "qasm_like" if outputs.circuit_path.endswith((".qasm", ".txt")) else "json"
+        _emit(export_circuit(res.circuit, fmt), outputs.circuit_path)
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    cfg = parse_config(args.config, assume_symmetric=args.assume_symmetric)
-    if not isinstance(cfg, SweepConfig):
-        raise ConfigError("'sweep' needs a sweep config (a 'vary' section)")
-    if args.seed is not None:
-        cfg = dataclasses.replace(cfg, base=dataclasses.replace(cfg.base, seed=args.seed))
+    cfg, outputs = _load(args, SweepConfig)
     _, rows = sweep_full(cfg)
     if args.format == "json":
-        _emit(json.dumps({"rows": rows}, indent=2), args.out or cfg.base.report_path)
+        text = json.dumps({"rows": rows}, indent=2)
     else:
-        _emit(rows_to_csv(rows), args.out or cfg.base.report_path)
+        text = rows_to_csv(rows)
+    _emit(text, args.out or outputs.report_path)
     return 0
 
 
 def _cmd_export(args) -> int:
-    cfg = _need_run_config(parse_config(args.config, assume_symmetric=args.assume_symmetric), "export")
-    res = run_full(dataclasses.replace(cfg, report_path=None, circuit_path=None))
-    _emit(export_circuit(res.circuit, args.format), args.out or cfg.circuit_path)
+    cfg, outputs = _load(args, RunConfig)
+    res = run_full(cfg)
+    _emit(export_circuit(res.circuit, args.format), args.out or outputs.circuit_path)
     return 0
 
 
 def _cmd_inspect(args) -> int:
-    cfg = _need_run_config(parse_config(args.config, assume_symmetric=args.assume_symmetric), "inspect-mps")
+    cfg, _ = _load(args, RunConfig)
     try:
         target = sample_pdf(cfg.dist, cfg.grid)
         encode = left_half(target) if cfg.method == "symmetry" else target
         m = mps_from_statevector(amplitudes(encode))
-    except ConfigError:
-        raise
     except Exception as exc:
         raise PipelineError(f"inspect-mps: {exc}") from exc
     summary = {
@@ -131,8 +163,7 @@ def _cmd_inspect(args) -> int:
     }
     print(json.dumps(summary, indent=2))
     if args.out:
-        with open(args.out, "w") as fh:
-            fh.write(mps_to_json(m))
+        _emit(mps_to_json(m), args.out)
         print(f"mps written to {args.out}")
     return 0
 
@@ -149,17 +180,10 @@ def main(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     try:
         return _COMMANDS[args.command](args)
-    except (ConfigError,) as exc:
+    except ValueError as exc:  # ConfigError, or domain validation the pipeline did not wrap
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    except ValueError as exc:
-        # domain validation surfaced before the pipeline wrapped it
-        print(f"config error: {exc}", file=sys.stderr)
-        return 2
-    except PipelineError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    except Exception as exc:  # unexpected runtime failure
+    except Exception as exc:  # PipelineError or another runtime failure
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -11,7 +11,8 @@ from __future__ import annotations
 import csv
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
+from typing import Callable
 
 import numpy as np
 from scipy import stats
@@ -20,14 +21,13 @@ __all__ = [
     "DistError",
     "Grid",
     "DistSpec",
+    "FAMILIES",
     "TargetDistribution",
+    "is_mirror_symmetric",
     "sample_pdf",
     "left_half",
     "amplitudes",
 ]
-
-_KINDS = ("normal", "lorentzian", "student_t", "table")
-
 
 class DistError(ValueError):
     """Raised on invalid distribution specs, grids, or degenerate targets."""
@@ -73,54 +73,82 @@ class Grid:
 
 
 @dataclass(frozen=True)
+class Family:
+    """One distribution kind: its parameters with defaults, the parameter
+    that must be positive, its pdf(spec, x), its center of even symmetry
+    and the scale unit of its default grid. Tables have neither pdf, center
+    nor scale."""
+
+    params: dict
+    positive: str | None = None
+    pdf: Callable | None = None
+    center: Callable | None = None
+    scale: Callable | None = None
+
+
+FAMILIES = {
+    "normal": Family({"mu": 0.0, "sigma2": 1.0}, "sigma2",
+                     lambda s, x: stats.norm.pdf(x, loc=s.mu, scale=math.sqrt(s.sigma2)),
+                     lambda s: s.mu, lambda s: math.sqrt(s.sigma2)),
+    "lorentzian": Family({"x0": 0.0, "gamma": 1.0}, "gamma",
+                         lambda s, x: stats.cauchy.pdf(x, loc=s.x0, scale=s.gamma),
+                         lambda s: s.x0, lambda s: s.gamma),
+    "student_t": Family({"nu": 1.0}, "nu",
+                        lambda s, x: stats.t.pdf(x, df=s.nu),
+                        lambda s: 0.0, lambda s: s.nu),
+    "table": Family({"path": None, "weights": (), "assume_symmetric": False}),
+}
+
+
+@dataclass(frozen=True)
 class DistSpec:
     """Density family plus parameters.
 
     kind: normal(mu, sigma2) | lorentzian(x0, gamma) | student_t(nu) |
-    table(path or weights). assume_symmetric only affects tables; analytic
-    kinds are recognized as symmetric when centered on the grid center.
+    table(path or weights, assume_symmetric). Parameters left unset take
+    the family's defaults; a parameter of another family is an error.
     """
 
     kind: str
-    mu: float = 0.0
-    sigma2: float = 1.0
-    x0: float = 0.0
-    gamma: float = 1.0
-    nu: float = 1.0
+    mu: float | None = None
+    sigma2: float | None = None
+    x0: float | None = None
+    gamma: float | None = None
+    nu: float | None = None
     path: str | None = None
-    weights: tuple = field(default=())
-    assume_symmetric: bool = False
+    weights: tuple | None = None
+    assume_symmetric: bool | None = None
 
     def __post_init__(self):
-        if self.kind not in _KINDS:
+        fam = FAMILIES.get(self.kind)
+        if fam is None:
             raise DistError(f"unknown distribution kind {self.kind!r}")
-        if self.kind == "normal" and not self.sigma2 > 0:
-            raise DistError(f"normal needs sigma2 > 0, got {self.sigma2}")
-        if self.kind == "lorentzian" and not self.gamma > 0:
-            raise DistError(f"lorentzian needs gamma > 0, got {self.gamma}")
-        if self.kind == "student_t" and not self.nu > 0:
-            raise DistError(f"student_t needs nu > 0, got {self.nu}")
+        for f in fields(self)[1:]:
+            value = getattr(self, f.name)
+            if f.name in fam.params:
+                if value is None:
+                    object.__setattr__(self, f.name, fam.params[f.name])
+            elif value is not None:
+                raise DistError(f"{self.kind} has no parameter {f.name!r}")
+        if fam.positive and not getattr(self, fam.positive) > 0:
+            raise DistError(f"{self.kind} needs {fam.positive} > 0, got {getattr(self, fam.positive)}")
         if self.kind == "table" and self.path is None and not self.weights:
             raise DistError("table spec needs a path or inline weights")
 
     def pdf(self, x: np.ndarray) -> np.ndarray:
-        if self.kind == "normal":
-            return stats.norm.pdf(x, loc=self.mu, scale=math.sqrt(self.sigma2))
-        if self.kind == "lorentzian":
-            return stats.cauchy.pdf(x, loc=self.x0, scale=self.gamma)
-        if self.kind == "student_t":
-            return stats.t.pdf(x, df=self.nu)
-        raise DistError("table specs have no analytic pdf")
+        fam = FAMILIES[self.kind]
+        if fam.pdf is None:
+            raise DistError("table specs have no analytic pdf")
+        return fam.pdf(self, x)
 
-    def symmetry_center(self) -> float | None:
-        # center of even symmetry, None for tables
-        if self.kind == "normal":
-            return self.mu
-        if self.kind == "lorentzian":
-            return self.x0
-        if self.kind == "student_t":
-            return 0.0
-        return None
+
+def is_mirror_symmetric(spec: DistSpec, grid: Grid) -> bool:
+    """True when p[k] == p[2^n-1-k] by construction: an analytic density
+    centered on the grid center, or a table flagged assume_symmetric."""
+    center = FAMILIES[spec.kind].center
+    if center is None:
+        return bool(spec.assume_symmetric)
+    return abs(center(spec) - grid.center) <= 1e-12 * (grid.max - grid.min)
 
 
 @dataclass(frozen=True)
@@ -203,7 +231,7 @@ def sample_pdf(spec: DistSpec, grid: Grid) -> TargetDistribution:
             raise DistError("table weights must be finite and non-negative")
         if not np.any(w > 0):
             raise DistError("table weights are all zero")
-        sym = bool(spec.assume_symmetric)
+        sym = is_mirror_symmetric(spec, grid)
         if sym:
             scale = float(np.max(w))
             if np.max(np.abs(w - w[::-1])) > 1e-12 * scale:
@@ -214,8 +242,7 @@ def sample_pdf(spec: DistSpec, grid: Grid) -> TargetDistribution:
         return TargetDistribution(grid, _exact_normalize(w, sym), symmetric=sym)
 
     x = grid.points()
-    c = spec.symmetry_center()
-    sym = c is not None and abs(c - grid.center) <= 1e-12 * (grid.max - grid.min)
+    sym = is_mirror_symmetric(spec, grid)
     if sym:
         half = n // 2
         f_left = spec.pdf(x[:half])

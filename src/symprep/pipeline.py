@@ -11,17 +11,25 @@ from __future__ import annotations
 import csv
 import io
 import json
-import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from . import __version__
-from .circuit import Circuit, accounting, add_reflection_wrapper, export_circuit, prep_circuit, simulate
+from .circuit import Circuit, accounting, add_reflection_wrapper, prep_circuit, simulate
 from .disentangler import build_stack
-from .dist import DistSpec, Grid, TargetDistribution, amplitudes, left_half, sample_pdf
+from .dist import (
+    FAMILIES,
+    DistSpec,
+    Grid,
+    TargetDistribution,
+    amplitudes,
+    is_mirror_symmetric,
+    left_half,
+    sample_pdf,
+)
 from .metrics import MetricsReport, classical_fidelity, kl_divergence, meyer_wallach_purity
-from .mps import mps_from_statevector
+from .mps import DENSE_LIMIT, mps_from_statevector
 
 __all__ = [
     "ConfigError",
@@ -53,6 +61,7 @@ SWEEP_COLUMNS = [
     "cnot_depth_analytic",
     "error",
 ]
+METRIC_COLUMNS = SWEEP_COLUMNS[2:-1]  # one run's columns, chi .. cnot_depth_analytic
 
 _VARY_KEYS = ("bond_dims", "qubit_counts", "layer_counts")
 
@@ -73,35 +82,29 @@ class RunConfig:
     method: str = "symmetry"
     num_layers: int = 1
     chi_work: int | None = None
-    report_path: str | None = None
-    circuit_path: str | None = None
-    out_format: str = "json"
     seed: int | None = None
 
     def __post_init__(self):
         if self.n_qubits < 3:
             raise ConfigError(f"n_qubits must be >= 3, got {self.n_qubits}")
+        if self.n_qubits > DENSE_LIMIT:
+            raise ConfigError(f"n_qubits must be <= {DENSE_LIMIT} for dense verification, got {self.n_qubits}")
         if self.method not in ("symmetry", "baseline"):
             raise ConfigError(f"method must be symmetry or baseline, got {self.method!r}")
+        if self.method == "symmetry" and self.n_qubits < 4:
+            # the half state on n-1 qubits needs at least three for a layer
+            raise ConfigError(f"method=symmetry needs n_qubits >= 4, got {self.n_qubits}")
         if self.num_layers < 1:
             raise ConfigError(f"num_layers must be >= 1, got {self.num_layers}")
         if self.chi_work is not None and self.chi_work < 2:
             raise ConfigError(f"chi_work must be >= 2, got {self.chi_work}")
-        if self.out_format not in ("json", "csv"):
-            raise ConfigError(f"format must be json or csv, got {self.out_format!r}")
         if self.grid.n_qubits != self.n_qubits:
             raise ConfigError("grid qubit count does not match n_qubits")
-        if self.method == "symmetry" and not self._spec_symmetric():
+        if self.method == "symmetry" and not is_mirror_symmetric(self.dist, self.grid):
             raise ConfigError(
                 "method=symmetry needs a density that is mirror symmetric about "
                 "the grid center (or a table with assume_symmetric set)"
             )
-
-    def _spec_symmetric(self) -> bool:
-        if self.dist.kind == "table":
-            return bool(self.dist.assume_symmetric)
-        c = self.dist.symmetry_center()
-        return abs(c - self.grid.center) <= 1e-12 * (self.grid.max - self.grid.min)
 
 
 @dataclass(frozen=True)
@@ -113,7 +116,7 @@ class SweepConfig:
     def __post_init__(self):
         if self.vary_key not in _VARY_KEYS:
             raise ConfigError(f"vary key must be one of {_VARY_KEYS}, got {self.vary_key!r}")
-        vals = tuple(int(v) for v in self.vary_values)
+        vals = tuple(_int(v, self.vary_key) for v in self.vary_values)
         if not vals:
             raise ConfigError("vary list must be non-empty")
         if any(b <= a for a, b in zip(vals, vals[1:])):
@@ -144,52 +147,49 @@ def _reject_unknown(d: dict, allowed, ctx: str) -> None:
         raise ConfigError(f"unknown key(s) {unknown} in {ctx}")
 
 
-_DIST_KEYS = {
-    "normal": ("kind", "mu", "sigma2"),
-    "lorentzian": ("kind", "x0", "gamma"),
-    "student_t": ("kind", "nu"),
-    "table": ("kind", "path", "weights", "assume_symmetric"),
-}
+def _int(v, key: str) -> int:
+    if isinstance(v, bool) or not isinstance(v, int):
+        raise ConfigError(f"{key} must be an integer, got {v!r}")
+    return v
+
+
+def _number(v, key: str) -> float:
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ConfigError(f"{key} must be a number, got {v!r}")
+    return float(v)
+
+
+def _dist_param(v, default, key: str):
+    # the family default's type decides the value's type
+    if isinstance(default, float):
+        return _number(v, key)
+    if isinstance(default, tuple):  # weights
+        if not isinstance(v, list):
+            raise ConfigError(f"{key} must be a list of numbers, got {v!r}")
+        return tuple(_number(x, key) for x in v)
+    want = bool if isinstance(default, bool) else str  # a flag, or a path
+    if not isinstance(v, want):
+        raise ConfigError(f"{key} must be a {want.__name__}, got {v!r}")
+    return v
 
 
 def _dist_from_dict(d: dict) -> DistSpec:
-    if not isinstance(d, dict) or "kind" not in d:
+    if not isinstance(d, dict) or not isinstance(d.get("kind"), str):
         raise ConfigError("dist must be an object with a 'kind' key")
-    kind = d["kind"]
-    if kind not in _DIST_KEYS:
-        raise ConfigError(f"unknown dist kind {kind!r}")
-    _reject_unknown(d, _DIST_KEYS[kind], "dist")
+    fam = FAMILIES.get(d["kind"])
+    if fam is None:
+        raise ConfigError(f"unknown dist kind {d['kind']!r}")
+    _reject_unknown(d, ("kind", *fam.params), "dist")
+    params = {k: _dist_param(v, fam.params[k], f"dist.{k}") for k, v in d.items() if k != "kind"}
     try:
-        if kind == "normal":
-            return DistSpec("normal", mu=float(d.get("mu", 0.0)), sigma2=float(d.get("sigma2", 1.0)))
-        if kind == "lorentzian":
-            return DistSpec("lorentzian", x0=float(d.get("x0", 0.0)), gamma=float(d.get("gamma", 1.0)))
-        if kind == "student_t":
-            return DistSpec("student_t", nu=float(d.get("nu", 1.0)))
-        return DistSpec(
-            "table",
-            path=d.get("path"),
-            weights=tuple(float(x) for x in d.get("weights", ())),
-            assume_symmetric=bool(d.get("assume_symmetric", False)),
-        )
+        return DistSpec(d["kind"], **params)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
 
-def _default_grid_bounds(spec: DistSpec) -> tuple[float, float]:
-    # five natural scale units either side of the center of symmetry
-    if spec.kind == "normal":
-        s = 5.0 * math.sqrt(spec.sigma2)
-        return spec.mu - s, spec.mu + s
-    if spec.kind == "lorentzian":
-        return spec.x0 - 5.0 * spec.gamma, spec.x0 + 5.0 * spec.gamma
-    if spec.kind == "student_t":
-        return -5.0 * spec.nu, 5.0 * spec.nu
-    raise ConfigError("table dists need an explicit grid (no natural scale)")
-
-
 def config_from_dict(doc: dict, *, assume_symmetric: bool = False) -> RunConfig | SweepConfig:
-    """Validate a parsed config document. Unknown keys are rejected."""
+    """Validate a parsed config document. Unknown keys are rejected and values
+    are not coerced. The 'outputs' section belongs to the CLI and is not read."""
     if not isinstance(doc, dict):
         raise ConfigError("config root must be an object")
     if "vary" in doc:
@@ -202,10 +202,12 @@ def config_from_dict(doc: dict, *, assume_symmetric: bool = False) -> RunConfig 
         vary = doc["vary"]
         if not isinstance(vary, dict) or len(vary) != 1:
             raise ConfigError(f"vary must hold exactly one of {_VARY_KEYS}")
-        key = next(iter(vary))
+        (key, values), = vary.items()
         if key not in _VARY_KEYS:
             raise ConfigError(f"vary key must be one of {_VARY_KEYS}, got {key!r}")
-        return SweepConfig(base=base, vary_key=key, vary_values=tuple(vary[key]))
+        if not isinstance(values, list):
+            raise ConfigError(f"vary.{key} must be a list of integers, got {values!r}")
+        return SweepConfig(base=base, vary_key=key, vary_values=tuple(values))
 
     allowed = (
         "dist", "grid", "n_qubits", "method", "num_layers", "chi_work", "outputs", "seed",
@@ -213,15 +215,11 @@ def config_from_dict(doc: dict, *, assume_symmetric: bool = False) -> RunConfig 
     _reject_unknown(doc, allowed, "run config")
     if "dist" not in doc or "n_qubits" not in doc:
         raise ConfigError("run config needs at least 'dist' and 'n_qubits'")
-    dist_doc = dict(doc["dist"])
-    if assume_symmetric and dist_doc.get("kind") == "table":
-        dist_doc["assume_symmetric"] = True
+    dist_doc = doc["dist"]
+    if assume_symmetric and isinstance(dist_doc, dict) and dist_doc.get("kind") == "table":
+        dist_doc = {**dist_doc, "assume_symmetric": True}
     spec = _dist_from_dict(dist_doc)
-
-    try:
-        n_qubits = int(doc["n_qubits"])
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"n_qubits must be an integer: {exc}") from exc
+    n_qubits = _int(doc["n_qubits"], "n_qubits")
 
     grid_doc = doc.get("grid", {})
     if not isinstance(grid_doc, dict):
@@ -230,49 +228,56 @@ def config_from_dict(doc: dict, *, assume_symmetric: bool = False) -> RunConfig 
     if "min" in grid_doc or "max" in grid_doc:
         if not ("min" in grid_doc and "max" in grid_doc):
             raise ConfigError("grid needs both min and max")
-        gmin, gmax = float(grid_doc["min"]), float(grid_doc["max"])
+        gmin, gmax = _number(grid_doc["min"], "grid.min"), _number(grid_doc["max"], "grid.max")
     else:
-        gmin, gmax = _default_grid_bounds(spec)
+        fam = FAMILIES[spec.kind]
+        if fam.center is None:
+            raise ConfigError("table dists need an explicit grid (no natural scale)")
+        # five natural scale units either side of the center of symmetry
+        c, unit = fam.center(spec), fam.scale(spec)
+        gmin, gmax = c - 5.0 * unit, c + 5.0 * unit
     try:
         grid = Grid(gmin, gmax, n_qubits, grid_doc.get("convention", "midpoint"))
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
 
-    outputs = doc.get("outputs", {})
-    if not isinstance(outputs, dict):
-        raise ConfigError("outputs must be an object")
-    _reject_unknown(outputs, ("report_path", "circuit_path", "format"), "outputs")
-
-    chi_work = doc.get("chi_work")
+    chi_work, seed = doc.get("chi_work"), doc.get("seed")
     return RunConfig(
         dist=spec,
         grid=grid,
         n_qubits=n_qubits,
         method=doc.get("method", "symmetry"),
-        num_layers=int(doc.get("num_layers", 1)),
-        chi_work=None if chi_work is None else int(chi_work),
-        report_path=outputs.get("report_path"),
-        circuit_path=outputs.get("circuit_path"),
-        out_format=outputs.get("format", "json"),
-        seed=None if doc.get("seed") is None else int(doc.get("seed")),
+        num_layers=_int(doc.get("num_layers", 1), "num_layers"),
+        chi_work=None if chi_work is None else _int(chi_work, "chi_work"),
+        seed=None if seed is None else _int(seed, "seed"),
     )
 
 
-def parse_config(path: str, *, assume_symmetric: bool = False) -> RunConfig | SweepConfig:
-    """Load and validate a JSON config file."""
+def read_config(path: str) -> dict:
+    """Load a JSON config document; a missing or malformed file is a ConfigError."""
     try:
         with open(path) as fh:
-            doc = json.load(fh)
+            return json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-    return config_from_dict(doc, assume_symmetric=assume_symmetric)
+
+
+def parse_config(path: str, *, assume_symmetric: bool = False) -> RunConfig | SweepConfig:
+    """Load and validate a JSON config file."""
+    return config_from_dict(read_config(path), assume_symmetric=assume_symmetric)
 
 
 def _config_echo(cfg: RunConfig) -> dict:
-    d = {
-        "dist": {"kind": cfg.dist.kind},
+    dist = {"kind": cfg.dist.kind}
+    for key in FAMILIES[cfg.dist.kind].params:
+        if key == "weights":
+            dist["inline_weights"] = len(cfg.dist.weights)
+        else:
+            dist[key] = getattr(cfg.dist, key)
+    return {
+        "dist": dist,
         "grid": {
             "min": cfg.grid.min,
             "max": cfg.grid.max,
@@ -284,23 +289,10 @@ def _config_echo(cfg: RunConfig) -> dict:
         "chi_work": cfg.chi_work,
         "seed": cfg.seed,
     }
-    if cfg.dist.kind == "normal":
-        d["dist"].update(mu=cfg.dist.mu, sigma2=cfg.dist.sigma2)
-    elif cfg.dist.kind == "lorentzian":
-        d["dist"].update(x0=cfg.dist.x0, gamma=cfg.dist.gamma)
-    elif cfg.dist.kind == "student_t":
-        d["dist"].update(nu=cfg.dist.nu)
-    else:
-        d["dist"].update(
-            path=cfg.dist.path,
-            inline_weights=len(cfg.dist.weights),
-            assume_symmetric=cfg.dist.assume_symmetric,
-        )
-    return d
 
 
 def run_full(config: RunConfig) -> RunResult:
-    """Execute the pipeline and return the report plus artifacts."""
+    """Execute the pipeline and return the report plus artifacts; writes nothing."""
     stage = "sample_pdf"
     try:
         target = sample_pdf(config.dist, config.grid)
@@ -357,7 +349,6 @@ def run_full(config: RunConfig) -> RunResult:
             "cnot_depth_counted": report.gate_stats.cnot_depth_counted,
         },
     }
-    _write_outputs(config, doc, circ)
     return RunResult(
         report=report,
         report_doc=doc,
@@ -368,46 +359,18 @@ def run_full(config: RunConfig) -> RunResult:
     )
 
 
-def _write_outputs(config: RunConfig, doc: dict, circ: Circuit) -> None:
-    if config.report_path:
-        with open(config.report_path, "w") as fh:
-            if config.out_format == "json":
-                json.dump(doc, fh, indent=2)
-                fh.write("\n")
-            else:
-                fh.write(_report_csv(doc))
-    if config.circuit_path:
-        fmt = "qasm_like" if config.circuit_path.endswith((".qasm", ".txt")) else "json"
-        with open(config.circuit_path, "w") as fh:
-            fh.write(export_circuit(circ, fmt))
-
-
-def _report_csv(doc: dict) -> str:
-    cols = SWEEP_COLUMNS[2:-1]  # chi .. cnot_depth_analytic
-    met, cfg = doc["metrics"], doc["config"]
-    row = [
-        2 ** cfg["num_layers"],
-        cfg["num_layers"],
-        met["kl_divergence"],
-        met["classical_fidelity"],
-        met["meyer_wallach_q"],
-        met["truncation_error"],
-        met["residual_infidelity"],
-        doc["gate_stats"]["cnot_depth_analytic"],
-    ]
-    buf = io.StringIO()
-    w = csv.writer(buf, lineterminator="\n")
-    w.writerow(cols)
-    w.writerow([_csv_cell(v) for v in row])
-    return buf.getvalue()
-
-
-def _csv_cell(v) -> str:
-    if v is None:
-        return ""
-    if isinstance(v, float):
-        return format(v, ".17g")
-    return str(v)
+def report_row(report: MetricsReport, num_layers: int) -> dict:
+    """The METRIC_COLUMNS of one run, as a CSV-ready dict."""
+    return {
+        "chi": 2**num_layers,
+        "num_layers": num_layers,
+        "kl": report.kl_divergence,
+        "fidelity": report.classical_fidelity,
+        "q_measure": report.meyer_wallach_q,
+        "truncation_error": report.truncation_error,
+        "residual": report.residual_infidelity,
+        "cnot_depth_analytic": report.gate_stats.cnot_depth_analytic,
+    }
 
 
 def run(config: RunConfig) -> MetricsReport:
@@ -415,27 +378,11 @@ def run(config: RunConfig) -> MetricsReport:
     return run_full(config).report
 
 
-def _derived_config(base: RunConfig, key: str, value: int) -> RunConfig:
-    kw = dict(
-        dist=base.dist,
-        grid=base.grid,
-        n_qubits=base.n_qubits,
-        method=base.method,
-        num_layers=base.num_layers,
-        chi_work=base.chi_work,
-        report_path=None,
-        circuit_path=None,
-        out_format=base.out_format,
-        seed=base.seed,
-    )
-    if key == "bond_dims":
-        kw["num_layers"] = int(math.log2(value))
-    elif key == "layer_counts":
-        kw["num_layers"] = value
-    else:
-        kw["n_qubits"] = value
-        kw["grid"] = Grid(base.grid.min, base.grid.max, value, base.grid.convention)
-    return RunConfig(**kw)
+def _point_config(base: RunConfig, key: str, value: int) -> RunConfig:
+    if key == "qubit_counts":
+        return replace(base, n_qubits=value, grid=replace(base.grid, n_qubits=value))
+    # bond_dims chi = 2^L maps to L layers
+    return replace(base, num_layers=value.bit_length() - 1 if key == "bond_dims" else value)
 
 
 def sweep_full(config: SweepConfig):
@@ -451,20 +398,10 @@ def sweep_full(config: SweepConfig):
         row["varied_param"] = config.vary_key
         row["value"] = value
         try:
-            cfg = _derived_config(config.base, config.vary_key, value)
-            res = run_full(cfg)
-            rep = res.report
+            cfg = _point_config(config.base, config.vary_key, value)
+            rep = run_full(cfg).report
             reports.append(rep)
-            row.update(
-                chi=2**cfg.num_layers,
-                num_layers=cfg.num_layers,
-                kl=rep.kl_divergence,
-                fidelity=rep.classical_fidelity,
-                q_measure=rep.meyer_wallach_q,
-                truncation_error=rep.truncation_error,
-                residual=rep.residual_infidelity,
-                cnot_depth_analytic=rep.gate_stats.cnot_depth_analytic,
-            )
+            row.update(report_row(rep, cfg.num_layers))
         except (ConfigError, PipelineError, ValueError) as exc:
             row["error"] = str(exc)
         rows.append(row)
@@ -472,18 +409,23 @@ def sweep_full(config: SweepConfig):
 
 
 def sweep(config: SweepConfig):
-    """Spec-level entry point: list of reports, CSV written if configured."""
-    reports, rows = sweep_full(config)
-    if config.base.report_path:
-        with open(config.base.report_path, "w") as fh:
-            fh.write(rows_to_csv(rows))
-    return reports
+    """Spec-level entry point: one MetricsReport per successful point."""
+    return sweep_full(config)[0]
 
 
-def rows_to_csv(rows) -> str:
+def rows_to_csv(rows, columns=SWEEP_COLUMNS) -> str:
+    """CSV text with a header line of `columns`, then one line per row."""
     buf = io.StringIO()
     w = csv.writer(buf, lineterminator="\n")
-    w.writerow(SWEEP_COLUMNS)
+    w.writerow(columns)
     for row in rows:
-        w.writerow([_csv_cell(row[c]) for c in SWEEP_COLUMNS])
+        w.writerow([_csv_cell(row[c]) for c in columns])
     return buf.getvalue()
+
+
+def _csv_cell(v) -> str:
+    if v is None:
+        return ""
+    if isinstance(v, float):
+        return format(v, ".17g")
+    return str(v)

@@ -18,7 +18,7 @@ from symprep.pipeline import (
     sweep,
     sweep_full,
 )
-from symprep.dist import DistSpec, Grid
+from symprep.dist import FAMILIES, DistSpec, Grid
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -69,6 +69,61 @@ def test_config_validation_errors():
         config_from_dict(minimal_doc(grid={"min": -1.0}))  # max missing
 
 
+@pytest.mark.parametrize(
+    "over",
+    [
+        {"n_qubits": 6.7},
+        {"num_layers": True},
+        {"seed": 3.9},
+        {"chi_work": 4.5},
+        {"dist": {"kind": "normal", "sigma2": "0.01"}},
+        {"grid": {"min": "-1", "max": 1.0}},
+        {"dist": {"kind": "table", "weights": [1.0] * 64, "assume_symmetric": "no"},
+         "grid": {"min": 0.0, "max": 1.0}},
+        {"dist": {"kind": "table", "weights": ["1"] * 64}, "grid": {"min": 0.0, "max": 1.0}},
+        {"dist": {"kind": "table", "path": 5}, "grid": {"min": 0.0, "max": 1.0}},
+        {"dist": 5},
+        {"vary": {"layer_counts": [1.5, 2]}},
+        {"vary": {"bond_dims": 5}},
+    ],
+    ids=repr,
+)
+def test_config_values_are_not_coerced(over, tmp_path, capsys):
+    if "vary" in over:
+        doc = {"base": minimal_doc(), **over}
+    else:
+        doc = minimal_doc(**over)
+    with pytest.raises(ConfigError):
+        config_from_dict(doc)
+    assert main(["run", "--config", write_config(tmp_path, doc)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("kind", [k for k, fam in FAMILIES.items() if fam.pdf is not None])
+def test_family_table(kind):
+    fam = FAMILIES[kind]
+    # off-default parameters, each still valid
+    dist = {"kind": kind, **{k: v + 0.5 for k, v in fam.params.items()}}
+    cfg = config_from_dict({"dist": dist, "n_qubits": 6})
+    center, unit = fam.center(cfg.dist), fam.scale(cfg.dist)
+    assert (cfg.grid.min, cfg.grid.max) == (center - 5.0 * unit, center + 5.0 * unit)
+    echo = run_full(cfg).report_doc["config"]
+    assert config_from_dict(echo).dist == cfg.dist
+    assert config_from_dict(echo) == cfg
+    with pytest.raises(ConfigError, match="unknown key"):
+        config_from_dict({"dist": {**dist, "scale": 1.0}, "n_qubits": 6})
+
+
+def test_n_qubits_limits():
+    # refused before any 2^n allocation: at n=40 a sampled grid is 8 TiB
+    with pytest.raises(ConfigError, match="<= 24"):
+        config_from_dict(minimal_doc(n_qubits=40))
+    cfg = config_from_dict({"base": minimal_doc(method="baseline"), "vary": {"qubit_counts": [6, 25]}})
+    reports, rows = sweep_full(cfg)
+    assert len(reports) == 1 and rows[0]["error"] == ""
+    assert "<= 24" in rows[1]["error"]
+
+
 def test_symmetry_method_needs_symmetric_density():
     doc = minimal_doc(grid={"min": -0.5, "max": 1.5})  # center 0.5, mean 0
     with pytest.raises(ConfigError):
@@ -76,14 +131,18 @@ def test_symmetry_method_needs_symmetric_density():
     assert config_from_dict({**doc, "method": "baseline"}).method == "baseline"
     # tables only pass with the explicit flag
     tdoc = {
-        "dist": {"kind": "table", "weights": [1.0] * 8},
+        "dist": {"kind": "table", "weights": [1.0] * 16},
         "grid": {"min": 0.0, "max": 1.0},
-        "n_qubits": 3,
+        "n_qubits": 4,
     }
     with pytest.raises(ConfigError):
         config_from_dict(tdoc)
     cfg = config_from_dict(tdoc, assume_symmetric=True)
     assert cfg.dist.assume_symmetric
+    # the half state of a symmetric n=3 run is too small for a layer
+    t3 = {**tdoc, "dist": {"kind": "table", "weights": [1.0] * 8}, "n_qubits": 3}
+    with pytest.raises(ConfigError, match="n_qubits >= 4"):
+        config_from_dict(t3, assume_symmetric=True)
 
 
 def test_sweep_config_validation():
@@ -120,12 +179,12 @@ def test_run_point_mass_table_is_exact():
     assert report.classical_fidelity >= 1.0 - 1e-10
 
 
-def test_run_report_document(tmp_path):
+def test_run_report_document(tmp_path, capsys):
     out = tmp_path / "report.json"
-    cfg = config_from_dict(
-        minimal_doc(outputs={"report_path": str(out), "format": "json"})
-    )
-    res = run_full(cfg)
+    doc = minimal_doc(outputs={"report_path": str(out)})
+    assert main(["run", "--config", write_config(tmp_path, doc)]) == 0
+    capsys.readouterr()
+    res = run_full(config_from_dict(doc))
     doc = json.loads(out.read_text())
     assert doc["artifact"]["name"] == "symprep"
     assert doc["config"]["method"] == "symmetry"
@@ -142,10 +201,11 @@ def test_run_determinism():
     assert json.dumps(d1) == json.dumps(d2)
 
 
-def test_run_circuit_export_path(tmp_path):
+def test_run_circuit_export_path(tmp_path, capsys):
     out = tmp_path / "circ.json"
-    cfg = config_from_dict(minimal_doc(outputs={"circuit_path": str(out)}))
-    run(cfg)
+    cfg = write_config(tmp_path, minimal_doc(outputs={"circuit_path": str(out)}))
+    assert main(["run", "--config", cfg]) == 0
+    capsys.readouterr()
     doc = json.loads(out.read_text())
     assert doc["n_qubits"] == 6
     kinds = [g["kind"] for g in doc["gates"]]
@@ -155,13 +215,12 @@ def test_run_circuit_export_path(tmp_path):
 
 def test_sweep_rows_and_reports(tmp_path):
     out = tmp_path / "sweep.csv"
-    cfg = config_from_dict(
-        {
-            "base": minimal_doc(outputs={"report_path": str(out)}),
-            "vary": {"layer_counts": [1, 2]},
-        }
-    )
-    reports = sweep(cfg)
+    doc = {
+        "base": minimal_doc(outputs={"report_path": str(out)}),
+        "vary": {"layer_counts": [1, 2]},
+    }
+    assert main(["sweep", "--config", write_config(tmp_path, doc)]) == 0
+    reports = sweep(config_from_dict(doc))
     assert len(reports) == 2
     lines = out.read_text().strip().splitlines()
     assert lines[0].startswith("varied_param,value,chi,num_layers,kl,")
@@ -212,7 +271,7 @@ def test_runconfig_direct_validation():
     with pytest.raises(ConfigError):
         RunConfig(dist=spec, grid=grid, n_qubits=7)  # grid width mismatch
     with pytest.raises(ConfigError):
-        RunConfig(dist=spec, grid=grid, n_qubits=6, out_format="xml")
+        RunConfig(dist=spec, grid=Grid(-0.5, 0.5, 3), n_qubits=3)  # symmetric n=3
 
 
 def test_cli_run_and_exit_codes(tmp_path, capsys):
@@ -285,3 +344,33 @@ def test_report_csv_format(tmp_path, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert lines[0] == "chi,num_layers,kl,fidelity,q_measure,truncation_error,residual,cnot_depth_analytic"
     assert len(lines) == 2
+
+
+def test_cli_writes_outputs_atomically(tmp_path, capsys, monkeypatch):
+    out = tmp_path / "out"
+    out.mkdir()
+    report, circ = out / "report.json", out / "circ.qasm"
+    doc = minimal_doc(outputs={"report_path": str(report), "circuit_path": str(circ)})
+    assert main(["run", "--config", write_config(tmp_path, doc)]) == 0
+    assert str(report) in capsys.readouterr().out
+    assert json.loads(report.read_text())["config"]["n_qubits"] == 6
+    assert "cx q0,q5" in circ.read_text()
+    assert sorted(p.name for p in out.iterdir()) == ["circ.qasm", "report.json"]
+
+    # a failed write removes its temp file: a directory cannot be replaced
+    doc = minimal_doc(outputs={"report_path": str(out)})
+    assert main(["run", "--config", write_config(tmp_path, doc)]) == 1
+    capsys.readouterr()
+    assert sorted(p.name for p in out.iterdir()) == ["circ.qasm", "report.json"]
+
+    # the CLI owns 'outputs'; 'format' is not one of its keys
+    bad = write_config(tmp_path, minimal_doc(outputs={"format": "json"}), "bad.json")
+    assert main(["run", "--config", bad]) == 2
+    assert "unknown key" in capsys.readouterr().err
+
+    # the library writes nothing, whatever the document's outputs say
+    empty = tmp_path / "empty"
+    empty.mkdir()
+    monkeypatch.chdir(empty)
+    run_full(config_from_dict(minimal_doc(outputs={"report_path": "r.json", "circuit_path": "c.json"})))
+    assert list(empty.iterdir()) == []
