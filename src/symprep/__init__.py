@@ -17,6 +17,7 @@ from .mps import (
     DENSE_LIMIT,
     Mps,
     MpsError,
+    apply_gate_run,
     apply_two_qubit_gate,
     is_left_canonical,
     mps_from_json,
@@ -73,7 +74,7 @@ __all__ = [
     "DistError", "DistSpec", "Grid", "TargetDistribution",
     "sample_pdf", "left_half", "amplitudes",
     "DENSE_LIMIT", "Mps", "MpsError", "mps_from_statevector", "to_statevector",
-    "truncate", "apply_two_qubit_gate", "is_left_canonical",
+    "truncate", "apply_two_qubit_gate", "apply_gate_run", "is_left_canonical",
     "mps_to_json", "mps_from_json",
     "DisentanglerError", "MpdLayer", "DisentanglerStack",
     "build_layer", "build_stack", "residual",

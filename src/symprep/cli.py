@@ -5,9 +5,10 @@ CSV summary), export (circuit export), inspect-mps (decompose the encoded
 state and report bond structure). Exit codes: 0 success, 2 config/validation
 error, 1 runtime error.
 
-The pipeline itself is deterministic; --seed is recorded in report metadata
-only (it exists so reports produced alongside seeded property tests are
-self-describing).
+The pipeline itself is deterministic; run's --seed is recorded in report
+metadata only (it exists so reports produced alongside seeded property tests
+are self-describing). The other subcommands have no seed to record and
+refuse the option.
 """
 
 from __future__ import annotations
@@ -48,12 +49,13 @@ def _build_parser() -> argparse.ArgumentParser:
         p.add_argument("--config", required=True, help="path to a JSON config file")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
         p.add_argument("--format", default=default_format, choices=formats)
-        p.add_argument("--seed", type=int, default=None,
-                       help="recorded in report metadata; the pipeline is deterministic")
         p.add_argument("--assume-symmetric", action="store_true",
                        help="treat a tabulated distribution as mirror symmetric")
+        return p
 
-    common(sub.add_parser("run", help="execute one pipeline run"), ("json", "csv"), "json")
+    run = common(sub.add_parser("run", help="execute one pipeline run"), ("json", "csv"), "json")
+    run.add_argument("--seed", type=int, default=None,
+                     help="recorded in report metadata; the pipeline is deterministic")
     common(sub.add_parser("sweep", help="run a parameter sweep"), ("csv", "json"), "csv")
     common(sub.add_parser("export", help="export the preparation circuit"),
            ("json", "qasm_like"), "json")

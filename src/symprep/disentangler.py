@@ -20,7 +20,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import statevec
-from .mps import Mps, MpsError, _apply_two_qubit_gate, is_left_canonical, to_statevector
+from .mps import Mps, apply_gate_run, is_left_canonical, to_statevector, truncate
 from .numerics import complete_isometry
 
 __all__ = [
@@ -148,17 +148,12 @@ def _disentangle_mps(m: Mps, layer: MpdLayer, chi_work: int | None):
     n = m.n_qubits
     if layer.n_qubits != n:
         raise DisentanglerError("layer width mismatch")
-    err = 0.0
     # end gate adjoint on the last qubit: orthogonal 1q gates preserve the
     # canonical identities, so the tensor update is local
     tensors = list(m.tensors)
     tensors[-1] = np.einsum("ts,tlr->slr", layer.g_last, tensors[-1])
-    state = Mps(tensors, canonical="left")
-    for i in range(n - 3, -1, -1):
-        state, e = _apply_two_qubit_gate(state, layer.g_middle[i].T, i + 2, chi_work)
-        err += e
-    state, e = _apply_two_qubit_gate(state, layer.g_first.T, 1, chi_work)
-    return state, err + e
+    gates = [g.T for g in reversed(layer.g_middle)] + [layer.g_first.T]
+    return apply_gate_run(Mps(tensors, canonical="left"), gates, n - 1, chi_work)
 
 
 def _disentangle_dense(psi: np.ndarray, layer: MpdLayer) -> np.ndarray:
@@ -187,8 +182,6 @@ def build_stack(
     records the residual. Runs exactly num_layers rounds unless
     early_stop_tol is set and the residual drops below it.
     """
-    from .mps import truncate  # local import keeps module load order simple
-
     if num_layers < 1:
         raise DisentanglerError(f"num_layers must be >= 1, got {num_layers}")
     max_bond = max(m.bond_dims)

@@ -24,6 +24,7 @@ __all__ = [
     "to_statevector",
     "truncate",
     "apply_two_qubit_gate",
+    "apply_gate_run",
     "is_left_canonical",
     "mps_to_json",
     "mps_from_json",
@@ -247,43 +248,45 @@ def truncate(m: Mps, chi: int):
     return Mps(tensors, canonical="left"), err
 
 
-def _apply_two_qubit_gate(m: Mps, g, site: int, chi_max: int | None):
-    """Gate application returning (new Mps, discarded weight).
+def apply_gate_run(m: Mps, gates, top: int, chi_max: int | None = None):
+    """Apply orthogonal 4x4 gates to the descending qubit pairs (top, top+1),
+    (top-1, top), ... in one pass; returns (new Mps, discarded weight).
 
-    site is 1-based; the gate acts on qubits (site, site+1) with the lower
-    qubit number as the more significant bit of the 4x4 gate index.
+    Sites are 1-based; the lower qubit is the more significant bit of each
+    4x4 gate index. One exact sweep moves the norm center to site top; each
+    gate then costs one SVD whose singular values go into the left factor,
+    so the center follows the gates down the chain (mixed-canonical form)
+    and every bond is recompressed to chi_max with the center on it. The
+    discarded weight sums each gate's dropped squared singular values, the
+    state being renormalized after each gate.
     """
-    g = _check_gate_orthogonal(g, 4)
+    gates = [_check_gate_orthogonal(g, 4) for g in gates]
     n = m.n_qubits
-    if not 1 <= site <= n - 1:
-        raise MpsError(f"site must be in [1, {n - 1}], got {site}")
+    bottom = top - len(gates) + 1
+    if not 1 <= bottom <= top <= n - 1:
+        raise MpsError(f"gates must act on sites within [1, {n - 1}], got {bottom}..{top}")
     if m.canonical != "left":
         raise MpsError("gate application needs a canonical-form input")
-    i = site - 1
     tensors = list(m.tensors)
-    _sweep_right_exact(tensors, i)
-
-    a = tensors[i]      # (2, l, b)
-    b = tensors[i + 1]  # (2, b, r)
-    theta = np.einsum("sab,tbc->stac", a, b)
-    g4 = g.reshape(2, 2, 2, 2)
-    theta = np.einsum("uvst,stac->uvac", g4, theta)
-    l, r = theta.shape[2], theta.shape[3]
-    mat = theta.transpose(2, 0, 1, 3).reshape(l * 2, 2 * r)
-
-    res = svd(mat)
-    k = res.s.size
-    if k and res.s[0] > 0:
-        k = int(np.sum(res.s > _RANK_CUTOFF * res.s[0]))
-        k = max(k, 1)
-    if chi_max is not None:
-        k = min(k, int(chi_max))
-    err = float(np.sum(res.s[k:] ** 2))
-    u, s, vt = res.u[:, :k], res.s[:k], res.vt[:k, :]
-    tensors[i] = u.reshape(l, 2, k).transpose(1, 0, 2)
-    tensors[i + 1] = (s[:, None] * vt).reshape(k, 2, r).transpose(1, 0, 2)
-
-    _sweep_left_exact(tensors, i + 1)
+    _sweep_right_exact(tensors, top - 1)
+    err = 0.0
+    for i, g in zip(range(top - 1, bottom - 2, -1), gates):
+        theta = np.einsum("sab,tbc->stac", tensors[i], tensors[i + 1])
+        theta = np.einsum("uvst,stac->uvac", g.reshape(2, 2, 2, 2), theta)
+        l, r = theta.shape[2], theta.shape[3]
+        res = svd(theta.transpose(2, 0, 1, 3).reshape(l * 2, 2 * r))
+        k = res.s.size
+        if k and res.s[0] > 0:
+            k = max(int(np.sum(res.s > _RANK_CUTOFF * res.s[0])), 1)
+        if chi_max is not None:
+            k = min(k, int(chi_max))
+        err += float(np.sum(res.s[k:] ** 2))
+        s = res.s[:k]
+        if k < res.s.size:  # keep the state normalized for the next gate
+            s = s / np.linalg.norm(s)
+        tensors[i] = (res.u[:, :k] * s).reshape(l, 2, k).transpose(1, 0, 2)
+        tensors[i + 1] = res.vt[:k, :].reshape(k, 2, r).transpose(1, 0, 2)
+    _sweep_left_exact(tensors, bottom - 1)
     _renormalize_first(tensors)
     return Mps(tensors, canonical="left"), err
 
@@ -291,8 +294,7 @@ def _apply_two_qubit_gate(m: Mps, g, site: int, chi_max: int | None):
 def apply_two_qubit_gate(m: Mps, g, site: int, chi_max: int | None = None) -> Mps:
     """Apply an orthogonal 4x4 gate to qubits (site, site+1), recompress to
     chi_max, and restore canonical form."""
-    out, _ = _apply_two_qubit_gate(m, g, site, chi_max)
-    return out
+    return apply_gate_run(m, [g], site, chi_max)[0]
 
 
 def mps_to_json(m: Mps) -> str:

@@ -64,12 +64,13 @@ def _as_matrix(a) -> np.ndarray:
 def _fix_signs(u: np.ndarray, vt: np.ndarray) -> None:
     # Sign convention: the largest-magnitude entry of each left singular
     # vector is made positive (ties broken by lowest row index). In-place.
-    for j in range(u.shape[1]):
-        col = u[:, j]
-        i = int(np.argmax(np.abs(col)))
-        if col[i] < 0:
-            u[:, j] = -col
-            vt[j, :] = -vt[j, :]
+    if not u.size:  # argmax has no answer over an empty row axis
+        return
+    ut = u.T  # columns of u as rows: |u.T| in C order spares argmax a copy
+    top = np.abs(ut, order="C").argmax(axis=1)
+    flip = u[top, np.arange(u.shape[1])] < 0
+    ut[flip] = -ut[flip]
+    vt[flip] = -vt[flip]
 
 
 def svd(a) -> SvdResult:

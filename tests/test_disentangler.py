@@ -5,15 +5,24 @@ import pytest
 from scipy import stats
 
 from symprep import statevec
+from symprep import mps as mps_module
 from symprep.disentangler import (
     DisentanglerError,
     DisentanglerStack,
     _disentangle_dense,
+    _disentangle_mps,
     build_layer,
     build_stack,
     residual,
 )
-from symprep.mps import mps_from_statevector, to_statevector, truncate
+from symprep.mps import (
+    apply_gate_run,
+    apply_two_qubit_gate,
+    is_left_canonical,
+    mps_from_statevector,
+    to_statevector,
+    truncate,
+)
 
 
 def random_state(rng, n):
@@ -170,3 +179,81 @@ def test_truncate_then_layer_pipeline_identity():
     for layer in stack.layers:
         psi = _disentangle_dense(psi, layer)
     assert abs(abs(psi[0]) - 1.0) <= 1e-10
+
+
+def random_mps(rng, n, chi):
+    return mps_from_statevector(random_state(rng, n), chi_max=chi)
+
+
+def test_layer_mps_path_matches_dense_oracle():
+    rng = np.random.default_rng(37)
+    for n in range(4, 13):
+        for chi in (2, 3, 5, 8):
+            m = random_mps(rng, n, chi)
+            layer = build_layer(truncate(m, 2)[0])
+            out, err = _disentangle_mps(m, layer, None)
+            dense = _disentangle_dense(to_statevector(m), layer)
+            assert np.max(np.abs(to_statevector(out) - dense)) <= 1e-12
+            assert is_left_canonical(out)
+            assert 0.0 <= err <= 1e-24  # only numerically zero ranks dropped
+
+            chi_work = max(2, max(m.bond_dims) - 2)
+            cut, err = _disentangle_mps(m, layer, chi_work)
+            assert err >= 0.0
+            assert max(cut.bond_dims) <= chi_work
+            assert is_left_canonical(cut)
+
+
+def test_one_gate_discarded_weight_is_the_infidelity():
+    rng = np.random.default_rng(38)
+    for n in range(4, 10):
+        v = random_state(rng, n)
+        m = mps_from_statevector(v)
+        g = np.linalg.qr(rng.standard_normal((4, 4)))[0]
+        site = int(rng.integers(1, n))
+        for chi in (1, 2, 3):
+            out, err = apply_gate_run(m, [g], site, chi)
+            dense = statevec.apply_2q(v, g, site - 1, site)
+            overlap = float(dense @ to_statevector(out))
+            assert abs(err - (1.0 - overlap**2)) <= 1e-12
+            assert out.bond_dims[site - 1] <= chi  # only the gate's bond is cut
+
+
+def test_gate_run_equals_one_gate_calls():
+    # a truncating run that stops above site 1 matches gate-by-gate calls
+    rng = np.random.default_rng(40)
+    for n in range(4, 10):
+        m = random_mps(rng, n, 8)
+        gates = [np.linalg.qr(rng.standard_normal((4, 4)))[0] for _ in range(n - 2)]
+        run, err = apply_gate_run(m, gates, n - 1, 2)
+        step, total = m, 0.0
+        for i, g in enumerate(gates):
+            step, e = apply_gate_run(step, [g], n - 1 - i, 2)
+            total += e
+        assert err > 0.0 and abs(err - total) <= 1e-12
+        assert np.max(np.abs(to_statevector(run) - to_statevector(step))) <= 1e-12
+        assert is_left_canonical(run)
+
+
+def test_layer_costs_linear_svd_calls(monkeypatch):
+    rng = np.random.default_rng(39)
+    layers = {}
+    for n in range(4, 13):
+        m = random_mps(rng, n, 8)
+        layers[n] = (m, build_layer(truncate(m, 2)[0]))
+    calls = []
+    real = mps_module.svd
+
+    def counting(a):
+        calls.append(1)
+        return real(a)
+
+    monkeypatch.setattr(mps_module, "svd", counting)
+    for n, (m, layer) in layers.items():
+        calls.clear()
+        _disentangle_mps(m, layer, None)
+        assert len(calls) <= (n - 2) + (n - 1)
+        for site in range(1, n):
+            calls.clear()
+            apply_two_qubit_gate(m, np.eye(4), site)
+            assert len(calls) <= 2 * site - 1

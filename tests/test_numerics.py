@@ -5,6 +5,7 @@ import pytest
 
 from symprep.numerics import (
     NumericsError,
+    _fix_signs,
     complete_isometry,
     svd,
     truncated_svd,
@@ -84,3 +85,34 @@ def test_complete_isometry_identity_passthrough():
     full = complete_isometry(np.eye(4)[:, :2])
     assert np.array_equal(full[:, :2], np.eye(4)[:, :2])
     assert np.allclose(full.T @ full, np.eye(4), atol=1e-14)
+
+
+def fix_signs_loop(u, vt):
+    # reference: the per-column loop the vectorized convention must match
+    for j in range(u.shape[1]):
+        col = u[:, j]
+        i = int(np.argmax(np.abs(col)))
+        if col[i] < 0:
+            u[:, j] = -col
+            vt[j, :] = -vt[j, :]
+
+
+def test_fix_signs_bit_identical_to_loop():
+    rng = np.random.default_rng(15)
+    cases = []
+    for _ in range(200):
+        m, n, k = rng.integers(1, 9, size=3)
+        cases.append((rng.standard_normal((m, k)), rng.standard_normal((k, n))))
+    # tied +-max entries in one column: the lowest row index decides
+    tied = np.array([[0.5, -0.5, 0.5, -0.3], [-0.5, 0.5, -0.5, 0.3], [0.1, 0.0, 0.5, -0.3]])
+    cases.append((tied, rng.standard_normal((4, 3))))
+    zero_col = rng.standard_normal((5, 3))
+    zero_col[:, 1] = 0.0
+    cases.append((zero_col, rng.standard_normal((3, 4))))
+    cases.append((np.zeros((0, 0)), np.zeros((0, 3))))
+    for u, vt in cases:
+        u_ref, vt_ref = u.copy(), vt.copy()
+        fix_signs_loop(u_ref, vt_ref)
+        _fix_signs(u, vt)
+        assert u.tobytes() == u_ref.tobytes()
+        assert vt.tobytes() == vt_ref.tobytes()

@@ -338,6 +338,15 @@ def test_cli_seed_recorded(tmp_path, capsys):
     assert doc["config"]["seed"] == 7
 
 
+@pytest.mark.parametrize("command", ["sweep", "export", "inspect-mps"])
+def test_cli_seed_only_on_run(command, tmp_path, capsys):
+    cfg = write_config(tmp_path, minimal_doc())
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--config", cfg, "--seed", "1"])
+    assert exc.value.code == 2
+    assert "--seed" in capsys.readouterr().err
+
+
 def test_report_csv_format(tmp_path, capsys):
     cfg = write_config(tmp_path, minimal_doc())
     assert main(["run", "--config", cfg, "--format", "csv"]) == 0
