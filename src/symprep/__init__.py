@@ -3,7 +3,7 @@ probability distributions via matrix-product-state disentanglers."""
 
 __version__ = "0.1.0"
 
-from .numerics import NumericsError, SvdResult, complete_isometry, svd, truncated_svd
+from .numerics import NumericsError, SvdResult, complete_isometry, svd
 from .dist import (
     DistError,
     DistSpec,
@@ -18,7 +18,6 @@ from .mps import (
     Mps,
     MpsError,
     apply_gate_run,
-    apply_two_qubit_gate,
     is_left_canonical,
     mps_from_json,
     mps_from_statevector,
@@ -70,11 +69,11 @@ from .pipeline import (
 
 __all__ = [
     "__version__",
-    "NumericsError", "SvdResult", "svd", "truncated_svd", "complete_isometry",
+    "NumericsError", "SvdResult", "svd", "complete_isometry",
     "DistError", "DistSpec", "Grid", "TargetDistribution",
     "sample_pdf", "left_half", "amplitudes",
     "DENSE_LIMIT", "Mps", "MpsError", "mps_from_statevector", "to_statevector",
-    "truncate", "apply_two_qubit_gate", "apply_gate_run", "is_left_canonical",
+    "truncate", "apply_gate_run", "is_left_canonical",
     "mps_to_json", "mps_from_json",
     "DisentanglerError", "MpdLayer", "DisentanglerStack",
     "build_layer", "build_stack", "residual",

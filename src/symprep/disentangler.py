@@ -172,15 +172,13 @@ def build_stack(
     m: Mps,
     num_layers: int,
     chi_work: int | None = None,
-    early_stop_tol: float | None = None,
 ) -> DisentanglerStack:
     """Iteratively extract and apply layers.
 
     Each round builds a layer from the chi=2 truncation of the current
     state, disentangles the current state with it at working bond dimension
     chi_work (default 2x the input's max bond dim, capped at 256), and
-    records the residual. Runs exactly num_layers rounds unless
-    early_stop_tol is set and the residual drops below it.
+    records the residual. Runs exactly num_layers rounds.
     """
     if num_layers < 1:
         raise DisentanglerError(f"num_layers must be >= 1, got {num_layers}")
@@ -205,8 +203,6 @@ def build_stack(
         amp = _zero_overlap(state)
         res = max(0.0, 1.0 - amp * amp)
         history.append(res)
-        if early_stop_tol is not None and res < early_stop_tol:
-            break
 
     return DisentanglerStack(
         layers=tuple(layers),

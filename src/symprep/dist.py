@@ -50,8 +50,8 @@ class Grid:
     convention: str = "midpoint"
 
     def __post_init__(self):
-        if not self.min < self.max:
-            raise DistError(f"grid needs min < max, got [{self.min}, {self.max}]")
+        if not -math.inf < self.min < self.max < math.inf:  # NaN fails every comparison
+            raise DistError(f"grid needs finite min < max, got [{self.min}, {self.max}]")
         if self.n_qubits < 2:
             raise DistError(f"grid needs n_qubits >= 2, got {self.n_qubits}")
         if self.convention not in ("midpoint", "endpoint"):
@@ -105,7 +105,7 @@ class DistSpec:
     """Density family plus parameters.
 
     kind: normal(mu, sigma2) | lorentzian(x0, gamma) | student_t(nu) |
-    table(path or weights, assume_symmetric). Parameters left unset take
+    table(path | weights, assume_symmetric). Parameters left unset take
     the family's defaults; a parameter of another family is an error.
     """
 
@@ -132,8 +132,8 @@ class DistSpec:
                 raise DistError(f"{self.kind} has no parameter {f.name!r}")
         if fam.positive and not getattr(self, fam.positive) > 0:
             raise DistError(f"{self.kind} needs {fam.positive} > 0, got {getattr(self, fam.positive)}")
-        if self.kind == "table" and self.path is None and not self.weights:
-            raise DistError("table spec needs a path or inline weights")
+        if self.kind == "table" and (self.path is None) == (not self.weights):
+            raise DistError("table spec needs exactly one of a path or inline weights")
 
     def pdf(self, x: np.ndarray) -> np.ndarray:
         fam = FAMILIES[self.kind]

@@ -23,7 +23,6 @@ __all__ = [
     "mps_from_statevector",
     "to_statevector",
     "truncate",
-    "apply_two_qubit_gate",
     "apply_gate_run",
     "is_left_canonical",
     "mps_to_json",
@@ -33,9 +32,10 @@ __all__ = [
 # Dense reconstruction limit: 2^24 doubles = 128 MiB.
 DENSE_LIMIT = 24
 
-# Singular values below this fraction of the largest are dropped during
-# gate-application recompression (numerical-zero rank control). Plain
-# truncate() keeps them so requested bond dims are met exactly.
+# Singular values below this fraction of the largest are dropped when a
+# state is factorised or a gate recompressed (numerical-zero rank control).
+# truncate() keeps them so requested bond dims are met exactly: the layer
+# extraction reads its gate shapes off those bond dims.
 _RANK_CUTOFF = 1e-14
 
 FORMAT_VERSION = 1
@@ -109,6 +109,12 @@ def _check_gate_orthogonal(g: np.ndarray, dim: int) -> np.ndarray:
     return g
 
 
+def _kept(s: np.ndarray, chi: int | None = None) -> int:
+    # The rank rule: how many singular values survive, at least one.
+    k = int(np.count_nonzero(s > _RANK_CUTOFF * s[0])) or 1
+    return k if chi is None else min(k, int(chi))
+
+
 def mps_from_statevector(v, chi_max: int | None = None) -> Mps:
     """Decompose a normalized real statevector into canonical form.
 
@@ -124,20 +130,17 @@ def mps_from_statevector(v, chi_max: int | None = None) -> Mps:
     nrm = float(np.linalg.norm(v))
     if abs(nrm - 1.0) > 1e-10:
         raise MpsError(f"statevector norm is {nrm:.12g}, need 1 within 1e-10")
-    chi = size if chi_max is None else int(chi_max)
-    if chi < 1:
+    if chi_max is not None and chi_max < 1:
         raise MpsError(f"chi_max must be >= 1, got {chi_max}")
 
     tensors: list = [None] * n
     m = v.reshape(2 ** (n - 1), 2)
     r_prev = 1
     for i in range(n - 1, 0, -1):
-        res = svd(m)
-        rank = int(np.sum(res.s > _RANK_CUTOFF * res.s[0])) if res.s[0] > 0 else 1
-        k = min(chi, max(rank, 1))
-        u, s, vt = res.u[:, :k], res.s[:k], res.vt[:k, :]
-        tensors[i] = vt.reshape(k, 2, r_prev).transpose(1, 0, 2)
-        carry = u * s
+        u, s, vt = svd(m)
+        k = _kept(s, chi_max)
+        tensors[i] = vt[:k].reshape(k, 2, r_prev).transpose(1, 0, 2)
+        carry = u[:, :k] * s[:k]
         m = carry.reshape(carry.shape[0] // 2, 2 * k)
         r_prev = k
     first = m.reshape(2, 1, r_prev)
@@ -181,30 +184,31 @@ def is_left_canonical(m: Mps, tol: float = 1e-10) -> bool:
     return True
 
 
-def _sweep_right_exact(tensors, upto: int) -> None:
+def _sweep_right(tensors, upto: int, chi: int | None = None) -> float:
     # Move the norm center from site 0 to site `upto` (exclusive end of the
-    # left-orthonormal region). In place on the tensor list.
+    # left-orthonormal region), cutting each bond to at most chi (None:
+    # exact). In place; returns the discarded weight.
+    err = 0.0
     for i in range(upto):
-        s2, l, r = tensors[i].shape
-        mat = tensors[i].transpose(1, 0, 2).reshape(l * 2, r)
-        res = svd(mat)
-        k = res.s.size
-        tensors[i] = res.u.reshape(l, 2, k).transpose(1, 0, 2)
-        carry = (res.s[:, None] * res.vt)
-        tensors[i + 1] = np.einsum("kr,srb->skb", carry, tensors[i + 1])
+        _, l, r = tensors[i].shape
+        u, s, vt = svd(tensors[i].transpose(1, 0, 2).reshape(l * 2, r))
+        k = s.size if chi is None else min(chi, s.size)
+        if k < s.size:
+            err += float(np.sum(s[k:] ** 2))
+            u, s, vt = u[:, :k], s[:k], vt[:k]
+        tensors[i] = u.reshape(l, 2, k).transpose(1, 0, 2)
+        tensors[i + 1] = np.einsum("kr,srb->skb", s[:, None] * vt, tensors[i + 1])
+    return err
 
 
 def _sweep_left_exact(tensors, start: int) -> None:
     # Restore canonical form from site `start` down to site 0 (which then
     # absorbs the norm). In place.
     for i in range(start, 0, -1):
-        s2, l, r = tensors[i].shape
-        mat = tensors[i].transpose(1, 0, 2).reshape(l, 2 * r)
-        res = svd(mat)
-        k = res.s.size
-        tensors[i] = res.vt.reshape(k, 2, r).transpose(1, 0, 2)
-        carry = res.u * res.s
-        tensors[i - 1] = np.einsum("slr,rk->slk", tensors[i - 1], carry)
+        _, l, r = tensors[i].shape
+        u, s, vt = svd(tensors[i].transpose(1, 0, 2).reshape(l, 2 * r))
+        tensors[i] = vt.reshape(s.size, 2, r).transpose(1, 0, 2)
+        tensors[i - 1] = np.einsum("slr,rk->slk", tensors[i - 1], u * s)
 
 
 def _renormalize_first(tensors) -> None:
@@ -229,21 +233,8 @@ def truncate(m: Mps, chi: int):
         return Mps(m.tensors, canonical="left"), 0.0
 
     tensors = list(m.tensors)
-    n = len(tensors)
-    err = 0.0
-    # truncating sweep: first site to last, center gauge at each bond
-    for i in range(n - 1):
-        s2, l, r = tensors[i].shape
-        mat = tensors[i].transpose(1, 0, 2).reshape(l * 2, r)
-        res = svd(mat)
-        k = min(chi, res.s.size)
-        err += float(np.sum(res.s[k:] ** 2))
-        u, s, vt = res.u[:, :k], res.s[:k], res.vt[:k, :]
-        tensors[i] = u.reshape(l, 2, k).transpose(1, 0, 2)
-        carry = s[:, None] * vt
-        tensors[i + 1] = np.einsum("kr,srb->skb", carry, tensors[i + 1])
-    # exact return sweep restores the canonical form
-    _sweep_left_exact(tensors, n - 1)
+    err = _sweep_right(tensors, len(tensors) - 1, chi)
+    _sweep_left_exact(tensors, len(tensors) - 1)
     _renormalize_first(tensors)
     return Mps(tensors, canonical="left"), err
 
@@ -268,33 +259,22 @@ def apply_gate_run(m: Mps, gates, top: int, chi_max: int | None = None):
     if m.canonical != "left":
         raise MpsError("gate application needs a canonical-form input")
     tensors = list(m.tensors)
-    _sweep_right_exact(tensors, top - 1)
+    _sweep_right(tensors, top - 1)
     err = 0.0
     for i, g in zip(range(top - 1, bottom - 2, -1), gates):
         theta = np.einsum("sab,tbc->stac", tensors[i], tensors[i + 1])
         theta = np.einsum("uvst,stac->uvac", g.reshape(2, 2, 2, 2), theta)
         l, r = theta.shape[2], theta.shape[3]
-        res = svd(theta.transpose(2, 0, 1, 3).reshape(l * 2, 2 * r))
-        k = res.s.size
-        if k and res.s[0] > 0:
-            k = max(int(np.sum(res.s > _RANK_CUTOFF * res.s[0])), 1)
-        if chi_max is not None:
-            k = min(k, int(chi_max))
-        err += float(np.sum(res.s[k:] ** 2))
-        s = res.s[:k]
-        if k < res.s.size:  # keep the state normalized for the next gate
-            s = s / np.linalg.norm(s)
-        tensors[i] = (res.u[:, :k] * s).reshape(l, 2, k).transpose(1, 0, 2)
-        tensors[i + 1] = res.vt[:k, :].reshape(k, 2, r).transpose(1, 0, 2)
+        u, s, vt = svd(theta.transpose(2, 0, 1, 3).reshape(l * 2, 2 * r))
+        k = _kept(s, chi_max)
+        if k < s.size:  # keep the state normalized for the next gate
+            err += float(np.sum(s[k:] ** 2))
+            u, s, vt = u[:, :k], s[:k] / np.linalg.norm(s[:k]), vt[:k]
+        tensors[i] = (u * s).reshape(l, 2, k).transpose(1, 0, 2)
+        tensors[i + 1] = vt.reshape(k, 2, r).transpose(1, 0, 2)
     _sweep_left_exact(tensors, bottom - 1)
     _renormalize_first(tensors)
     return Mps(tensors, canonical="left"), err
-
-
-def apply_two_qubit_gate(m: Mps, g, site: int, chi_max: int | None = None) -> Mps:
-    """Apply an orthogonal 4x4 gate to qubits (site, site+1), recompress to
-    chi_max, and restore canonical form."""
-    return apply_gate_run(m, [g], site, chi_max)[0]
 
 
 def mps_to_json(m: Mps) -> str:

@@ -9,13 +9,14 @@ helpers here pin them.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 __all__ = [
     "NumericsError",
     "SvdResult",
     "svd",
-    "truncated_svd",
     "complete_isometry",
 ]
 
@@ -28,28 +29,13 @@ class NumericsError(ValueError):
     """Raised on invalid inputs to the numeric kernels."""
 
 
-class SvdResult:
-    """Container for a (possibly truncated) SVD.
+class SvdResult(NamedTuple):
+    """u: (m, k) with orthonormal columns; s: (k,) non-negative,
+    non-increasing; vt: (k, n) with orthonormal rows."""
 
-    u: (m, k) with orthonormal columns
-    s: (k,) non-negative, non-increasing
-    vt: (k, n) with orthonormal rows
-    discarded_weight: sum of squared singular values dropped by truncation
-    """
-
-    __slots__ = ("u", "s", "vt", "discarded_weight")
-
-    def __init__(self, u, s, vt, discarded_weight=0.0):
-        self.u = u
-        self.s = s
-        self.vt = vt
-        self.discarded_weight = float(discarded_weight)
-
-    def __repr__(self):
-        return (
-            f"SvdResult(u={self.u.shape}, s={self.s.shape}, vt={self.vt.shape}, "
-            f"discarded_weight={self.discarded_weight:.3e})"
-        )
+    u: np.ndarray
+    s: np.ndarray
+    vt: np.ndarray
 
 
 def _as_matrix(a) -> np.ndarray:
@@ -82,21 +68,7 @@ def svd(a) -> SvdResult:
     m = _as_matrix(a)
     u, s, vt = np.linalg.svd(m, full_matrices=False)
     _fix_signs(u, vt)
-    return SvdResult(u, s, vt, 0.0)
-
-
-def truncated_svd(a, rank: int) -> SvdResult:
-    """SVD truncated to at most `rank` components.
-
-    discarded_weight is the sum of squared singular values dropped. Ranks
-    beyond min(m, n) are clipped, not errors.
-    """
-    if rank < 1:
-        raise NumericsError(f"rank must be >= 1, got {rank}")
-    full = svd(a)
-    k = min(rank, full.s.size)
-    discarded = float(np.sum(full.s[k:] ** 2))
-    return SvdResult(full.u[:, :k], full.s[:k], full.vt[:k, :], discarded)
+    return SvdResult(u, s, vt)
 
 
 def complete_isometry(v) -> np.ndarray:

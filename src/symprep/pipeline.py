@@ -11,6 +11,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import sys
 from dataclasses import dataclass, field, replace
 
 import numpy as np
@@ -154,8 +155,9 @@ def _int(v, key: str) -> int:
 
 
 def _number(v, key: str) -> float:
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise ConfigError(f"{key} must be a number, got {v!r}")
+    # json.load also yields Infinity, NaN and integers past the float range
+    if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
+        raise ConfigError(f"{key} must be a finite number, got {v!r}")
     return float(v)
 
 

@@ -268,7 +268,7 @@ def test_criterion_10_property_suites():
         dense = sp.simulate(c)
         m = sp.mps_from_statevector(zero_state(n))
         for g in gates:
-            m = sp.apply_two_qubit_gate(m, g.matrix, g.qubits[0] + 1)
+            m = sp.apply_gate_run(m, [g.matrix], g.qubits[0] + 1)[0]
         worst = max(worst, float(np.max(np.abs(sp.to_statevector(m) - dense))))
     checks.append(("dense vs MPS simulator", worst <= 1e-10))
 

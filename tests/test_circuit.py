@@ -17,7 +17,7 @@ from symprep.circuit import (
     simulate,
 )
 from symprep.disentangler import build_stack
-from symprep.mps import apply_two_qubit_gate, mps_from_statevector, to_statevector
+from symprep.mps import apply_gate_run, mps_from_statevector, to_statevector
 
 
 def ghz_circuit():
@@ -213,5 +213,5 @@ def test_dense_vs_mps_simulator_agreement():
         dense = simulate(c)
         m = mps_from_statevector(statevec.zero_state(n))
         for g in gates:
-            m = apply_two_qubit_gate(m, g.matrix, g.qubits[0] + 1)
+            m = apply_gate_run(m, [g.matrix], g.qubits[0] + 1)[0]
         assert np.max(np.abs(to_statevector(m) - dense)) <= 1e-10, f"n={n}"

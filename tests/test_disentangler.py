@@ -17,7 +17,6 @@ from symprep.disentangler import (
 )
 from symprep.mps import (
     apply_gate_run,
-    apply_two_qubit_gate,
     is_left_canonical,
     mps_from_statevector,
     to_statevector,
@@ -141,12 +140,6 @@ def test_build_stack_history_tracks_residual_op():
     assert dense < residual(m, one)
 
 
-def test_build_stack_early_stop():
-    m = mps_from_statevector(ghz(4), chi_max=2)
-    stack = build_stack(m, num_layers=5, early_stop_tol=1e-12)
-    assert len(stack.layers) == 1  # chi=2 input disentangles in one round
-
-
 def test_build_stack_validation():
     m = mps_from_statevector(ghz(4))
     with pytest.raises(DisentanglerError):
@@ -255,5 +248,5 @@ def test_layer_costs_linear_svd_calls(monkeypatch):
         assert len(calls) <= (n - 2) + (n - 1)
         for site in range(1, n):
             calls.clear()
-            apply_two_qubit_gate(m, np.eye(4), site)
+            apply_gate_run(m, [np.eye(4)], site)[0]
             assert len(calls) <= 2 * site - 1

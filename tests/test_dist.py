@@ -35,6 +35,9 @@ def test_grid_validation():
         Grid(0.0, 1.0, 1)
     with pytest.raises(DistError):
         Grid(0.0, 1.0, 4, "other")
+    for lo, hi in ((0.0, np.inf), (-np.inf, 0.0), (np.nan, 1.0), (0.0, np.nan)):
+        with pytest.raises(DistError):
+            Grid(lo, hi, 4)
 
 
 def test_sample_pdf_normal_symmetric_bit_exact():
@@ -157,3 +160,5 @@ def test_spec_validation():
         DistSpec("gauss")
     with pytest.raises(DistError):
         DistSpec("table")
+    with pytest.raises(DistError):  # exactly one of path or weights
+        DistSpec("table", path="weights.csv", weights=(1.0,) * 16)

@@ -2,16 +2,21 @@
 
 Oracle for truncation quality: an independent dense successive-SVD
 implementation kept inside this file, pinned to frozen constants.
+Reference code for truncate's sweep and the rank rule pins both bit for
+bit, on full-rank and on padded rank-deficient inputs.
 """
 
 import numpy as np
 import pytest
 from scipy import stats
 
+from symprep import mps as mps_module
 from symprep import statevec
+from symprep.numerics import complete_isometry, svd
 from symprep.mps import (
+    Mps,
     MpsError,
-    apply_two_qubit_gate,
+    apply_gate_run,
     is_left_canonical,
     mps_from_json,
     mps_from_statevector,
@@ -35,6 +40,56 @@ def dense_truncate(v, chi):
         k = min(chi, s.size)
         w = ((u[:, :k] * s[:k]) @ vt[:k]).reshape(-1)
     return w / np.linalg.norm(w)
+
+
+def reference_truncate(m, chi):
+    # reference: truncate written out as one loop (a truncating sweep to
+    # the right, an exact sweep back); keeps zero singular values
+    tensors = list(m.tensors)
+    n = len(tensors)
+    err = 0.0
+    for i in range(n - 1):
+        _, l, r = tensors[i].shape
+        u, s, vt = svd(tensors[i].transpose(1, 0, 2).reshape(l * 2, r))
+        k = min(chi, s.size)
+        err += float(np.sum(s[k:] ** 2))
+        tensors[i] = u[:, :k].reshape(l, 2, k).transpose(1, 0, 2)
+        tensors[i + 1] = np.einsum("kr,srb->skb", s[:k, None] * vt[:k, :], tensors[i + 1])
+    for i in range(n - 1, 0, -1):
+        _, l, r = tensors[i].shape
+        u, s, vt = svd(tensors[i].transpose(1, 0, 2).reshape(l, 2 * r))
+        tensors[i] = vt.reshape(s.size, 2, r).transpose(1, 0, 2)
+        tensors[i - 1] = np.einsum("slr,rk->slk", tensors[i - 1], u * s)
+    tensors[0] = tensors[0] / float(np.linalg.norm(tensors[0]))
+    return tensors, err
+
+
+def reference_gate_rank(s, chi_max):
+    # reference: the gate recompression's rank rule written out on its own
+    k = s.size
+    if k and s[0] > 0:
+        k = max(int(np.sum(s > 1e-14 * s[0])), 1)
+    if chi_max is not None:
+        k = min(k, int(chi_max))
+    return k
+
+
+def padded(v, dim):
+    # canonical MPS of v whose bonds are padded to min(dim, cap) with
+    # directions of zero weight, so rank-deficient states carry zero
+    # singular values: the left tensor gets zero columns, the right one
+    # orthonormal completion rows (padded right to left, so each right
+    # tensor has room for its new rows)
+    tensors = list(mps_from_statevector(v).tensors)
+    n = len(tensors)
+    for i in range(n - 2, -1, -1):
+        d = min(dim, 2 ** (i + 1), 2 ** (n - i - 1))
+        a, b = tensors[i], tensors[i + 1]
+        _, l, r = b.shape
+        tensors[i] = np.concatenate([a, np.zeros((2, a.shape[1], d - l))], axis=2)
+        rows = complete_isometry(b.transpose(1, 0, 2).reshape(l, 2 * r).T).T[:d]
+        tensors[i + 1] = rows.reshape(d, 2, r).transpose(1, 0, 2)
+    return Mps(tensors, canonical="left")
 
 
 def normal_amplitudes(n):
@@ -152,10 +207,82 @@ def test_truncation_error_monotone_in_chi():
     assert all(b <= a + 1e-15 for a, b in zip(errs, errs[1:]))
 
 
+def rank_deficient_inputs():
+    # GHZ (Schmidt rank 2) and product (rank 1) states on padded bonds
+    for n in range(4, 9):
+        product = np.zeros(2**n)
+        product[0b1010 << (n - 4)] = 1.0
+        yield "ghz", padded(ghz(n), 4)
+        yield "product", padded(product, 4)
+
+
+def test_truncate_bit_identical_to_reference():
+    rng = np.random.default_rng(26)
+    inputs = []
+    for n in range(4, 13):
+        v = rng.standard_normal(2**n)
+        inputs.append(mps_from_statevector(v / np.linalg.norm(v), chi_max=4))
+    inputs += [m for _, m in rank_deficient_inputs()]
+    for m in inputs:
+        assert is_left_canonical(m, 1e-10) and max(m.bond_dims) == 4
+        for chi in (1, 2, 3):
+            out, err = truncate(m, chi)
+            ref, ref_err = reference_truncate(m, chi)
+            assert err == ref_err, (m, chi)
+            assert all(a.tobytes() == b.tobytes() for a, b in zip(out.tensors, ref)), (m, chi)
+
+
+def test_truncate_keeps_zero_singular_values_gate_runs_drop_them():
+    for kind, m in rank_deficient_inputs():
+        n, rank = m.n_qubits, 2 if kind == "ghz" else 1
+        v = to_statevector(m)
+        # truncate meets the requested bond dims: the layer extraction
+        # reads its gate shapes off them
+        out, err = truncate(m, 3)
+        assert out.bond_dims == [min(3, d) for d in m.bond_dims]
+        assert err <= 1e-30 and np.allclose(to_statevector(out), v, atol=1e-12)
+        # a full run of identity gates recompresses every bond to its rank
+        out, err = apply_gate_run(m, [np.eye(4)] * (n - 1), n - 1)
+        assert out.bond_dims == [rank] * (n - 1) and err <= 1e-30
+        assert np.allclose(to_statevector(out), v, atol=1e-12)
+        assert is_left_canonical(out, 1e-10)
+
+
+def test_rank_rule_matches_reference():
+    rng = np.random.default_rng(27)
+    spectra = [np.array([1.0]), np.array([1.0, 0.0, 0.0]), np.array([0.7, 0.7, 1e-15, 0.0])]
+    spectra.append(np.array([1.0, 2e-14, 1.0000001e-14, 1e-14]))  # at the cutoff
+    for _ in range(200):
+        s = np.sort(np.abs(rng.standard_normal(int(rng.integers(1, 9)))))[::-1]
+        s[int(rng.integers(1, s.size + 1)):] *= 10.0 ** -rng.integers(12, 20)
+        spectra.append(s)
+    for s in spectra:
+        for chi in (None, 1, 2, 3):
+            assert mps_module._kept(s, chi) == reference_gate_rank(s, chi), (s, chi)
+
+
+def test_truncate_svd_calls(monkeypatch):
+    calls = []
+    real = mps_module.svd
+
+    def counting(a):
+        calls.append(1)
+        return real(a)
+
+    rng = np.random.default_rng(28)
+    monkeypatch.setattr(mps_module, "svd", counting)
+    for n in range(4, 13):
+        v = rng.standard_normal(2**n)
+        m = mps_from_statevector(v / np.linalg.norm(v), chi_max=4)
+        calls.clear()
+        truncate(m, 2)
+        assert len(calls) == 2 * (n - 1), n
+
+
 def test_apply_identity_gate():
     v = normal_amplitudes(6)
     m = mps_from_statevector(v)
-    out = apply_two_qubit_gate(m, np.eye(4), 3)
+    out = apply_gate_run(m, [np.eye(4)], 3)[0]
     assert np.max(np.abs(to_statevector(out) - v)) <= 1e-12
 
 
@@ -164,7 +291,7 @@ def test_apply_cnot_on_product_state():
     v = np.zeros(2**4)
     v[0b1000] = 1.0
     m = mps_from_statevector(v)
-    out = apply_two_qubit_gate(m, statevec.CNOT, 1)
+    out = apply_gate_run(m, [statevec.CNOT], 1)[0]
     expect = np.zeros(2**4)
     expect[0b1100] = 1.0
     assert np.allclose(to_statevector(out), expect, atol=1e-12)
@@ -179,7 +306,7 @@ def test_apply_gate_matches_dense_oracle():
         m = mps_from_statevector(v)
         g = np.linalg.qr(rng.standard_normal((4, 4)))[0]
         site = int(rng.integers(1, 4))
-        out = apply_two_qubit_gate(m, g, site)
+        out = apply_gate_run(m, [g], site)[0]
         dense = statevec.apply_2q(v, g, site - 1, site)
         got = to_statevector(out)
         assert np.max(np.abs(got - dense)) <= 1e-10
@@ -189,11 +316,11 @@ def test_apply_gate_matches_dense_oracle():
 def test_apply_gate_validation():
     m = mps_from_statevector(ghz(4))
     with pytest.raises(MpsError):
-        apply_two_qubit_gate(m, np.eye(4) * 2.0, 1)  # not orthogonal
+        apply_gate_run(m, [np.eye(4) * 2.0], 1)[0]  # not orthogonal
     with pytest.raises(MpsError):
-        apply_two_qubit_gate(m, np.eye(4), 0)  # site out of range
+        apply_gate_run(m, [np.eye(4)], 0)[0]  # site out of range
     with pytest.raises(MpsError):
-        apply_two_qubit_gate(m, np.eye(4), 4)
+        apply_gate_run(m, [np.eye(4)], 4)[0]
 
 
 def test_from_statevector_validation():

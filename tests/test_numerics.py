@@ -8,7 +8,6 @@ from symprep.numerics import (
     _fix_signs,
     complete_isometry,
     svd,
-    truncated_svd,
 )
 
 
@@ -38,22 +37,6 @@ def test_svd_sign_convention_deterministic():
         for j in range(r1.u.shape[1]):
             col = r1.u[:, j]
             assert col[int(np.argmax(np.abs(col)))] > 0
-
-
-def test_truncated_svd_discarded_weight():
-    rng = np.random.default_rng(13)
-    a = rng.standard_normal((8, 8))
-    full = svd(a)
-    for rank in range(1, 9):
-        res = truncated_svd(a, rank)
-        assert res.s.size == rank
-        expect = float(np.sum(full.s[rank:] ** 2))
-        assert abs(res.discarded_weight - expect) < 1e-12 * max(1.0, expect)
-    # rank beyond min(m, n) clips silently
-    res = truncated_svd(a, 99)
-    assert res.s.size == 8 and res.discarded_weight == 0.0
-    with pytest.raises(NumericsError):
-        truncated_svd(a, 0)
 
 
 def test_complete_isometry_shapes():

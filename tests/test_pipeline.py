@@ -82,6 +82,17 @@ def test_config_validation_errors():
          "grid": {"min": 0.0, "max": 1.0}},
         {"dist": {"kind": "table", "weights": ["1"] * 64}, "grid": {"min": 0.0, "max": 1.0}},
         {"dist": {"kind": "table", "path": 5}, "grid": {"min": 0.0, "max": 1.0}},
+        # json.load accepts Infinity and NaN, and integers past the float range
+        {"dist": {"kind": "normal", "sigma2": float("inf")}, "grid": {"min": -0.5, "max": 0.5}},
+        {"dist": {"kind": "normal", "sigma2": 10**400}, "grid": {"min": -0.5, "max": 0.5}},
+        {"grid": {"min": -1.0, "max": float("inf")}},
+        {"dist": {"kind": "normal", "mu": float("nan")}, "grid": {"min": -0.5, "max": 0.5}},
+        {"dist": {"kind": "normal", "mu": float("nan")}, "grid": {"min": -0.5, "max": 0.5}, "method": "baseline"},
+        {"dist": {"kind": "table", "weights": [1.0] * 63 + [float("nan")]}, "grid": {"min": 0.0, "max": 1.0},
+         "method": "baseline"},
+        # a table takes exactly one of path and weights
+        {"dist": {"kind": "table", "path": "missing.csv", "weights": [1.0] * 64},
+         "grid": {"min": 0.0, "max": 1.0}, "method": "baseline"},
         {"dist": 5},
         {"vary": {"layer_counts": [1.5, 2]}},
         {"vary": {"bond_dims": 5}},
