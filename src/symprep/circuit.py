@@ -5,10 +5,10 @@ Qubit 0 (the top wire, and the reflection qubit when the wrapper is used) is
 the most significant bit of the basis index, which makes the mirror map
 k <-> 2^n-1-k exactly the bitwise complement realized by the CNOT fan-out.
 
-The preparation circuit emits every chain gate uniformly as a 4x4 two-qubit
-operation; the 2x2 end-of-chain gate is padded with an identity on its upper
-wire. Uniform shapes keep accounting and export simple, and the padded gate
-is a real emitted operation visible in both.
+The preparation circuit emits each layer's n-1 chain gates, gate q on wires
+(q, q+1), as 4x4 two-qubit operations and its 2x2 end gate padded with an
+identity on its upper wire. Uniform shapes keep accounting and export simple,
+and the padded gate is a real emitted operation visible in both.
 """
 
 from __future__ import annotations
@@ -112,17 +112,16 @@ class GateStats:
 def prep_circuit(stack: DisentanglerStack) -> Circuit:
     """State-preparation circuit: layer adjoints in reverse build order.
 
-    Within a layer the first-pair gate comes first, interior gates ascend
-    the chain, and the padded end gate acts on the last two wires.
+    Within a layer the chain gates ascend the chain, then the padded end
+    gate acts on the last two wires.
     """
     n = stack.n_qubits
     gates = []
     eye2 = np.eye(2)
     for layer in reversed(stack.layers):
-        gates.append(GateOp("unitary2", (0, 1), layer.g_first))
-        for i, gm in enumerate(layer.g_middle):
-            gates.append(GateOp("unitary2", (i + 1, i + 2), gm))
-        gates.append(GateOp("unitary2", (n - 2, n - 1), np.kron(eye2, layer.g_last)))
+        for q, g in enumerate(layer.chain):
+            gates.append(GateOp("unitary2", (q, q + 1), g))
+        gates.append(GateOp("unitary2", (n - 2, n - 1), np.kron(eye2, layer.end)))
     return Circuit(n_qubits=n, gates=tuple(gates))
 
 
@@ -239,16 +238,26 @@ def export_circuit(c: Circuit, format: str = "json") -> str:
 
 
 def import_circuit(text: str) -> Circuit:
-    """Inverse of the json export."""
+    """Inverse of the json export; a malformed document is a CircuitError."""
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise CircuitError("circuit document must be a JSON object")
     if doc.get("format_version") != FORMAT_VERSION:
         raise CircuitError(f"unsupported format_version {doc.get('format_version')!r}")
     gates = []
-    for entry in doc["gates"]:
-        matrix = None
-        if "matrix" in entry:
-            vals = np.asarray([float(s) for s in entry["matrix"]])
-            d = 2 if entry["kind"] == "unitary1" else 4
-            matrix = vals.reshape(d, d)
-        gates.append(GateOp(entry["kind"], tuple(entry["qubits"]), matrix))
-    return Circuit(n_qubits=int(doc["n_qubits"]), gates=tuple(gates))
+    try:
+        for entry in doc["gates"]:
+            matrix = None
+            if "matrix" in entry:
+                vals = np.asarray([float(s) for s in entry["matrix"]])
+                d = 2 if entry["kind"] == "unitary1" else 4
+                matrix = vals.reshape(d, d)
+            gates.append(GateOp(entry["kind"], tuple(entry["qubits"]), matrix))
+        n_qubits = int(doc["n_qubits"])
+    except KeyError as exc:
+        raise CircuitError(f"circuit document lacks key {exc}") from exc
+    except CircuitError:
+        raise
+    except (TypeError, ValueError) as exc:  # a value of the wrong type or size
+        raise CircuitError(f"malformed circuit document: {exc}") from exc
+    return Circuit(n_qubits=n_qubits, gates=tuple(gates))

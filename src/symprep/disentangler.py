@@ -1,16 +1,17 @@
 """Staircase disentangler extraction from bond-dimension-2 MPS chains.
 
-A layer is the gate set read directly off a chi<=2 canonical MPS: one 4x4
-gate on the first qubit pair, one 4x4 gate per interior site, and one 2x2
-end gate. Applied last gate first (adjoints, descending the chain), a layer
-maps its source state exactly to |0...0>. Stacking layers extends the
+A layer is the gate set read directly off a chi<=2 canonical MPS: a chain
+of n-1 two-qubit gates, gate q on qubits (q, q+1) built from site tensor q,
+plus a 2x2 end gate on the last qubit built from the last tensor. Applied
+end gate first and then the chain gates' adjoints descending the chain, a
+layer maps its source state exactly to |0...0>. Stacking layers extends the
 construction to higher bond dimension: each layer is extracted from the
 chi=2 truncation of the current state, applied, and the residual state fed
 to the next layer.
 
 Constrained gate columns are copied bit-exactly from the source tensors;
-free columns come from a deterministic orthogonal completion. Edge bonds of
-dimension 1 are zero-padded to 2 so every chain gate is uniformly 4x4.
+free columns come from a deterministic orthogonal completion. Right bonds
+of dimension 1 are zero-padded to 2 so every chain gate is uniformly 4x4.
 """
 
 from __future__ import annotations
@@ -44,25 +45,24 @@ class DisentanglerError(ValueError):
 class MpdLayer:
     """Gates for one staircase layer on an n-qubit chain.
 
-    g_first: 4x4 on qubits (1, 2); its column for input |00> is the
-        vectorized first site tensor.
-    g_middle: n-2 gates, 4x4; gate i acts on qubits (i+2, i+3) counting from
-        1; columns for inputs |k 0> carry the site-(i+2) tensor slices.
-    g_last: 2x2 on the last qubit, equal to the last site tensor.
+    chain: n-1 gates, 4x4; gate q acts on qubits (q, q+1) and its columns
+        for inputs |k 0> carry the slices of site tensor q at left bond k.
+    end: 2x2 on the last qubit, equal to the last site tensor.
     """
 
-    g_first: np.ndarray
-    g_middle: tuple
-    g_last: np.ndarray
+    chain: tuple
+    end: np.ndarray
 
     @property
     def n_qubits(self) -> int:
-        return len(self.g_middle) + 2
+        return len(self.chain) + 1
 
     def __post_init__(self):
-        for g, d in [(self.g_first, 4), *[(g, 4) for g in self.g_middle], (self.g_last, 2)]:
+        for g, d in [*[(g, 4) for g in self.chain], (self.end, 2)]:
             g = np.asarray(g)
-            if g.shape != (d, d) or not np.allclose(g.T @ g, np.eye(d), atol=1e-10):
+            if g.shape != (d, d):
+                raise DisentanglerError(f"layer gate must be {d}x{d}, got {g.shape}")
+            if not np.allclose(g.T @ g, np.eye(d), atol=1e-10):
                 raise DisentanglerError("layer gate is not orthogonal within 1e-10")
 
 
@@ -94,23 +94,21 @@ class DisentanglerStack:
             )
 
 
-def _padded_slice(t: np.ndarray, k: int) -> np.ndarray:
-    # vec over (physical, right bond) of tensor slice at left-bond k, with
-    # the right bond zero-padded to 2; row index = physical*2 + bond
-    col = np.zeros((2, 2))
-    col[:, : t.shape[2]] = t[:, k, :]
-    return col.reshape(4)
+# Gate input slot of each column of the completed isometry, by left bond:
+# the constrained columns go to inputs |k 0> (the fresh qubit is the low
+# bit), the completion columns fill the remaining slots in order.
+_SLOTS = {1: [0, 1, 2, 3], 2: [0, 2, 1, 3]}
 
 
-def _place_columns(constrained: np.ndarray, slots, dim: int) -> np.ndarray:
-    # Orthogonally complete `constrained` and scatter: constrained columns
-    # land bit-exactly at `slots`, completion columns fill the rest in order.
-    full = complete_isometry(constrained)
-    k = constrained.shape[1]
-    g = np.empty((dim, dim))
-    g[:, list(slots)] = full[:, :k]
-    free = [j for j in range(dim) if j not in set(slots)]
-    g[:, free] = full[:, k:]
+def _chain_gate(t: np.ndarray) -> np.ndarray:
+    # Column k (input |k 0>) is the site tensor's slice at left bond k,
+    # vectorised over (physical, right bond zero-padded to 2): row index =
+    # physical*2 + bond.
+    _, l, r = t.shape
+    cols = np.zeros((2, 2, l))
+    cols[:, :r, :] = t.transpose(0, 2, 1)
+    g = np.empty((4, 4))  # scattered into, so the gate stays C-ordered
+    g[:, _SLOTS[l]] = complete_isometry(cols.reshape(4, l))
     return g
 
 
@@ -124,25 +122,15 @@ def build_layer(m: Mps) -> MpdLayer:
     if m.canonical != "left" or not is_left_canonical(m, 1e-10):
         raise DisentanglerError("build_layer needs a canonical-form MPS")
 
-    t0 = m.tensors[0]  # (2, 1, r)
-    g_first = _place_columns(_padded_slice(t0, 0).reshape(4, 1), [0], 4)
-
-    middles = []
-    for i in range(1, n - 1):
-        t = m.tensors[i]  # (2, l, r)
-        l = t.shape[1]
-        cols = np.column_stack([_padded_slice(t, k) for k in range(l)])
-        slots = [2 * k for k in range(l)]  # inputs |k 0>: fresh qubit is the low bit
-        middles.append(_place_columns(cols, slots, 4))
-
+    chain = tuple(_chain_gate(t) for t in m.tensors[:-1])
     tl = m.tensors[-1][:, :, 0]  # (2, l)
-    g_last = complete_isometry(tl) if tl.shape[1] < 2 else tl.copy()
-
-    return MpdLayer(g_first=g_first, g_middle=tuple(middles), g_last=g_last)
+    end = complete_isometry(tl) if tl.shape[1] < 2 else tl.copy()
+    return MpdLayer(chain=chain, end=end)
 
 
 def _disentangle_mps(m: Mps, layer: MpdLayer, chi_work: int | None):
-    """Apply the layer's adjoint gates (last to first) to an MPS.
+    """Apply the layer's adjoint gates (end gate, then the chain descending)
+    to an MPS.
 
     Returns (new Mps, discarded weight from recompression)."""
     n = m.n_qubits
@@ -151,21 +139,16 @@ def _disentangle_mps(m: Mps, layer: MpdLayer, chi_work: int | None):
     # end gate adjoint on the last qubit: orthogonal 1q gates preserve the
     # canonical identities, so the tensor update is local
     tensors = list(m.tensors)
-    tensors[-1] = np.einsum("ts,tlr->slr", layer.g_last, tensors[-1])
-    gates = [g.T for g in reversed(layer.g_middle)] + [layer.g_first.T]
+    tensors[-1] = np.einsum("ts,tlr->slr", layer.end, tensors[-1])
+    gates = [g.T for g in reversed(layer.chain)]
     return apply_gate_run(Mps(tensors, canonical="left"), gates, n - 1, chi_work)
 
 
 def _disentangle_dense(psi: np.ndarray, layer: MpdLayer) -> np.ndarray:
-    n = layer.n_qubits
-    psi = statevec.apply_1q(psi, layer.g_last.T, n - 1)
-    for i in range(n - 3, -1, -1):
-        psi = statevec.apply_2q(psi, layer.g_middle[i].T, i + 1, i + 2)
-    return statevec.apply_2q(psi, layer.g_first.T, 0, 1)
-
-
-def _zero_overlap(m: Mps) -> float:
-    return m.amplitude([0] * m.n_qubits)
+    psi = statevec.apply_1q(psi, layer.end.T, layer.n_qubits - 1)
+    for q in reversed(range(len(layer.chain))):
+        psi = statevec.apply_2q(psi, layer.chain[q].T, q, q + 1)
+    return psi
 
 
 def build_stack(
@@ -200,9 +183,8 @@ def build_stack(
         state, e = _disentangle_mps(state, layer, chi_work)
         trunc_err += e
         layers.append(layer)
-        amp = _zero_overlap(state)
-        res = max(0.0, 1.0 - amp * amp)
-        history.append(res)
+        amp = state.amplitude([0] * m.n_qubits)
+        history.append(max(0.0, 1.0 - amp * amp))
 
     return DisentanglerStack(
         layers=tuple(layers),

@@ -197,13 +197,12 @@ def _exact_normalize(w: np.ndarray, symmetric: bool) -> np.ndarray:
     p = w / total
     n = p.size
     if symmetric:
-        # Residual split over the two center elements keeps both the sum
-        # and the mirror symmetry p[k] == p[n-1-k] bit-exact.
-        half = n // 2
-        rest = float(np.sum(np.delete(p, [half - 1, half])))
-        center = 0.5 * (1.0 - rest)
-        p[half - 1] = center
-        p[half] = center
+        # Residual split over the largest mirrored pair (of equals, the one
+        # nearest the center) keeps both the sum and the mirror symmetry
+        # p[k] == p[n-1-k] bit-exact, and cannot push a zero pair negative.
+        j = n // 2 - 1 - int(np.argmax(p[n // 2 - 1 :: -1]))
+        rest = float(np.sum(np.delete(p, [j, n - 1 - j])))
+        p[j] = p[n - 1 - j] = 0.5 * (1.0 - rest)
     else:
         p[-1] = 1.0 - float(p[:-1].sum())
         if p[-1] < 0:

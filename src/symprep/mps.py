@@ -292,11 +292,23 @@ def mps_to_json(m: Mps) -> str:
 
 
 def mps_from_json(text: str) -> Mps:
+    """Inverse of mps_to_json; a malformed document is an MpsError, and a
+    "left" canonical claim is checked, not trusted."""
     doc = json.loads(text)
+    if not isinstance(doc, dict):
+        raise MpsError("MPS document must be a JSON object")
     if doc.get("format_version") != FORMAT_VERSION:
         raise MpsError(f"unsupported format_version {doc.get('format_version')!r}")
-    tensors = [
-        np.asarray(entry["data"], dtype=float).reshape(entry["shape"])
-        for entry in doc["tensors"]
-    ]
-    return Mps(tensors, canonical=doc.get("canonical", "none"))
+    try:
+        tensors = [
+            np.asarray(entry["data"], dtype=float).reshape(entry["shape"])
+            for entry in doc["tensors"]
+        ]
+    except KeyError as exc:
+        raise MpsError(f"MPS document lacks key {exc}") from exc
+    except (TypeError, ValueError) as exc:  # a value of the wrong type or size
+        raise MpsError(f"malformed MPS document: {exc}") from exc
+    m = Mps(tensors, canonical=doc.get("canonical", "none"))
+    if m.canonical == "left" and not is_left_canonical(m):
+        raise MpsError("MPS document claims canonical 'left', but its tensors are not")
+    return m

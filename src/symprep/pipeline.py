@@ -12,7 +12,7 @@ import csv
 import io
 import json
 import sys
-from dataclasses import dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -139,7 +139,6 @@ class RunResult:
     circuit: Circuit
     state: np.ndarray
     target: TargetDistribution
-    residual_history: tuple = field(default=())
 
 
 def _reject_unknown(d: dict, allowed, ctx: str) -> None:
@@ -343,22 +342,9 @@ def run_full(config: RunConfig) -> RunResult:
             "residual_infidelity": report.residual_infidelity,
             "residual_history": list(stack.residual_history),
         },
-        "gate_stats": {
-            "cnot_count_analytic": report.gate_stats.cnot_count_analytic,
-            "cnot_depth_analytic": report.gate_stats.cnot_depth_analytic,
-            "two_qubit_gate_count": report.gate_stats.two_qubit_gate_count,
-            "total_gate_count": report.gate_stats.total_gate_count,
-            "cnot_depth_counted": report.gate_stats.cnot_depth_counted,
-        },
+        "gate_stats": asdict(report.gate_stats),
     }
-    return RunResult(
-        report=report,
-        report_doc=doc,
-        circuit=circ,
-        state=psi,
-        target=target,
-        residual_history=stack.residual_history,
-    )
+    return RunResult(report=report, report_doc=doc, circuit=circ, state=psi, target=target)
 
 
 def report_row(report: MetricsReport, num_layers: int) -> dict:

@@ -1,5 +1,7 @@
 """Circuit IR, reflection wrapper, dense simulation, accounting, export."""
 
+import json
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -215,3 +217,23 @@ def test_dense_vs_mps_simulator_agreement():
         for g in gates:
             m = apply_gate_run(m, [g.matrix], g.qubits[0] + 1)[0]
         assert np.max(np.abs(to_statevector(m) - dense)) <= 1e-10, f"n={n}"
+
+
+@pytest.mark.parametrize(
+    "case",
+    ["no gates", "no kind", "no qubits", "qubits not a list", "short matrix", "not an object"],
+)
+def test_import_malformed(case):
+    doc = json.loads(export_circuit(ghz_circuit(), "json"))
+    if case == "no gates":
+        del doc["gates"]
+    elif case in ("no kind", "no qubits"):
+        del doc["gates"][1][case[3:]]
+    elif case == "qubits not a list":
+        doc["gates"][1]["qubits"] = 5
+    elif case == "short matrix":
+        doc["gates"].append({"kind": "unitary1", "qubits": [0], "matrix": ["1", "0", "0"]})
+    else:
+        doc = [doc]
+    with pytest.raises(CircuitError):
+        import_circuit(json.dumps(doc))

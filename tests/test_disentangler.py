@@ -9,6 +9,7 @@ from symprep import mps as mps_module
 from symprep.disentangler import (
     DisentanglerError,
     DisentanglerStack,
+    MpdLayer,
     _disentangle_dense,
     _disentangle_mps,
     build_layer,
@@ -66,15 +67,12 @@ def test_layer_gate_structure_bit_exact():
     m = mps_from_statevector(v, chi_max=2)
     layer = build_layer(m)
     # end gate equals the last tensor exactly
-    assert np.array_equal(layer.g_last, m.tensors[-1][:, :, 0])
-    # first gate column 0 is the vectorized first tensor
-    t0 = m.tensors[0]
-    expect = np.zeros((2, 2))
-    expect[:, : t0.shape[2]] = t0[:, 0, :]
-    assert np.array_equal(layer.g_first[:, 0], expect.reshape(4))
-    # middle gate columns 2k hold the tensor slices
-    for i, g in enumerate(layer.g_middle):
-        t = m.tensors[i + 1]
+    assert np.array_equal(layer.end, m.tensors[-1][:, :, 0])
+    # chain gate q's columns 2k hold the slices of site tensor q
+    assert len(layer.chain) == m.n_qubits - 1
+    for q, g in enumerate(layer.chain):
+        assert g.flags.c_contiguous
+        t = m.tensors[q]
         for k in range(t.shape[1]):
             expect = np.zeros((2, 2))
             expect[:, : t.shape[2]] = t[:, k, :]
@@ -85,9 +83,25 @@ def test_layer_gates_orthogonal():
     rng = np.random.default_rng(32)
     m = mps_from_statevector(random_state(rng, 7), chi_max=2)
     layer = build_layer(m)
-    for g in (layer.g_first, *layer.g_middle):
+    for g in layer.chain:
         assert np.allclose(g.T @ g, np.eye(4), atol=1e-10)
-    assert np.allclose(layer.g_last.T @ layer.g_last, np.eye(2), atol=1e-10)
+    assert np.allclose(layer.end.T @ layer.end, np.eye(2), atol=1e-10)
+
+
+@pytest.mark.parametrize("case", ["non-orthogonal chain gate", "2x2 gate in chain", "4x4 end"])
+def test_layer_validation(case):
+    rng = np.random.default_rng(37)
+    layer = build_layer(mps_from_statevector(random_state(rng, 5), chi_max=2))
+    MpdLayer(chain=layer.chain, end=layer.end)  # the extracted gates pass
+    skewed = layer.chain[1].copy()
+    skewed[:, 0] *= 2.0
+    chain, end = {
+        "non-orthogonal chain gate": (layer.chain[:1] + (skewed,) + layer.chain[2:], layer.end),
+        "2x2 gate in chain": (layer.chain[:-1] + (layer.end,), layer.end),
+        "4x4 end": (layer.chain, layer.chain[-1]),
+    }[case]
+    with pytest.raises(DisentanglerError):
+        MpdLayer(chain=chain, end=end)
 
 
 def test_chi2_exactness_random_states():

@@ -103,6 +103,19 @@ def test_table_assume_symmetric():
         )
 
 
+def test_table_symmetric_zero_center_pair():
+    # the normalisation residual must not land on a zero centre pair, where
+    # rounding would leave it slightly negative and the table be refused
+    half = [0.641771001269369, 0.5822868192737389, 0.08126313318700795, 0.0]
+    t = sample_pdf(
+        DistSpec("table", weights=tuple(half + half[::-1]), assume_symmetric=True),
+        Grid(0.0, 1.0, 3),
+    )
+    assert np.all(t.p >= 0) and np.array_equal(t.p, t.p[::-1])
+    assert t.p[3] == t.p[4] == 0.0
+    assert float(t.p.sum()) == 1.0
+
+
 def test_left_half_monotone_normal():
     t = sample_pdf(DistSpec("normal", mu=0.0, sigma2=0.01), Grid(-0.5, 0.5, 10))
     h = left_half(t)

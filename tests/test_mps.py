@@ -6,6 +6,8 @@ Reference code for truncate's sweep and the rank rule pins both bit for
 bit, on full-rank and on padded rank-deficient inputs.
 """
 
+import json
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -337,3 +339,30 @@ def test_json_roundtrip():
     m2 = mps_from_json(mps_to_json(m))
     assert m2.canonical == "left"
     assert all(np.array_equal(a, b) for a, b in zip(m.tensors, m2.tensors))
+
+
+def test_json_canonical_claim_is_checked():
+    m = mps_from_statevector(normal_amplitudes(6), chi_max=3)
+    doc = json.loads(mps_to_json(m))
+    doc["tensors"][3]["data"] = [2.0 * x for x in doc["tensors"][3]["data"]]
+    with pytest.raises(MpsError):
+        mps_from_json(json.dumps(doc))
+    doc["canonical"] = "none"  # no claim, nothing to refuse
+    assert mps_from_json(json.dumps(doc)).canonical == "none"
+
+
+@pytest.mark.parametrize(
+    "case", ["no tensors", "no shape", "no data", "shape mismatch", "not an object"]
+)
+def test_json_malformed(case):
+    doc = json.loads(mps_to_json(mps_from_statevector(ghz(4))))
+    if case == "no tensors":
+        del doc["tensors"]
+    elif case in ("no shape", "no data"):
+        del doc["tensors"][1][case[3:]]
+    elif case == "shape mismatch":
+        doc["tensors"][1]["shape"] = [2, 2, 1]
+    else:
+        doc = [doc]
+    with pytest.raises(MpsError):
+        mps_from_json(json.dumps(doc))
