@@ -258,6 +258,6 @@ def import_circuit(text: str) -> Circuit:
         raise CircuitError(f"circuit document lacks key {exc}") from exc
     except CircuitError:
         raise
-    except (TypeError, ValueError) as exc:  # a value of the wrong type or size
+    except (TypeError, ValueError, OverflowError) as exc:  # wrong type, size or range
         raise CircuitError(f"malformed circuit document: {exc}") from exc
     return Circuit(n_qubits=n_qubits, gates=tuple(gates))

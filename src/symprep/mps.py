@@ -306,7 +306,7 @@ def mps_from_json(text: str) -> Mps:
         ]
     except KeyError as exc:
         raise MpsError(f"MPS document lacks key {exc}") from exc
-    except (TypeError, ValueError) as exc:  # a value of the wrong type or size
+    except (TypeError, ValueError, OverflowError) as exc:  # wrong type, size or range
         raise MpsError(f"malformed MPS document: {exc}") from exc
     m = Mps(tensors, canonical=doc.get("canonical", "none"))
     if m.canonical == "left" and not is_left_canonical(m):

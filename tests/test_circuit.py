@@ -221,7 +221,16 @@ def test_dense_vs_mps_simulator_agreement():
 
 @pytest.mark.parametrize(
     "case",
-    ["no gates", "no kind", "no qubits", "qubits not a list", "short matrix", "not an object"],
+    [
+        "no gates",
+        "no kind",
+        "no qubits",
+        "qubits not a list",
+        "short matrix",
+        "n_qubits Infinity",
+        "qubit Infinity",
+        "not an object",
+    ],
 )
 def test_import_malformed(case):
     doc = json.loads(export_circuit(ghz_circuit(), "json"))
@@ -233,6 +242,10 @@ def test_import_malformed(case):
         doc["gates"][1]["qubits"] = 5
     elif case == "short matrix":
         doc["gates"].append({"kind": "unitary1", "qubits": [0], "matrix": ["1", "0", "0"]})
+    elif case == "n_qubits Infinity":  # json.loads reads Infinity as a float
+        doc["n_qubits"] = float("inf")
+    elif case == "qubit Infinity":
+        doc["gates"][1]["qubits"] = [0, float("inf")]
     else:
         doc = [doc]
     with pytest.raises(CircuitError):

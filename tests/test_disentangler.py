@@ -23,6 +23,7 @@ from symprep.mps import (
     to_statevector,
     truncate,
 )
+from symprep.numerics import complete_isometry
 
 
 def random_state(rng, n):
@@ -68,15 +69,21 @@ def test_layer_gate_structure_bit_exact():
     layer = build_layer(m)
     # end gate equals the last tensor exactly
     assert np.array_equal(layer.end, m.tensors[-1][:, :, 0])
-    # chain gate q's columns 2k hold the slices of site tensor q
+    # chain gate q's columns 2k hold the slices of site tensor q; the other
+    # columns hold the completion of those slices, in order
     assert len(layer.chain) == m.n_qubits - 1
     for q, g in enumerate(layer.chain):
         assert g.flags.c_contiguous
         t = m.tensors[q]
-        for k in range(t.shape[1]):
+        l = t.shape[1]
+        constrained = np.zeros((4, l))
+        for k in range(l):
             expect = np.zeros((2, 2))
             expect[:, : t.shape[2]] = t[:, k, :]
-            assert np.array_equal(g[:, 2 * k], expect.reshape(4))
+            constrained[:, k] = expect.reshape(4)
+            assert np.array_equal(g[:, 2 * k], constrained[:, k])
+        free = [c for c in range(4) if c not in (0, 2)[:l]]
+        assert np.array_equal(g[:, free], complete_isometry(constrained)[:, l:])
 
 
 def test_layer_gates_orthogonal():

@@ -352,7 +352,7 @@ def test_json_canonical_claim_is_checked():
 
 
 @pytest.mark.parametrize(
-    "case", ["no tensors", "no shape", "no data", "shape mismatch", "not an object"]
+    "case", ["no tensors", "no shape", "no data", "shape mismatch", "huge data", "not an object"]
 )
 def test_json_malformed(case):
     doc = json.loads(mps_to_json(mps_from_statevector(ghz(4))))
@@ -362,6 +362,8 @@ def test_json_malformed(case):
         del doc["tensors"][1][case[3:]]
     elif case == "shape mismatch":
         doc["tensors"][1]["shape"] = [2, 2, 1]
+    elif case == "huge data":  # an integer past the float range
+        doc["tensors"][1]["data"][0] = 10**400
     else:
         doc = [doc]
     with pytest.raises(MpsError):

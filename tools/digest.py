@@ -1,75 +1,61 @@
 """Print one SHA-256 per benchmark workload: a byte-level parity check.
 
-    PYTHONPATH=src python3 tools/digest.py [--seeds 0 1 2]
+    PYTHONPATH=src python3 tools/digest.py
 
 symprep is imported from PYTHONPATH, so pointing it at two source trees
 (say, a checkout of the parent commit and the working tree) and comparing
 the printed lines tells whether a change kept every output bit-identical.
-The request pools come from `perfbench/workloads.py`, which is only read.
 
-Per workload and seed, every pool request is run and hashed:
-
-- deep-stack, wide-verify: `run_full` of each request;
-- sweep-mix: the `sweep_full` rows of each sweep document, then `run_full`
-  of each of its sweep points, so the emitted gates are covered too.
-
-A `run_full` result contributes the `RunResult.state` bytes,
-`json.dumps(report_doc, sort_keys=True)` and every gate's kind, wires and
-matrix bytes.
+The requests and their fingerprints are the benchmark's own, imported
+read-only from `perfbench/run.py`: per workload and seed in SEEDS,
+`make_items` gives the pool, and each output goes into the hash through
+`RunItem.fingerprint` (sorted report document, state bytes) or
+`SweepItem.fingerprint` (sweep rows and reports). This tool adds the
+emitted gates, which those fingerprints leave out: every gate's kind,
+wires and matrix bytes, of each `run_full` request and, for sweep-mix, of
+a `run_full` of each sweep point.
 """
 
 from __future__ import annotations
 
-import os
-
-# One BLAS thread, as the benchmark runs: bit-level results must not hang
-# on the thread count.
-for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
-    os.environ[_var] = "1"
-
-import argparse  # noqa: E402
-import hashlib  # noqa: E402
-import json  # noqa: E402
-import sys  # noqa: E402
-from pathlib import Path  # noqa: E402
+import hashlib
+import sys
+from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 
+# run.py pins BLAS to one thread before numpy loads, as the benchmark runs.
+import run  # noqa: E402
 import workloads  # noqa: E402
 
-from symprep.pipeline import config_from_dict, run_full, sweep_full  # noqa: E402
+SEEDS = (0, 1, 2)
 
 
-def _update_run(h, doc: dict) -> None:
-    res = run_full(config_from_dict(doc))
-    h.update(res.state.tobytes())
-    h.update(json.dumps(res.report_doc, sort_keys=True).encode())
+def _update_run(h, item: run.RunItem) -> None:
+    res = item.call()
+    h.update(repr(item.fingerprint(res)).encode())
     for g in res.circuit.gates:
         h.update(repr((g.kind, g.qubits)).encode())
         if g.matrix is not None:
             h.update(g.matrix.tobytes())
 
 
-def workload_digest(name: str, seeds) -> str:
+def workload_digest(name: str) -> str:
     h = hashlib.sha256()
-    for seed in seeds:
-        for doc in workloads.POOLS[name](seed):
-            if name == "sweep-mix":
-                _, rows = sweep_full(config_from_dict(doc))
-                h.update(json.dumps(rows, sort_keys=True).encode())
-                for point in workloads.sweep_points(doc):
-                    _update_run(h, point)
+    for seed in SEEDS:
+        for item in run.make_items(name, seed):
+            if isinstance(item, run.SweepItem):
+                h.update(repr(item.fingerprint(item.call())).encode())
+                for point in workloads.sweep_points(item.doc):
+                    _update_run(h, run.RunItem(point))
             else:
-                _update_run(h, doc)
+                _update_run(h, item)
     return h.hexdigest()
 
 
-def main(argv=None) -> None:
-    ap = argparse.ArgumentParser(description=__doc__.splitlines()[0])
-    ap.add_argument("--seeds", type=int, nargs="+", default=[0, 1, 2])
-    args = ap.parse_args(argv)
+def main() -> None:
     for name in workloads.POOLS:
-        print(f"{name} {workload_digest(name, args.seeds)}", flush=True)
+        print(f"{name} {workload_digest(name)}", flush=True)
 
 
 if __name__ == "__main__":
