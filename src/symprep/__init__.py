@@ -3,7 +3,7 @@ probability distributions via matrix-product-state disentanglers."""
 
 __version__ = "0.1.0"
 
-from .numerics import NumericsError, SvdResult, complete_isometry, svd
+from .numerics import NumericsError, SvdResult, complete_isometry, is_orthonormal, svd
 from .dist import (
     DistError,
     DistSpec,
@@ -69,7 +69,7 @@ from .pipeline import (
 
 __all__ = [
     "__version__",
-    "NumericsError", "SvdResult", "svd", "complete_isometry",
+    "NumericsError", "SvdResult", "svd", "complete_isometry", "is_orthonormal",
     "DistError", "DistSpec", "Grid", "TargetDistribution",
     "sample_pdf", "left_half", "amplitudes",
     "DENSE_LIMIT", "Mps", "MpsError", "mps_from_statevector", "to_statevector",

@@ -21,6 +21,7 @@ import numpy as np
 from . import statevec
 from .disentangler import DisentanglerStack
 from .mps import DENSE_LIMIT
+from .numerics import is_orthonormal
 
 __all__ = [
     "CircuitError",
@@ -73,7 +74,7 @@ class GateOp:
             m = np.asarray(self.matrix, dtype=float)
             if m.shape != (d, d):
                 raise CircuitError(f"{self.kind} needs a {d}x{d} matrix, got {m.shape}")
-            if not np.allclose(m.T @ m, np.eye(d), atol=1e-10):
+            if not is_orthonormal(m):
                 raise CircuitError(f"{self.kind} matrix is not orthogonal within 1e-10")
             object.__setattr__(self, "matrix", m)
 
@@ -98,9 +99,9 @@ class Circuit:
 
 @dataclass(frozen=True)
 class GateStats:
-    """Analytic fields come from the staircase depth formulas; counted
-    fields are tallied from the actual gate list (each two-qubit unitary
-    priced at 2 CNOTs, matching the standard real-gate decomposition)."""
+    """cnot_depth_analytic comes from the staircase depth formula; every other
+    field, cnot_count_analytic despite its name, is tallied from the emitted
+    gate list (each unitary2 priced at 2 CNOTs, each cnot at 1)."""
 
     cnot_count_analytic: int
     cnot_depth_analytic: int
@@ -158,7 +159,7 @@ def simulate(c: Circuit) -> np.ndarray:
             psi = statevec.apply_2q(psi, g.matrix, g.qubits[0], g.qubits[1])
     nrm = float(np.linalg.norm(psi))
     if abs(nrm - 1.0) > 1e-12:
-        raise CircuitError(f"simulation lost norm: {nrm:.15g}")  # pragma: no cover
+        raise CircuitError(f"simulation lost norm: {nrm:.15g}")
     return psi
 
 

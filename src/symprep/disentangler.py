@@ -22,7 +22,7 @@ import numpy as np
 
 from . import statevec
 from .mps import Mps, apply_gate_run, is_left_canonical, to_statevector, truncate
-from .numerics import complete_isometry
+from .numerics import complete_isometry, is_orthonormal
 
 __all__ = [
     "DisentanglerError",
@@ -62,7 +62,7 @@ class MpdLayer:
             g = np.asarray(g)
             if g.shape != (d, d):
                 raise DisentanglerError(f"layer gate must be {d}x{d}, got {g.shape}")
-            if not np.allclose(g.T @ g, np.eye(d), atol=1e-10):
+            if not is_orthonormal(g):
                 raise DisentanglerError("layer gate is not orthogonal within 1e-10")
 
 
@@ -119,7 +119,7 @@ def build_layer(m: Mps) -> MpdLayer:
         raise DisentanglerError(f"build_layer needs n >= 3, got {n}")
     if max(m.bond_dims) > 2:
         raise DisentanglerError(f"bond dims {m.bond_dims} exceed 2")
-    if m.canonical != "left" or not is_left_canonical(m, 1e-10):
+    if m.canonical != "left" or not is_left_canonical(m):
         raise DisentanglerError("build_layer needs a canonical-form MPS")
 
     chain = tuple(_chain_gate(t) for t in m.tensors[:-1])

@@ -14,7 +14,7 @@ import json
 
 import numpy as np
 
-from .numerics import svd
+from .numerics import is_orthonormal, svd
 
 __all__ = [
     "MpsError",
@@ -100,15 +100,6 @@ class Mps:
         return f"Mps(n={self.n_qubits}, bond_dims={self.bond_dims}, canonical={self.canonical!r})"
 
 
-def _check_gate_orthogonal(g: np.ndarray, dim: int) -> np.ndarray:
-    g = np.asarray(g, dtype=float)
-    if g.shape != (dim, dim):
-        raise MpsError(f"gate must be {dim}x{dim}, got {g.shape}")
-    if not np.allclose(g.T @ g, np.eye(dim), atol=1e-10):
-        raise MpsError("gate is not orthogonal within 1e-10")
-    return g
-
-
 def _kept(s: np.ndarray, chi: int | None = None) -> int:
     # The rank rule: how many singular values survive, at least one.
     k = int(np.count_nonzero(s > _RANK_CUTOFF * s[0])) or 1
@@ -173,15 +164,11 @@ def to_statevector(m: Mps) -> np.ndarray:
     return psi[:, 0]
 
 
-def is_left_canonical(m: Mps, tol: float = 1e-10) -> bool:
-    """True iff every site tensor contracted over (physical, right bond)
-    gives the identity on its left bond within tol."""
-    for t in m.tensors:
-        l = t.shape[1]
-        gram = np.einsum("slr,smr->lm", t, t)
-        if not np.allclose(gram, np.eye(l), atol=tol):
-            return False
-    return True
+def is_left_canonical(m: Mps) -> bool:
+    """True iff every site tensor contracted over (physical, right bond) gives
+    the identity on its left bond: numerics.is_orthonormal of each tensor as
+    a (physical * right, left) matrix."""
+    return all(is_orthonormal(t.transpose(0, 2, 1).reshape(-1, t.shape[1])) for t in m.tensors)
 
 
 def _sweep_right(tensors, upto: int, chi: int | None = None) -> float:
@@ -251,7 +238,12 @@ def apply_gate_run(m: Mps, gates, top: int, chi_max: int | None = None):
     discarded weight sums each gate's dropped squared singular values, the
     state being renormalized after each gate.
     """
-    gates = [_check_gate_orthogonal(g, 4) for g in gates]
+    gates = [np.asarray(g, dtype=float) for g in gates]
+    for g in gates:
+        if g.shape != (4, 4):
+            raise MpsError(f"gate must be 4x4, got {g.shape}")
+        if not is_orthonormal(g):
+            raise MpsError("gate is not orthogonal within 1e-10")
     n = m.n_qubits
     bottom = top - len(gates) + 1
     if not 1 <= bottom <= top <= n - 1:

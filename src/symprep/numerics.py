@@ -18,6 +18,7 @@ __all__ = [
     "SvdResult",
     "svd",
     "complete_isometry",
+    "is_orthonormal",
 ]
 
 # Columns with norm below this are treated as numerically zero during
@@ -71,6 +72,15 @@ def svd(a) -> SvdResult:
     return SvdResult(u, s, vt)
 
 
+def is_orthonormal(a) -> bool:
+    """True iff every entry of a.T @ a is within 1e-10 of the identity's, an
+    absolute bound with no relative slack: the 2-d real a has orthonormal columns."""
+    a = np.asarray(a, dtype=float)
+    gram = a.T @ a
+    gram.flat[:: gram.shape[0] + 1] -= 1.0
+    return bool(np.abs(gram).max(initial=0.0) <= 1e-10)
+
+
 def complete_isometry(v) -> np.ndarray:
     """Extend a (d, k) matrix with orthonormal columns to a (d, d) orthogonal
     matrix whose first k columns are the input, bit-identical.
@@ -83,8 +93,7 @@ def complete_isometry(v) -> np.ndarray:
     d, k = m.shape
     if k > d:
         raise NumericsError(f"cannot complete {d}x{k}: more columns than rows")
-    gram = m.T @ m
-    if not np.allclose(gram, np.eye(k), atol=1e-10):
+    if not is_orthonormal(m):
         raise NumericsError("input columns are not orthonormal within 1e-10")
     cols = [m[:, j] for j in range(k)]
     for b in range(d):

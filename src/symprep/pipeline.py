@@ -204,8 +204,6 @@ def config_from_dict(doc: dict, *, assume_symmetric: bool = False) -> RunConfig 
         if not isinstance(vary, dict) or len(vary) != 1:
             raise ConfigError(f"vary must hold exactly one of {_VARY_KEYS}")
         (key, values), = vary.items()
-        if key not in _VARY_KEYS:
-            raise ConfigError(f"vary key must be one of {_VARY_KEYS}, got {key!r}")
         if not isinstance(values, list):
             raise ConfigError(f"vary.{key} must be a list of integers, got {values!r}")
         return SweepConfig(base=base, vary_key=key, vary_values=tuple(values))

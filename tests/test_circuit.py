@@ -67,6 +67,17 @@ def test_simulate_empty_and_ghz():
     assert np.allclose(psi, expect, atol=1e-12)
 
 
+def test_simulate_refuses_lost_norm():
+    # Each gate passes the 1e-10 orthogonality rule, yet 40 of them stretch
+    # |00> by (1 + 4e-11)^40, past simulate's 1e-12 norm check.
+    g = np.eye(4)
+    g[0, 0] = 1.0 + 4e-11
+    entry = {"kind": "unitary2", "qubits": [0, 1], "matrix": g.ravel().tolist()}
+    doc = {"format_version": 1, "n_qubits": 2, "gates": [entry] * 40}
+    with pytest.raises(CircuitError, match="lost norm: 1.0000000016"):
+        simulate(import_circuit(json.dumps(doc)))
+
+
 def test_prep_circuit_identity_on_zero():
     m = mps_from_statevector(statevec.zero_state(4))
     stack = build_stack(m, num_layers=1)

@@ -1,6 +1,7 @@
 """The public surface: every exported name resolves."""
 
 import importlib
+import pathlib
 import pkgutil
 
 import pytest
@@ -19,3 +20,11 @@ def test_exported_names_resolve(module):
     missing = [n for n in module.__all__ if not hasattr(module, n)]
     assert not missing, f"{module.__name__}.__all__ names missing attributes {missing}"
     assert len(set(module.__all__)) == len(module.__all__)
+
+
+def test_no_allclose_in_src():
+    # numerics.is_orthonormal is the one home of the orthogonality rule; an
+    # allclose check would bring back a relative slack of 1e-5.
+    src = pathlib.Path(symprep.__file__).parent
+    offenders = [p.name for p in sorted(src.glob("*.py")) if "allclose(" in p.read_text()]
+    assert not offenders, f"allclose( in {offenders}; use numerics.is_orthonormal"

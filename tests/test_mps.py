@@ -141,7 +141,7 @@ def test_roundtrip_up_to_12_qubits():
         v /= np.linalg.norm(v)
         m = mps_from_statevector(v)
         assert np.max(np.abs(to_statevector(m) - v)) <= 1e-10, f"n={n}"
-        assert is_left_canonical(m, 1e-10)
+        assert is_left_canonical(m)
 
 
 def test_canonical_identities_every_site():
@@ -170,12 +170,12 @@ def test_global_sign_fix():
 
 def test_is_left_canonical_detects_scaling():
     m = mps_from_statevector(ghz(4))
-    assert is_left_canonical(m, 1e-10)
+    assert is_left_canonical(m)
     bad = [t.copy() for t in m.tensors]
     bad[2][:, :, 0] *= 2.0
     from symprep.mps import Mps
 
-    assert not is_left_canonical(Mps(bad), 1e-10)
+    assert not is_left_canonical(Mps(bad))
 
 
 def test_truncate_noop_and_ghz():
@@ -226,7 +226,7 @@ def test_truncate_bit_identical_to_reference():
         inputs.append(mps_from_statevector(v / np.linalg.norm(v), chi_max=4))
     inputs += [m for _, m in rank_deficient_inputs()]
     for m in inputs:
-        assert is_left_canonical(m, 1e-10) and max(m.bond_dims) == 4
+        assert is_left_canonical(m) and max(m.bond_dims) == 4
         for chi in (1, 2, 3):
             out, err = truncate(m, chi)
             ref, ref_err = reference_truncate(m, chi)
@@ -247,7 +247,7 @@ def test_truncate_keeps_zero_singular_values_gate_runs_drop_them():
         out, err = apply_gate_run(m, [np.eye(4)] * (n - 1), n - 1)
         assert out.bond_dims == [rank] * (n - 1) and err <= 1e-30
         assert np.allclose(to_statevector(out), v, atol=1e-12)
-        assert is_left_canonical(out, 1e-10)
+        assert is_left_canonical(out)
 
 
 def test_rank_rule_matches_reference():
@@ -312,7 +312,7 @@ def test_apply_gate_matches_dense_oracle():
         dense = statevec.apply_2q(v, g, site - 1, site)
         got = to_statevector(out)
         assert np.max(np.abs(got - dense)) <= 1e-10
-        assert is_left_canonical(out, 1e-10)
+        assert is_left_canonical(out)
 
 
 def test_apply_gate_validation():

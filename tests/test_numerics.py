@@ -1,8 +1,22 @@
-"""SVD determinism and orthogonal-completion contracts."""
+"""SVD determinism, orthogonal-completion contracts and the one
+orthogonality rule every gate and canonical-form check applies."""
+
+import json
 
 import numpy as np
 import pytest
 
+from symprep.circuit import CircuitError, GateOp, import_circuit
+from symprep.disentangler import DisentanglerError, MpdLayer
+from symprep.mps import (
+    Mps,
+    MpsError,
+    apply_gate_run,
+    is_left_canonical,
+    mps_from_json,
+    mps_from_statevector,
+    mps_to_json,
+)
 from symprep.numerics import (
     NumericsError,
     _fix_signs,
@@ -99,3 +113,51 @@ def test_fix_signs_bit_identical_to_loop():
         _fix_signs(u, vt)
         assert u.tobytes() == u_ref.tobytes()
         assert vt.tobytes() == vt_ref.tobytes()
+
+
+def _accepts(name, error, scale):
+    # Feed one entry point an orthogonal 4x4 gate, or a canonical MPS with
+    # one site tensor, scaled by `scale`; True iff it is accepted.
+    g = np.linalg.qr(np.random.default_rng(7).normal(size=(4, 4)))[0] * scale
+    v = np.random.default_rng(7).normal(size=32)
+    tensors = list(mps_from_statevector(v / np.linalg.norm(v)).tensors)
+    tensors[2] = tensors[2] * scale
+    try:
+        if name == "GateOp":
+            GateOp("unitary2", (0, 1), g)
+        elif name == "import_circuit":
+            entry = {"kind": "unitary2", "qubits": [0, 1], "matrix": g.ravel().tolist()}
+            import_circuit(json.dumps({"format_version": 1, "n_qubits": 2, "gates": [entry]}))
+        elif name == "MpdLayer":
+            MpdLayer(chain=(g, np.eye(4)), end=np.eye(2))
+        elif name == "apply_gate_run":
+            apply_gate_run(mps_from_statevector(np.eye(8)[0]), [g], top=1)
+        elif name == "complete_isometry":
+            complete_isometry(g[:, :2])
+        elif name == "is_left_canonical":
+            return is_left_canonical(Mps(tensors))
+        else:
+            mps_from_json(mps_to_json(Mps(tensors, canonical="left")))
+    except error:
+        return False
+    return True
+
+
+@pytest.mark.parametrize(
+    "name, error",
+    [
+        ("GateOp", CircuitError),
+        ("import_circuit", CircuitError),
+        ("MpdLayer", DisentanglerError),
+        ("apply_gate_run", MpsError),
+        ("complete_isometry", NumericsError),
+        ("is_left_canonical", MpsError),  # returns False, raises nothing
+        ("mps_from_json", MpsError),
+    ],
+)
+def test_orthonormality_rule_is_absolute(name, error):
+    # Every entry point applies numerics.is_orthonormal: a Gram error of
+    # 5e-11 passes; a scale of 1 + 4e-6 (Gram error 8e-6, inside the 1e-5
+    # relative slack of np.allclose) does not.
+    assert _accepts(name, error, np.sqrt(1.0 + 5e-11))
+    assert not _accepts(name, error, 1.0 + 4e-6)
