@@ -4,6 +4,7 @@ probability distributions via matrix-product-state disentanglers."""
 __version__ = "0.1.0"
 
 from .numerics import NumericsError, SvdResult, complete_isometry, is_orthonormal, svd
+from .numerics import is_finite_number, is_int
 from .dist import (
     DistError,
     DistSpec,
@@ -70,6 +71,7 @@ from .pipeline import (
 __all__ = [
     "__version__",
     "NumericsError", "SvdResult", "svd", "complete_isometry", "is_orthonormal",
+    "is_int", "is_finite_number",
     "DistError", "DistSpec", "Grid", "TargetDistribution",
     "sample_pdf", "left_half", "amplitudes",
     "DENSE_LIMIT", "Mps", "MpsError", "mps_from_statevector", "to_statevector",

@@ -21,7 +21,7 @@ import numpy as np
 from . import statevec
 from .disentangler import DisentanglerStack
 from .mps import DENSE_LIMIT
-from .numerics import is_orthonormal
+from .numerics import is_int, is_orthonormal
 
 __all__ = [
     "CircuitError",
@@ -58,7 +58,9 @@ class GateOp:
     def __post_init__(self):
         if self.kind not in _KINDS:
             raise CircuitError(f"unknown gate kind {self.kind!r}")
-        object.__setattr__(self, "qubits", tuple(int(q) for q in self.qubits))
+        if not isinstance(self.qubits, (tuple, list)) or not all(is_int(q) for q in self.qubits):
+            raise CircuitError(f"{self.kind} qubits must be a list of integers, got {self.qubits!r}")
+        object.__setattr__(self, "qubits", tuple(self.qubits))
         want = 1 if self.kind in ("hadamard", "unitary1") else 2
         if len(self.qubits) != want:
             raise CircuitError(f"{self.kind} takes {want} qubit(s), got {self.qubits}")
@@ -87,8 +89,8 @@ class Circuit:
     gates: tuple
 
     def __post_init__(self):
-        if self.n_qubits < 1:
-            raise CircuitError(f"n_qubits must be >= 1, got {self.n_qubits}")
+        if not is_int(self.n_qubits) or self.n_qubits < 1:
+            raise CircuitError(f"n_qubits must be an integer >= 1, got {self.n_qubits!r}")
         object.__setattr__(self, "gates", tuple(self.gates))
         for g in self.gates:
             if not isinstance(g, GateOp):
@@ -187,11 +189,12 @@ def accounting(c: Circuit, num_layers: int = 1, symmetry: bool = False) -> GateS
     the CNOT fan-out when the reflection wrapper is present. n is the full
     circuit width. An empty circuit reports all zeros.
     """
+    if not is_int(num_layers) or num_layers < 1:
+        raise CircuitError(f"num_layers must be an integer >= 1, got {num_layers!r}")
     if not c.gates:
         return GateStats(0, 0, 0, 0, 0)
     n = c.n_qubits
-    l = max(1, int(num_layers))
-    depth = 2 * ((n - 2) + (l - 1))
+    depth = 2 * ((n - 2) + (num_layers - 1))
     if symmetry:
         depth += n - 1
     return GateStats(
@@ -249,12 +252,11 @@ def import_circuit(text: str) -> Circuit:
     try:
         for entry in doc["gates"]:
             matrix = None
-            if "matrix" in entry:
-                vals = np.asarray([float(s) for s in entry["matrix"]])
+            if "matrix" in entry:  # 17-digit strings, or plain numbers
                 d = 2 if entry["kind"] == "unitary1" else 4
-                matrix = vals.reshape(d, d)
-            gates.append(GateOp(entry["kind"], tuple(entry["qubits"]), matrix))
-        n_qubits = int(doc["n_qubits"])
+                matrix = np.asarray(entry["matrix"], dtype=float).reshape(d, d)
+            gates.append(GateOp(entry["kind"], entry["qubits"], matrix))
+        n_qubits = doc["n_qubits"]
     except KeyError as exc:
         raise CircuitError(f"circuit document lacks key {exc}") from exc
     except CircuitError:

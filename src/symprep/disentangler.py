@@ -160,14 +160,15 @@ def build_stack(
 
     Each round builds a layer from the chi=2 truncation of the current
     state, disentangles the current state with it at working bond dimension
-    chi_work (default 2x the input's max bond dim, capped at 256), and
-    records the residual. Runs exactly num_layers rounds.
+    chi_work, and records the residual. Runs exactly num_layers rounds. The
+    default chi_work is 2x the input's max bond dim, capped at
+    DEFAULT_CHI_WORK_CAP but never below the input's max bond dim.
     """
     if num_layers < 1:
         raise DisentanglerError(f"num_layers must be >= 1, got {num_layers}")
     max_bond = max(m.bond_dims)
     if chi_work is None:
-        chi_work = min(2 * max_bond, DEFAULT_CHI_WORK_CAP)
+        chi_work = max(max_bond, min(2 * max_bond, DEFAULT_CHI_WORK_CAP))
     if chi_work < max_bond:
         raise DisentanglerError(
             f"chi_work={chi_work} is below the input's max bond dim {max_bond}"

@@ -17,6 +17,8 @@ from typing import Callable
 import numpy as np
 from scipy import stats
 
+from .numerics import is_finite_number, is_int
+
 __all__ = [
     "DistError",
     "Grid",
@@ -50,10 +52,12 @@ class Grid:
     convention: str = "midpoint"
 
     def __post_init__(self):
-        if not -math.inf < self.min < self.max < math.inf:  # NaN fails every comparison
-            raise DistError(f"grid needs finite min < max, got [{self.min}, {self.max}]")
-        if self.n_qubits < 2:
-            raise DistError(f"grid needs n_qubits >= 2, got {self.n_qubits}")
+        if not (is_finite_number(self.min) and is_finite_number(self.max) and self.min < self.max):
+            raise DistError(f"grid needs finite min < max, got [{self.min!r}, {self.max!r}]")
+        object.__setattr__(self, "min", float(self.min))
+        object.__setattr__(self, "max", float(self.max))
+        if not is_int(self.n_qubits) or self.n_qubits < 2:
+            raise DistError(f"grid needs an integer n_qubits >= 2, got {self.n_qubits!r}")
         if self.convention not in ("midpoint", "endpoint"):
             raise DistError(f"unknown grid convention {self.convention!r}")
 
@@ -100,13 +104,33 @@ FAMILIES = {
 }
 
 
+def _param(kind: str, name: str, value):
+    # the family default's type decides the value's type; numbers are kept as floats
+    default = FAMILIES[kind].params[name]
+    if isinstance(default, float):
+        if is_finite_number(value):
+            return float(value)
+        want = "a finite number"
+    elif isinstance(default, tuple):
+        if isinstance(value, (list, tuple)) and all(is_finite_number(x) for x in value):
+            return tuple(float(x) for x in value)
+        want = "a list of finite numbers"
+    else:
+        typ = bool if isinstance(default, bool) else str
+        if isinstance(value, typ):
+            return value
+        want = f"a {typ.__name__}"
+    raise DistError(f"{kind} {name} must be {want}, got {value!r}")
+
+
 @dataclass(frozen=True)
 class DistSpec:
     """Density family plus parameters.
 
     kind: normal(mu, sigma2) | lorentzian(x0, gamma) | student_t(nu) |
     table(path | weights, assume_symmetric). Parameters left unset take
-    the family's defaults; a parameter of another family is an error.
+    the family's defaults; a parameter of another family is an error. A
+    value must have its default's type; numbers must be finite.
     """
 
     kind: str
@@ -120,14 +144,14 @@ class DistSpec:
     assume_symmetric: bool | None = None
 
     def __post_init__(self):
-        fam = FAMILIES.get(self.kind)
+        fam = FAMILIES.get(self.kind) if isinstance(self.kind, str) else None
         if fam is None:
             raise DistError(f"unknown distribution kind {self.kind!r}")
         for f in fields(self)[1:]:
             value = getattr(self, f.name)
             if f.name in fam.params:
-                if value is None:
-                    object.__setattr__(self, f.name, fam.params[f.name])
+                value = fam.params[f.name] if value is None else _param(self.kind, f.name, value)
+                object.__setattr__(self, f.name, value)
             elif value is not None:
                 raise DistError(f"{self.kind} has no parameter {f.name!r}")
         if fam.positive and not getattr(self, fam.positive) > 0:

@@ -4,11 +4,12 @@ Everything downstream (tensor decompositions, gate extraction, isometry
 completion) needs SVDs with a fixed sign convention and orthogonal
 completions that keep the supplied columns bit-identical. numpy's SVD is
 deterministic per platform but leaves singular-vector signs arbitrary; the
-helpers here pin them.
+helpers here pin them. `is_int` and `is_finite_number` are the one value rules.
 """
 
 from __future__ import annotations
 
+import sys
 from typing import NamedTuple
 
 import numpy as np
@@ -19,6 +20,8 @@ __all__ = [
     "svd",
     "complete_isometry",
     "is_orthonormal",
+    "is_int",
+    "is_finite_number",
 ]
 
 # Columns with norm below this are treated as numerically zero during
@@ -79,6 +82,16 @@ def is_orthonormal(a) -> bool:
     gram = a.T @ a
     gram.flat[:: gram.shape[0] + 1] -= 1.0
     return bool(np.abs(gram).max(initial=0.0) <= 1e-10)
+
+
+def is_int(v) -> bool:
+    """True iff v is an int and not a bool."""
+    return isinstance(v, int) and not isinstance(v, bool)
+
+
+def is_finite_number(v) -> bool:
+    """True iff v is an int or float, not a bool, with |v| <= the largest float."""
+    return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
 
 
 def complete_isometry(v) -> np.ndarray:

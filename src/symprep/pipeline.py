@@ -11,7 +11,6 @@ from __future__ import annotations
 import csv
 import io
 import json
-import sys
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -21,6 +20,7 @@ from .circuit import Circuit, accounting, add_reflection_wrapper, prep_circuit, 
 from .disentangler import build_stack
 from .dist import (
     FAMILIES,
+    DistError,
     DistSpec,
     Grid,
     TargetDistribution,
@@ -31,6 +31,7 @@ from .dist import (
 )
 from .metrics import MetricsReport, classical_fidelity, kl_divergence, meyer_wallach_purity
 from .mps import DENSE_LIMIT, mps_from_statevector
+from .numerics import is_int
 
 __all__ = [
     "ConfigError",
@@ -86,6 +87,10 @@ class RunConfig:
     seed: int | None = None
 
     def __post_init__(self):
+        for key in ("n_qubits", "num_layers", "chi_work", "seed"):
+            v = getattr(self, key)
+            if not is_int(v) and not (v is None and key in ("chi_work", "seed")):
+                raise ConfigError(f"{key} must be an integer, got {v!r}")
         if self.n_qubits < 3:
             raise ConfigError(f"n_qubits must be >= 3, got {self.n_qubits}")
         if self.n_qubits > DENSE_LIMIT:
@@ -117,9 +122,9 @@ class SweepConfig:
     def __post_init__(self):
         if self.vary_key not in _VARY_KEYS:
             raise ConfigError(f"vary key must be one of {_VARY_KEYS}, got {self.vary_key!r}")
-        vals = tuple(_int(v, self.vary_key) for v in self.vary_values)
-        if not vals:
-            raise ConfigError("vary list must be non-empty")
+        vals = tuple(self.vary_values)
+        if not vals or not all(is_int(v) for v in vals):
+            raise ConfigError(f"{self.vary_key} must be a non-empty list of integers, got {list(vals)}")
         if any(b <= a for a, b in zip(vals, vals[1:])):
             raise ConfigError(f"vary list must be strictly increasing, got {list(vals)}")
         if self.vary_key == "bond_dims":
@@ -147,45 +152,14 @@ def _reject_unknown(d: dict, allowed, ctx: str) -> None:
         raise ConfigError(f"unknown key(s) {unknown} in {ctx}")
 
 
-def _int(v, key: str) -> int:
-    if isinstance(v, bool) or not isinstance(v, int):
-        raise ConfigError(f"{key} must be an integer, got {v!r}")
-    return v
-
-
-def _number(v, key: str) -> float:
-    # json.load also yields Infinity, NaN and integers past the float range
-    if isinstance(v, bool) or not isinstance(v, (int, float)) or not abs(v) <= sys.float_info.max:
-        raise ConfigError(f"{key} must be a finite number, got {v!r}")
-    return float(v)
-
-
-def _dist_param(v, default, key: str):
-    # the family default's type decides the value's type
-    if isinstance(default, float):
-        return _number(v, key)
-    if isinstance(default, tuple):  # weights
-        if not isinstance(v, list):
-            raise ConfigError(f"{key} must be a list of numbers, got {v!r}")
-        return tuple(_number(x, key) for x in v)
-    want = bool if isinstance(default, bool) else str  # a flag, or a path
-    if not isinstance(v, want):
-        raise ConfigError(f"{key} must be a {want.__name__}, got {v!r}")
-    return v
-
-
 def _dist_from_dict(d: dict) -> DistSpec:
-    if not isinstance(d, dict) or not isinstance(d.get("kind"), str):
-        raise ConfigError("dist must be an object with a 'kind' key")
-    fam = FAMILIES.get(d["kind"])
-    if fam is None:
-        raise ConfigError(f"unknown dist kind {d['kind']!r}")
-    _reject_unknown(d, ("kind", *fam.params), "dist")
-    params = {k: _dist_param(v, fam.params[k], f"dist.{k}") for k, v in d.items() if k != "kind"}
-    try:
-        return DistSpec(d["kind"], **params)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
+    if not isinstance(d, dict) or not isinstance(d.get("kind"), str) or d["kind"] not in FAMILIES:
+        raise ConfigError(f"dist must be an object whose 'kind' is one of {list(FAMILIES)}")
+    _reject_unknown(d, ("kind", *FAMILIES[d["kind"]].params), "dist")
+    params = {k: v for k, v in d.items() if k != "kind"}
+    if None in params.values():  # DistSpec reads None as unset
+        raise ConfigError("dist parameters must not be null; leave a key out for its default")
+    return DistSpec(d["kind"], **params)
 
 
 def config_from_dict(doc: dict, *, assume_symmetric: bool = False) -> RunConfig | SweepConfig:
@@ -217,38 +191,36 @@ def config_from_dict(doc: dict, *, assume_symmetric: bool = False) -> RunConfig 
     dist_doc = doc["dist"]
     if assume_symmetric and isinstance(dist_doc, dict) and dist_doc.get("kind") == "table":
         dist_doc = {**dist_doc, "assume_symmetric": True}
-    spec = _dist_from_dict(dist_doc)
-    n_qubits = _int(doc["n_qubits"], "n_qubits")
-
     grid_doc = doc.get("grid", {})
     if not isinstance(grid_doc, dict):
         raise ConfigError("grid must be an object")
     _reject_unknown(grid_doc, ("min", "max", "convention"), "grid")
-    if "min" in grid_doc or "max" in grid_doc:
-        if not ("min" in grid_doc and "max" in grid_doc):
-            raise ConfigError("grid needs both min and max")
-        gmin, gmax = _number(grid_doc["min"], "grid.min"), _number(grid_doc["max"], "grid.max")
-    else:
-        fam = FAMILIES[spec.kind]
-        if fam.center is None:
-            raise ConfigError("table dists need an explicit grid (no natural scale)")
-        # five natural scale units either side of the center of symmetry
-        c, unit = fam.center(spec), fam.scale(spec)
-        gmin, gmax = c - 5.0 * unit, c + 5.0 * unit
-    try:
-        grid = Grid(gmin, gmax, n_qubits, grid_doc.get("convention", "midpoint"))
-    except ValueError as exc:
+    if ("min" in grid_doc) != ("max" in grid_doc):
+        raise ConfigError("grid needs both min and max")
+
+    try:  # the constructors check every value
+        spec = _dist_from_dict(dist_doc)
+        if "min" in grid_doc:
+            gmin, gmax = grid_doc["min"], grid_doc["max"]
+        else:
+            fam = FAMILIES[spec.kind]
+            if fam.center is None:
+                raise ConfigError("table dists need an explicit grid (no natural scale)")
+            # five natural scale units either side of the center of symmetry
+            c, unit = fam.center(spec), fam.scale(spec)
+            gmin, gmax = c - 5.0 * unit, c + 5.0 * unit
+        grid = Grid(gmin, gmax, doc["n_qubits"], grid_doc.get("convention", "midpoint"))
+    except DistError as exc:
         raise ConfigError(str(exc)) from exc
 
-    chi_work, seed = doc.get("chi_work"), doc.get("seed")
     return RunConfig(
         dist=spec,
         grid=grid,
-        n_qubits=n_qubits,
+        n_qubits=doc["n_qubits"],
         method=doc.get("method", "symmetry"),
-        num_layers=_int(doc.get("num_layers", 1), "num_layers"),
-        chi_work=None if chi_work is None else _int(chi_work, "chi_work"),
-        seed=None if seed is None else _int(seed, "seed"),
+        num_layers=doc.get("num_layers", 1),
+        chi_work=doc.get("chi_work"),
+        seed=doc.get("seed"),
     )
 
 

@@ -56,6 +56,12 @@ def test_gateop_validation():
         GateOp("unitary1", (0,), np.eye(4))  # wrong shape
     with pytest.raises(CircuitError):
         Circuit(2, (GateOp("hadamard", (5,)),))  # out of range
+    with pytest.raises(CircuitError):
+        GateOp("cnot", (0.9, 1.2))  # qubits are integers, never truncated
+    with pytest.raises(CircuitError):
+        GateOp("hadamard", (True,))
+    with pytest.raises(CircuitError):
+        Circuit(2.5, ())
 
 
 def test_simulate_empty_and_ghz():
@@ -181,6 +187,13 @@ def test_accounting_depth_formulas():
     )
 
 
+@pytest.mark.parametrize("num_layers", [2.9, -3, 0, True, "2"], ids=repr)
+def test_accounting_refuses_bad_layer_counts(num_layers):
+    # neither truncated (2.9 -> 2) nor clamped (-3 -> 1)
+    with pytest.raises(CircuitError, match="num_layers"):
+        accounting(ghz_circuit(), num_layers=num_layers)
+
+
 def test_accounting_counted_depth_ghz():
     stats2 = accounting(ghz_circuit(), num_layers=1, symmetry=False)
     assert stats2.cnot_depth_counted == 1
@@ -240,6 +253,10 @@ def test_dense_vs_mps_simulator_agreement():
         "short matrix",
         "n_qubits Infinity",
         "qubit Infinity",
+        "float qubits",
+        "string qubits",
+        "bool qubit",
+        "float n_qubits",
         "not an object",
     ],
 )
@@ -257,6 +274,14 @@ def test_import_malformed(case):
         doc["n_qubits"] = float("inf")
     elif case == "qubit Infinity":
         doc["gates"][1]["qubits"] = [0, float("inf")]
+    elif case == "float qubits":  # not truncated to (0, 1)
+        doc["gates"][1]["qubits"] = [0.9, 1.2]
+    elif case == "string qubits":  # not split into (0, 1)
+        doc["gates"][1]["qubits"] = "01"
+    elif case == "bool qubit":  # not read as qubit 1
+        doc["gates"][0]["qubits"] = [True]
+    elif case == "float n_qubits":  # not truncated to 3
+        doc["n_qubits"] = 3.7
     else:
         doc = [doc]
     with pytest.raises(CircuitError):

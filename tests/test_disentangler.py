@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from symprep import statevec
+from symprep import disentangler, statevec
 from symprep import mps as mps_module
 from symprep.disentangler import (
     DisentanglerError,
@@ -167,6 +167,16 @@ def test_build_stack_validation():
         build_stack(m, num_layers=0)
     with pytest.raises(DisentanglerError):
         build_stack(m, num_layers=1, chi_work=1)
+
+
+def test_default_chi_work_covers_the_input_bond(monkeypatch):
+    # A cap below the input's max bond must not refuse the default: the
+    # default never drops under the bond the input already has.
+    monkeypatch.setattr(disentangler, "DEFAULT_CHI_WORK_CAP", 4)
+    m = mps_from_statevector(random_state(np.random.default_rng(8), 8))
+    assert max(m.bond_dims) == 16
+    stack = build_stack(m, num_layers=2)
+    assert stack.residual_history == build_stack(m, num_layers=2, chi_work=16).residual_history
 
 
 def test_residual_empty_stack():

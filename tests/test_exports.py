@@ -28,3 +28,11 @@ def test_no_allclose_in_src():
     src = pathlib.Path(symprep.__file__).parent
     offenders = [p.name for p in sorted(src.glob("*.py")) if "allclose(" in p.read_text()]
     assert not offenders, f"allclose( in {offenders}; use numerics.is_orthonormal"
+
+
+def test_float_range_rule_lives_in_numerics():
+    # numerics.is_finite_number is the one home of the finite-number rule;
+    # a second reading of float_info would let the two drift apart.
+    src = pathlib.Path(symprep.__file__).parent
+    offenders = [p.name for p in sorted(src.glob("*.py")) if p.name != "numerics.py" and "float_info" in p.read_text()]
+    assert not offenders, f"float_info in {offenders}; use numerics.is_finite_number"

@@ -21,6 +21,8 @@ from symprep.numerics import (
     NumericsError,
     _fix_signs,
     complete_isometry,
+    is_finite_number,
+    is_int,
     svd,
 )
 
@@ -161,3 +163,11 @@ def test_orthonormality_rule_is_absolute(name, error):
     # relative slack of np.allclose) does not.
     assert _accepts(name, error, np.sqrt(1.0 + 5e-11))
     assert not _accepts(name, error, 1.0 + 4e-6)
+
+
+def test_value_rules():
+    assert is_int(3) and is_int(-2) and is_int(10**400)
+    assert not any(is_int(v) for v in (True, 3.0, "3", None, np.int64(3)))
+    assert is_finite_number(2) and is_finite_number(-1.5e308) and is_finite_number(np.float64(0.1))
+    bad = (True, "1", None, float("nan"), float("inf"), -float("inf"), 10**400, [1.0])
+    assert not any(is_finite_number(v) for v in bad)

@@ -18,7 +18,7 @@ from symprep.pipeline import (
     sweep,
     sweep_full,
 )
-from symprep.dist import FAMILIES, DistSpec, Grid
+from symprep.dist import FAMILIES, DistError, DistSpec, Grid
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -94,6 +94,7 @@ def test_config_validation_errors():
         {"dist": {"kind": "table", "path": "missing.csv", "weights": [1.0] * 64},
          "grid": {"min": 0.0, "max": 1.0}, "method": "baseline"},
         {"dist": 5},
+        {"dist": {"kind": "normal", "mu": None}},  # null is not "unset"
         {"vary": {"layer_counts": [1.5, 2]}},
         {"vary": {"bond_dims": 5}},
     ],
@@ -108,6 +109,50 @@ def test_config_values_are_not_coerced(over, tmp_path, capsys):
         config_from_dict(doc)
     assert main(["run", "--config", write_config(tmp_path, doc)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+def _direct(**over):
+    # RunConfig(DistSpec, Grid) built in code, as the demos do
+    spec = over.pop("dist", None) or DistSpec("normal", mu=0.0, sigma2=0.01)
+    n = over.pop("n_qubits", 6)
+    grid = over.pop("grid", None) or Grid(-0.5, 0.5, n)
+    return RunConfig(dist=spec, grid=grid, n_qubits=n, **over)
+
+
+@pytest.mark.parametrize(
+    "build, error",
+    [
+        pytest.param(lambda: _direct(n_qubits=6.0, grid=Grid(-0.5, 0.5, 6)), ConfigError, id="n_qubits 6.0"),
+        pytest.param(lambda: _direct(num_layers=True), ConfigError, id="num_layers True"),
+        pytest.param(lambda: _direct(num_layers=1.0), ConfigError, id="num_layers 1.0"),
+        pytest.param(lambda: _direct(seed=3.9), ConfigError, id="seed 3.9"),
+        pytest.param(lambda: _direct(chi_work=4.5), ConfigError, id="chi_work 4.5"),
+        pytest.param(lambda: DistSpec("normal", sigma2="0.01"), DistError, id="sigma2 str"),
+        pytest.param(lambda: DistSpec("normal", sigma2=True), DistError, id="sigma2 True"),
+        pytest.param(lambda: DistSpec("normal", mu=float("nan")), DistError, id="mu nan"),
+        pytest.param(lambda: DistSpec("normal", sigma2=float("inf")), DistError, id="sigma2 inf"),
+        pytest.param(lambda: DistSpec("normal", sigma2=10**400), DistError, id="sigma2 10**400"),
+        pytest.param(lambda: DistSpec("table", weights=(1.0,) * 64, assume_symmetric="no"), DistError, id="assume_symmetric str"),
+        pytest.param(lambda: DistSpec("table", weights=("1",) * 64), DistError, id="weights str"),
+        pytest.param(lambda: DistSpec("table", weights=(1.0,) * 63 + (float("nan"),)), DistError, id="weights nan"),
+        pytest.param(lambda: DistSpec("table", path=5), DistError, id="path int"),
+        pytest.param(lambda: Grid("-1", 1.0, 4), DistError, id="grid.min str"),
+        pytest.param(lambda: Grid(-1, 1.0, 4.5), DistError, id="grid n_qubits 4.5"),
+    ],
+)
+def test_constructor_values_are_not_coerced(build, error):
+    # the library door applies the same rules as config_from_dict
+    with pytest.raises(error):
+        build()
+
+
+def test_both_doors_echo_the_same_config():
+    doc = minimal_doc(dist={"kind": "normal", "mu": 0, "sigma2": 1}, grid={"min": -5, "max": 5})
+    direct = _direct(dist=DistSpec("normal", mu=0, sigma2=1), grid=Grid(-5, 5, 6))
+    echo = run_full(direct).report_doc["config"]
+    assert json.dumps(echo) == json.dumps(run_full(config_from_dict(doc)).report_doc["config"])
+    assert echo["grid"]["min"] == -5.0 and isinstance(echo["grid"]["min"], float)
+    assert isinstance(echo["dist"]["mu"], float)
 
 
 @pytest.mark.parametrize("kind", [k for k, fam in FAMILIES.items() if fam.pdf is not None])
