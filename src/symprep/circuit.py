@@ -21,7 +21,7 @@ import numpy as np
 from . import statevec
 from .disentangler import DisentanglerStack
 from .mps import DENSE_LIMIT
-from .numerics import is_int, is_orthonormal
+from .numerics import is_finite_number, is_int, is_orthonormal
 
 __all__ = [
     "CircuitError",
@@ -146,19 +146,33 @@ def add_reflection_wrapper(c: Circuit) -> Circuit:
 
 
 def simulate(c: Circuit) -> np.ndarray:
-    """Exact dense application of the gates in order to |0...0>."""
-    if c.n_qubits > DENSE_LIMIT:
-        raise CircuitError(f"n={c.n_qubits} exceeds dense limit {DENSE_LIMIT}")
-    psi = statevec.zero_state(c.n_qubits)
+    """Exact dense application of the gates in order to |0...0>.
+
+    Each gate is one einsum on a view of the state, a named CNOT a
+    permutation, and a qubit's axis has width 1 until a gate first touches
+    it: a staircase layer on |0...0> costs O(2^n), gate q working on 2^(q+2)
+    amplitudes. The amplitudes equal the kernels' on flat 2^n vectors.
+    """
+    n = c.n_qubits
+    if n > DENSE_LIMIT:
+        raise CircuitError(f"n={n} exceeds dense limit {DENSE_LIMIT}")
+    psi = np.ones((1,) * n)
     for g in c.gates:
-        if g.kind == "hadamard":
-            psi = statevec.apply_1q(psi, statevec.HADAMARD, g.qubits[0])
-        elif g.kind == "cnot":
-            psi = statevec.apply_2q(psi, statevec.CNOT, g.qubits[0], g.qubits[1])
-        elif g.kind == "unitary1":
-            psi = statevec.apply_1q(psi, g.matrix, g.qubits[0])
+        qs = g.qubits
+        if g.kind == "unitary2" and psi.shape[qs[0]] == psi.shape[qs[1]] == 2:
+            # einsum's summation order turns on whether the view's mid and right
+            # blocks have length 1: widen the wires after each qubit so they match
+            # the flat vector's (a fresh qubit leaves two terms, summed alike)
+            qs = (qs[0] + 1, min(qs[1] + 1, n - 1))
+        psi = statevec.widen(psi, qs)
+        if g.kind == "cnot":
+            psi = statevec.apply_cnot(psi, *g.qubits)
+        elif g.kind == "unitary2":
+            psi = statevec.apply_2q(psi, g.matrix, *g.qubits)
         else:
-            psi = statevec.apply_2q(psi, g.matrix, g.qubits[0], g.qubits[1])
+            m = statevec.HADAMARD if g.kind == "hadamard" else g.matrix
+            psi = statevec.apply_1q(psi, m, *g.qubits)
+    psi = statevec.widen(psi, range(n)).reshape(-1)
     nrm = float(np.linalg.norm(psi))
     if abs(nrm - 1.0) > 1e-12:
         raise CircuitError(f"simulation lost norm: {nrm:.15g}")
@@ -252,9 +266,13 @@ def import_circuit(text: str) -> Circuit:
     try:
         for entry in doc["gates"]:
             matrix = None
-            if "matrix" in entry:  # 17-digit strings, or plain numbers
+            if "matrix" in entry:  # export strings (17 significant digits) or finite numbers
                 d = 2 if entry["kind"] == "unitary1" else 4
-                matrix = np.asarray(entry["matrix"], dtype=float).reshape(d, d)
+                m = entry["matrix"]
+                v = [float(x) if isinstance(x, str) and _fmt17(float(x)) == x else x for x in m]
+                if not isinstance(m, list) or not all(map(is_finite_number, v)):
+                    raise CircuitError(f"matrix must be a flat list of numbers or 17-digit strings: {m!r}")
+                matrix = np.array(v, dtype=float).reshape(d, d)  # d*d entries, or ValueError
             gates.append(GateOp(entry["kind"], entry["qubits"], matrix))
         n_qubits = doc["n_qubits"]
     except KeyError as exc:

@@ -22,7 +22,7 @@ import numpy as np
 
 from . import statevec
 from .mps import Mps, apply_gate_run, is_left_canonical, to_statevector, truncate
-from .numerics import complete_isometry, is_orthonormal
+from .numerics import complete_isometry, is_int, is_orthonormal
 
 __all__ = [
     "DisentanglerError",
@@ -164,8 +164,10 @@ def build_stack(
     default chi_work is 2x the input's max bond dim, capped at
     DEFAULT_CHI_WORK_CAP but never below the input's max bond dim.
     """
-    if num_layers < 1:
-        raise DisentanglerError(f"num_layers must be >= 1, got {num_layers}")
+    if not is_int(num_layers) or num_layers < 1:
+        raise DisentanglerError(f"num_layers must be an integer >= 1, got {num_layers!r}")
+    if chi_work is not None and (not is_int(chi_work) or chi_work < 1):
+        raise DisentanglerError(f"chi_work must be an integer >= 1, got {chi_work!r}")
     max_bond = max(m.bond_dims)
     if chi_work is None:
         chi_work = max(max_bond, min(2 * max_bond, DEFAULT_CHI_WORK_CAP))

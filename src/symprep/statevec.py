@@ -1,15 +1,21 @@
-"""Dense statevector helpers shared by the simulator and the disentangler.
+"""Dense statevector kernels shared by the simulator and the disentangler.
 
 Qubit 0 is the most significant bit of the basis index throughout. For
 two-qubit gates the first listed wire is the higher-significance bit of the
-4x4 gate index.
+4x4 gate index. A state is a flat 2^n vector or an n-axis array in which an
+untouched qubit's axis may have width 1 (`widen` appends its zero |1> slice).
+A kernel runs one einsum on a (left, 2, [mid, 2,] right) view of the state;
+`apply_cnot` is an exact permutation, a copy with the control=1 slice
+written with the target axis reversed.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["zero_state", "n_qubits_of", "apply_1q", "apply_2q", "HADAMARD", "CNOT"]
+__all__ = [
+    "zero_state", "n_qubits_of", "widen", "apply_1q", "apply_2q", "apply_cnot", "HADAMARD", "CNOT"
+]
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
 
@@ -37,23 +43,47 @@ def zero_state(n: int) -> np.ndarray:
     return v
 
 
+def widen(psi: np.ndarray, qubits) -> np.ndarray:
+    """The n-axis state psi with each listed qubit's axis at width 2: an axis
+    of width 1 gets a zero |1> slice appended."""
+    for q in qubits:
+        if psi.shape[q] == 1:
+            psi = np.concatenate((psi, np.zeros_like(psi)), axis=q)
+    return psi
+
+
+def _view(psi: np.ndarray, lo: int, hi: int) -> np.ndarray:
+    # (left, 2, right) when lo == hi, else (left, 2, mid, 2, right); a flat
+    # vector's axes all have width 2, an n-axis state's 1 or 2
+    s = psi.shape if psi.ndim > 1 else (2,) * n_qubits_of(psi)
+    if s[lo] != 2 or s[hi] != 2:
+        raise ValueError(f"qubit axes {lo} and {hi} of a {s} state need width 2")
+    left, right = 1 << s[:lo].count(2), 1 << s[hi + 1 :].count(2)
+    return psi.reshape(left, 2, right) if lo == hi else psi.reshape(left, 2, -1, 2, right)
+
+
 def apply_1q(psi: np.ndarray, g: np.ndarray, q: int) -> np.ndarray:
-    n = n_qubits_of(psi)
-    t = psi.reshape([2] * n)
-    t = np.moveaxis(t, q, 0)
-    t = np.einsum("ij,j...->i...", g, t)
-    t = np.moveaxis(t, 0, q)
-    return np.ascontiguousarray(t).reshape(-1)
+    t = np.einsum("us,asc->auc", g, _view(psi, q, q))
+    return np.ascontiguousarray(t).reshape(psi.shape)
 
 
 def apply_2q(psi: np.ndarray, g: np.ndarray, qa: int, qb: int) -> np.ndarray:
     """Apply a 4x4 gate to qubits (qa, qb); qa indexes the gate's higher bit."""
     if qa == qb:
         raise ValueError("two-qubit gate needs distinct qubits")
-    n = n_qubits_of(psi)
-    t = psi.reshape([2] * n)
-    t = np.moveaxis(t, (qa, qb), (0, 1))
-    g4 = g.reshape(2, 2, 2, 2)
-    t = np.einsum("uvst,st...->uv...", g4, t)
-    t = np.moveaxis(t, (0, 1), (qa, qb))
-    return np.ascontiguousarray(t).reshape(-1)
+    spec = "uvst,asbtc->aubvc" if qa < qb else "uvst,atbsc->avbuc"
+    t = np.einsum(spec, g.reshape(2, 2, 2, 2), _view(psi, min(qa, qb), max(qa, qb)))
+    # einsum may lay out its output (a, u, v, b, c): the next view, and so its
+    # summation order, needs C order
+    return np.ascontiguousarray(t).reshape(psi.shape)
+
+
+def apply_cnot(psi: np.ndarray, control: int, target: int) -> np.ndarray:
+    """CNOT(control, target) as an exact permutation of the amplitudes."""
+    t = _view(psi, min(control, target), max(control, target))
+    out = t.copy()
+    if control < target:
+        out[:, 1] = t[:, 1, :, ::-1]
+    else:
+        out[..., 1, :] = t[:, ::-1, :, 1]
+    return out.reshape(psi.shape)

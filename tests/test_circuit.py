@@ -243,6 +243,132 @@ def test_dense_vs_mps_simulator_agreement():
         assert np.max(np.abs(to_statevector(m) - dense)) <= 1e-10, f"n={n}"
 
 
+# Reference kernels: moveaxis, einsum on the strided view, copy back. These
+# are the flat-vector kernels simulate ran before its view kernels, CNOT
+# permutation and width-1 axes, and the oracle those are held to bit for bit.
+def ref_apply_1q(psi, g, q):
+    t = np.moveaxis(psi.reshape([2] * statevec.n_qubits_of(psi)), q, 0)
+    t = np.moveaxis(np.einsum("ij,j...->i...", g, t), 0, q)
+    return np.ascontiguousarray(t).reshape(-1)
+
+
+def ref_apply_2q(psi, g, qa, qb):
+    t = np.moveaxis(psi.reshape([2] * statevec.n_qubits_of(psi)), (qa, qb), (0, 1))
+    t = np.moveaxis(np.einsum("uvst,st...->uv...", g.reshape(2, 2, 2, 2), t), (0, 1), (qa, qb))
+    return np.ascontiguousarray(t).reshape(-1)
+
+
+def gate_matrix(g):
+    return {"hadamard": statevec.HADAMARD, "cnot": statevec.CNOT}.get(g.kind, g.matrix)
+
+
+def ref_simulate(c):
+    psi = statevec.zero_state(c.n_qubits)
+    for g in c.gates:
+        kernel = ref_apply_1q if len(g.qubits) == 1 else ref_apply_2q
+        psi = kernel(psi, gate_matrix(g), *g.qubits)
+    return psi
+
+
+def kron_simulate(c):
+    # each gate as a full 2^n x 2^n matrix: kron with the identity on the
+    # other wires, then the wires transposed into place
+    n = c.n_qubits
+    psi = statevec.zero_state(n)
+    for g in c.gates:
+        order = [*g.qubits, *(q for q in range(n) if q not in g.qubits)]
+        full = np.kron(gate_matrix(g), np.eye(2 ** (n - len(g.qubits))))
+        inv = np.argsort(order)
+        psi = full.reshape((2,) * (2 * n)).transpose([*inv, *(n + inv)]).reshape(2**n, 2**n) @ psi
+    return psi
+
+
+def random_gate(rng, kind, qubits):
+    d = 2 ** len(qubits)
+    m = np.linalg.qr(rng.standard_normal((d, d)))[0] if kind.startswith("unitary") else None
+    return GateOp(kind, qubits, m)
+
+
+def random_circuit(rng, n):
+    gates = []
+    for _ in range(int(rng.integers(1, 3 * n + 1))):
+        kind = ("hadamard", "cnot", "unitary1", "unitary2")[int(rng.integers(4))]
+        if kind in ("hadamard", "unitary1"):
+            qubits = (int(rng.integers(n)),)
+        else:
+            qubits = tuple(int(q) for q in rng.choice(n, 2, replace=False))
+            qubits = tuple(sorted(qubits)) if kind == "unitary2" else qubits
+        gates.append(random_gate(rng, kind, qubits))
+    return Circuit(n, gates)
+
+
+def named_circuits(rng):
+    def u(*qubits):
+        return random_gate(rng, "unitary1" if len(qubits) == 1 else "unitary2", qubits)
+
+    h = GateOp("hadamard", (1,))
+    cx = [GateOp("cnot", qs) for qs in ((1, 3), (4, 0), (3, 1))]
+    return {
+        "empty": Circuit(5, ()),
+        "cnot-down-and-up": Circuit(5, (h, cx[0], u(3, 4), cx[1], cx[2])),
+        "middle-qubit-first": Circuit(6, (u(2, 3), u(3, 4), u(1, 2), u(0, 5))),
+        "unitary1-on-untouched": Circuit(5, (u(0, 1), u(3), u(4), u(1, 3))),
+        # gates on two already-wide wires with untouched wires between or after them
+        "wide-pair-untouched-around": Circuit(7, (u(2, 3), u(2, 3), u(5, 6), u(3, 5), u(1), u(1, 5))),
+        "staircase": Circuit(6, (*(u(q, q + 1) for q in range(5)), u(4, 5), u(0, 1))),
+    }
+
+
+def differential_cases():
+    rng = np.random.default_rng(2024)
+    cases = [(f"random-n{n}-{i}", random_circuit(rng, n)) for n in range(2, 9) for i in range(8)]
+    return [pytest.param(c, id=name) for name, c in cases + list(named_circuits(rng).items())]
+
+
+@pytest.mark.parametrize("c", differential_cases())
+def test_simulate_matches_reference_kernels(c):
+    psi = simulate(c)
+    assert psi.tobytes() == ref_simulate(c).tobytes()  # bit-identical, zeros' signs included
+    assert np.max(np.abs(psi - kron_simulate(c))) <= 1e-14
+
+
+def test_flat_kernels_match_reference():
+    rng = np.random.default_rng(17)
+    for n in range(2, 9):
+        psi = rng.standard_normal(2**n)
+        g4, g2 = (np.linalg.qr(rng.standard_normal((d, d)))[0] for d in (4, 2))
+        for qa in range(n):
+            assert statevec.apply_1q(psi, g2, qa).tobytes() == ref_apply_1q(psi, g2, qa).tobytes()
+            for qb in set(range(n)) - {qa}:  # qa > qb too: the higher bit on the lower wire
+                got = statevec.apply_2q(psi, g4, qa, qb)
+                assert got.tobytes() == ref_apply_2q(psi, g4, qa, qb).tobytes()
+                cnot = statevec.apply_cnot(psi, qa, qb)
+                assert cnot.tobytes() == ref_apply_2q(psi, statevec.CNOT, qa, qb).tobytes()
+
+
+def test_simulate_cost_is_linear_in_the_state(monkeypatch):
+    # On |0...0> gate q of a staircase layer sees only the qubits it and its
+    # predecessors touched: 4, 8, ..., 2^n amplitudes, O(2^n) for the layer.
+    # The wrapper's CNOTs are permutations and never reach the einsum kernel.
+    n = 12
+    full = build_stack(mps_from_statevector(np.sqrt(normal_target(n))), num_layers=1)
+    wrapped = add_reflection_wrapper(prep_circuit(half_stack(n)))
+    sizes = []
+    real = statevec.apply_2q
+
+    def recording(psi, g, qa, qb):
+        sizes.append(psi.size)
+        assert not np.array_equal(g, statevec.CNOT)
+        return real(psi, g, qa, qb)
+
+    monkeypatch.setattr(statevec, "apply_2q", recording)
+    simulate(prep_circuit(full))
+    assert sizes == [2 ** (q + 2) for q in range(n - 1)] + [2**n]
+    sizes.clear()
+    simulate(wrapped)
+    assert len(sizes) == sum(g.kind == "unitary2" for g in wrapped.gates) == n - 1
+
+
 @pytest.mark.parametrize(
     "case",
     [
@@ -257,6 +383,8 @@ def test_dense_vs_mps_simulator_agreement():
         "string qubits",
         "bool qubit",
         "float n_qubits",
+        "bool matrix",
+        "nested matrix",
         "not an object",
     ],
 )
@@ -282,6 +410,10 @@ def test_import_malformed(case):
         doc["gates"][0]["qubits"] = [True]
     elif case == "float n_qubits":  # not truncated to 3
         doc["n_qubits"] = 3.7
+    elif case == "bool matrix":  # not read as the identity
+        doc["gates"].append({"kind": "unitary1", "qubits": [0], "matrix": [True, False, False, True]})
+    elif case == "nested matrix":  # a flat list of d*d entries, as exported
+        doc["gates"].append({"kind": "unitary1", "qubits": [0], "matrix": [[1, 0], [0, 1]]})
     else:
         doc = [doc]
     with pytest.raises(CircuitError):

@@ -169,6 +169,18 @@ def test_build_stack_validation():
         build_stack(m, num_layers=1, chi_work=1)
 
 
+@pytest.mark.parametrize(
+    "num_layers, chi_work",
+    [(True, None), (2.5, None), ("2", None), (1, True), (1, 2.5), (1, "2")],
+    ids=repr,
+)
+def test_build_stack_refuses_non_integer_counts(num_layers, chi_work):
+    # neither read as 1 layer (True) nor left to fail inside range() (2.5)
+    m = mps_from_statevector(ghz(4))
+    with pytest.raises(DisentanglerError, match="must be an integer >= 1"):
+        build_stack(m, num_layers, chi_work)
+
+
 def test_default_chi_work_covers_the_input_bond(monkeypatch):
     # A cap below the input's max bond must not refuse the default: the
     # default never drops under the bond the input already has.
