@@ -73,9 +73,15 @@ class GateOp:
                 raise CircuitError(f"{self.kind} takes no matrix")
         else:
             d = 2 if self.kind == "unitary1" else 4
-            m = np.asarray(self.matrix, dtype=float)
+            m = self.matrix
+            if not (isinstance(m, np.ndarray) and m.dtype.kind in "iuf"):
+                # entries as given: a float conversion would read True and "1" as 1.0
+                m = np.asarray(m, dtype=object)
+                if m.shape == (d, d) and not all(map(is_finite_number, m.flat)):
+                    raise CircuitError(f"{self.kind} matrix entries must be finite numbers: {self.matrix!r}")
             if m.shape != (d, d):
                 raise CircuitError(f"{self.kind} needs a {d}x{d} matrix, got {m.shape}")
+            m = np.asarray(m, dtype=float)
             if not is_orthonormal(m):
                 raise CircuitError(f"{self.kind} matrix is not orthogonal within 1e-10")
             object.__setattr__(self, "matrix", m)
@@ -266,13 +272,13 @@ def import_circuit(text: str) -> Circuit:
     try:
         for entry in doc["gates"]:
             matrix = None
-            if "matrix" in entry:  # export strings (17 significant digits) or finite numbers
-                d = 2 if entry["kind"] == "unitary1" else 4
+            if "matrix" in entry:  # a flat list of export strings (17 significant digits) or numbers
                 m = entry["matrix"]
+                if not isinstance(m, list) or any(isinstance(x, list) for x in m):
+                    raise CircuitError(f"matrix must be a flat list, got {m!r}")
                 v = [float(x) if isinstance(x, str) and _fmt17(float(x)) == x else x for x in m]
-                if not isinstance(m, list) or not all(map(is_finite_number, v)):
-                    raise CircuitError(f"matrix must be a flat list of numbers or 17-digit strings: {m!r}")
-                matrix = np.array(v, dtype=float).reshape(d, d)  # d*d entries, or ValueError
+                d = 2 if entry["kind"] == "unitary1" else 4
+                matrix = [v[i : i + d] for i in range(0, len(v), d)]  # GateOp checks shape and entries
             gates.append(GateOp(entry["kind"], entry["qubits"], matrix))
         n_qubits = doc["n_qubits"]
     except KeyError as exc:

@@ -62,6 +62,9 @@ def test_gateop_validation():
         GateOp("hadamard", (True,))
     with pytest.raises(CircuitError):
         Circuit(2.5, ())
+    for entries in ([[True, False], [False, True]], [["1", "0"], ["0", "1"]]):
+        with pytest.raises(CircuitError, match="entries must be finite numbers"):
+            GateOp("unitary1", (0,), entries)  # never read as the identity
 
 
 def test_simulate_empty_and_ghz():

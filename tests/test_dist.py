@@ -1,7 +1,10 @@
 """Grid conventions, density sampling, and left-half extraction."""
 
+import math
+
 import numpy as np
 import pytest
+from scipy import stats  # the densities' oracle; symprep itself needs only numpy
 
 from symprep.dist import (
     DistError,
@@ -175,3 +178,89 @@ def test_spec_validation():
         DistSpec("table")
     with pytest.raises(DistError):  # exactly one of path or weights
         DistSpec("table", path="weights.csv", weights=(1.0,) * 16)
+
+
+# scipy.stats evaluates each family with the same operations in the same order
+ORACLE = {
+    "normal": lambda s, x: stats.norm.pdf(x, loc=s.mu, scale=math.sqrt(s.sigma2)),
+    "lorentzian": lambda s, x: stats.cauchy.pdf(x, loc=s.x0, scale=s.gamma),
+    "student_t": lambda s, x: stats.t.pdf(x, df=s.nu),
+}
+EXTREMES = {
+    "normal": [{"sigma2": 1e-300}, {"sigma2": 1e300}],
+    "lorentzian": [{"gamma": 1e-300}, {"gamma": 1e300}],
+    "student_t": [{"nu": 1e-3}, {"nu": 1e6}],
+}
+
+
+def _random_params(kind, rng):
+    if kind == "normal":
+        sigma2 = 10 ** rng.uniform(-12, 12)
+        return {"mu": math.sqrt(sigma2) * 10 * rng.standard_normal(), "sigma2": sigma2}
+    if kind == "lorentzian":
+        gamma = 10 ** rng.uniform(-8, 8)
+        return {"x0": gamma * 10 * rng.standard_normal(), "gamma": gamma}
+    # scipy's own t constant, exp(lgamma((nu+1)/2) - lgamma(nu/2)), is only
+    # good to ulp(lgamma(nu/2)): 3e-14 off at nu=100 and 1.5e-11 at 2e4, where
+    # it switches to an accurate series; test_student_t_peak_exact covers the gap
+    low, high = (-3, math.log10(20)) if rng.random() < 0.5 else (math.log10(2.1e4), 7)
+    return {"nu": 10 ** rng.uniform(low, high)}
+
+
+def _cases(kind, seed):
+    """(spec, grid points): both conventions at n = 3..16, seeded parameters
+    over wide ranges plus the extremes, grids a few to many scale units wide."""
+    rng = np.random.default_rng(seed)
+    draws = [_random_params(kind, rng) for _ in range(2 * 2 * 14)] + EXTREMES[kind]
+    for i, params in enumerate(draws):
+        spec = DistSpec(kind, **params)
+        unit = 1.0 if kind == "student_t" else math.sqrt(spec.sigma2) if kind == "normal" else spec.gamma
+        center = {"normal": spec.mu, "lorentzian": spec.x0}.get(kind, 0.0)
+        width = unit * 10 ** rng.uniform(-1, 1)
+        lo, hi = center - width * rng.uniform(0.5, 8), center + width * rng.uniform(0.5, 8)
+        grid = Grid(lo, hi, 3 + (i // 2) % 14, ("midpoint", "endpoint")[i % 2])
+        yield spec, grid.points()
+
+
+@pytest.mark.parametrize("kind", ["normal", "lorentzian"])
+def test_pdf_bit_identical_to_scipy(kind):
+    for spec, x in _cases(kind, seed=11):
+        assert np.array_equal(spec.pdf(x), ORACLE[kind](spec, x)), spec
+
+
+def test_student_t_pdf_matches_scipy():
+    # 1e-14 relative, plus one ulp of the exponent: exp's condition number at
+    # ln p is |ln p|, so two evaluations whose exponents round apart by one
+    # ulp differ by up to |ln p| * 2^-52 relative; 1e-300 covers subnormals
+    for spec, x in _cases("student_t", seed=12):
+        got, want = spec.pdf(x), ORACLE["student_t"](spec, x)
+        rtol = 1e-14 + 2.0**-52 * np.abs(np.log(np.maximum(want, 1e-300)))
+        assert np.all(np.abs(got - want) <= rtol * want + 1e-300), spec
+
+
+def _exact_t_peak(nu):
+    # Gamma((nu+1)/2) / (Gamma(nu/2) sqrt(nu pi)) for an integer nu, from the
+    # central binomial C(2k, k); Python's int division rounds correctly
+    k = nu // 2
+    if nu % 2 == 0:
+        return k * math.comb(2 * k, k) / 4**k / math.sqrt(nu)
+    return 4**k / math.comb(2 * k, k) / math.pi / math.sqrt(nu)
+
+
+def test_student_t_peak_exact():
+    rng = np.random.default_rng(13)
+    nus = list(range(1, 41)) + sorted(int(v) for v in 10 ** rng.uniform(1.6, 4.4, 40))
+    for nu in nus:
+        peak = DistSpec("student_t", nu=float(nu)).pdf(np.zeros(1))[0]
+        assert abs(peak / _exact_t_peak(nu) - 1.0) <= 2e-15, nu
+
+
+def test_student_t_pdf_finite_for_any_finite_nu():
+    # no gamma value overflows: the density tends to the normal one
+    x = np.linspace(-3.0, 3.0, 7)
+    for nu in (5e-324, 1e-300, 1e305, 1.7e308):
+        with np.errstate(over="ignore"):  # x*x/nu overflows at 5e-324: the density is 0 there
+            p = DistSpec("student_t", nu=nu).pdf(x)
+        assert np.all(np.isfinite(p)) and np.all(p >= 0), nu
+    huge = DistSpec("student_t", nu=1.7e308).pdf(x)
+    assert np.allclose(huge, np.exp(-x * x / 2) / math.sqrt(2 * math.pi), rtol=1e-14, atol=0)

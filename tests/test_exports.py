@@ -1,8 +1,11 @@
 """The public surface: every exported name resolves."""
 
 import importlib
+import os
 import pathlib
 import pkgutil
+import subprocess
+import sys
 
 import pytest
 
@@ -36,3 +39,23 @@ def test_float_range_rule_lives_in_numerics():
     src = pathlib.Path(symprep.__file__).parent
     offenders = [p.name for p in sorted(src.glob("*.py")) if p.name != "numerics.py" and "float_info" in p.read_text()]
     assert not offenders, f"float_info in {offenders}; use numerics.is_finite_number"
+
+
+def test_no_scipy_in_src():
+    # numpy is the only run-time dependency; scipy is the tests' oracle
+    src = pathlib.Path(symprep.__file__).parent
+    offenders = [p.name for p in sorted(src.glob("*.py")) if "scipy" in p.read_text()]
+    assert not offenders, f"scipy in {offenders}; symprep needs only numpy at run time"
+
+
+def test_run_imports_no_scipy():
+    code = (
+        "import sys, symprep\n"
+        "cfg = symprep.config_from_dict({'dist': {'kind': 'student_t', 'nu': 3.0}, 'n_qubits': 4})\n"
+        "symprep.run_full(cfg)\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    src = str(pathlib.Path(symprep.__file__).parent.parent)
+    out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
+                         env={**os.environ, "PYTHONPATH": src}).stdout
+    assert out.strip() == "[]", out
