@@ -107,15 +107,19 @@ class Circuit:
 
 @dataclass(frozen=True)
 class GateStats:
-    """cnot_depth_analytic comes from the staircase depth formula; every other
-    field, cnot_count_analytic despite its name, is tallied from the emitted
-    gate list (each unitary2 priced at 2 CNOTs, each cnot at 1)."""
+    """cnot_depth_analytic comes from the staircase depth formula and
+    cnot_count_analytic is the flat tally (2 per unitary2, 1 per cnot).
+    cnot_count and cnot_depth_counted use each emitted gate's true price:
+    a cnot 1, a unitary2 0 if it is a product gate, 3 if det = -1, else 2
+    (Vatan & Williams, PRA 69, 032315, 2004), a one-qubit gate 0; the depth
+    layers the priced gates greedily and lets free gates take no time."""
 
     cnot_count_analytic: int
     cnot_depth_analytic: int
     two_qubit_gate_count: int
     total_gate_count: int
     cnot_depth_counted: int
+    cnot_count: int
 
 
 def prep_circuit(stack: DisentanglerStack) -> Circuit:
@@ -185,20 +189,35 @@ def simulate(c: Circuit) -> np.ndarray:
     return psi
 
 
-def _cnot_price(g: GateOp) -> int:
-    # every two-qubit unitary is priced at 2 CNOTs, a named CNOT at 1 and
-    # one-qubit gates are free
-    return 2 if g.kind == "unitary2" else 1 if g.kind == "cnot" else 0
+# realignment singular-value ratio at or below which a 4x4 gate is a product gate
+_PRODUCT_TOL = 1e-9
 
 
-def _counted_cnot_depth(c: Circuit) -> int:
-    # greedy layering; each gate occupies _cnot_price sequential CNOT slots
-    # on its qubits
+def _cnot_prices(c: Circuit) -> list:
+    # every unitary2 priced in one batched SVD of the realignments (rank 1
+    # for a product A (x) B) and one batched determinant
+    prices = [int(g.kind == "cnot") for g in c.gates]
+    idx = [i for i, g in enumerate(c.gates) if g.kind == "unitary2"]
+    if idx:
+        mats = np.stack([c.gates[i].matrix for i in idx])
+        realigned = mats.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(-1, 4, 4)
+        s = np.linalg.svd(realigned, compute_uv=False)
+        price = np.where(np.linalg.det(mats) < 0, 3, 2)
+        price[s[:, 1] <= _PRODUCT_TOL * s[:, 0]] = 0
+        for i, p in zip(idx, price.tolist()):
+            prices[i] = p
+    return prices
+
+
+def _counted_cnot_depth(c: Circuit, prices: list) -> int:
+    # greedy layering; a priced gate occupies that many sequential CNOT slots
+    # on its qubits, a free gate takes no time
     clock = [0] * c.n_qubits
-    for g in c.gates:
-        t = max(clock[q] for q in g.qubits) + _cnot_price(g)
-        for q in g.qubits:
-            clock[q] = t
+    for g, p in zip(c.gates, prices):
+        if p:
+            t = max(clock[q] for q in g.qubits) + p
+            for q in g.qubits:
+                clock[q] = t
     return max(clock, default=0)
 
 
@@ -212,17 +231,19 @@ def accounting(c: Circuit, num_layers: int = 1, symmetry: bool = False) -> GateS
     if not is_int(num_layers) or num_layers < 1:
         raise CircuitError(f"num_layers must be an integer >= 1, got {num_layers!r}")
     if not c.gates:
-        return GateStats(0, 0, 0, 0, 0)
+        return GateStats(0, 0, 0, 0, 0, 0)
     n = c.n_qubits
     depth = 2 * ((n - 2) + (num_layers - 1))
     if symmetry:
         depth += n - 1
+    prices = _cnot_prices(c)
     return GateStats(
-        cnot_count_analytic=sum(_cnot_price(g) for g in c.gates),
+        cnot_count_analytic=sum({"unitary2": 2, "cnot": 1}.get(g.kind, 0) for g in c.gates),
         cnot_depth_analytic=depth,
         two_qubit_gate_count=sum(1 for g in c.gates if len(g.qubits) == 2),
         total_gate_count=len(c.gates),
-        cnot_depth_counted=_counted_cnot_depth(c),
+        cnot_depth_counted=_counted_cnot_depth(c, prices),
+        cnot_count=sum(prices),
     )
 
 

@@ -10,8 +10,10 @@ chi=2 truncation of the current state, applied, and the residual state fed
 to the next layer.
 
 Constrained gate columns are copied bit-exactly from the source tensors;
-free columns come from a deterministic orthogonal completion. Right bonds
-of dimension 1 are zero-padded to 2 so every chain gate is uniformly 4x4.
+free columns come from a deterministic orthogonal completion, the last of
+them negated when the determinant would otherwise be -1: every chain gate
+is in SO(4), the one gauge rule. Right bonds of dimension 1 are
+zero-padded to 2 so every chain gate is uniformly 4x4.
 """
 
 from __future__ import annotations
@@ -109,6 +111,8 @@ def _chain_gate(t: np.ndarray) -> np.ndarray:
     cols[:, :r, :] = t.transpose(0, 2, 1)
     g = np.empty((4, 4))  # scattered into, so the gate stays C-ordered
     g[:, _SLOTS[l]] = complete_isometry(cols.reshape(4, l))
+    if np.linalg.det(g) < 0:  # the one gauge rule: SO(4) costs 2 CNOTs, det -1 costs 3
+        g[:, _SLOTS[l][-1]] *= -1.0
     return g
 
 

@@ -137,7 +137,7 @@ FAMILIES = {
     "lorentzian": Family({"x0": 0.0, "gamma": 1.0}, "gamma", _lorentzian_pdf,
                          lambda s: s.x0, lambda s: s.gamma),
     "student_t": Family({"nu": 1.0}, "nu", _student_t_pdf,
-                        lambda s: 0.0, lambda s: s.nu),
+                        lambda s: 0.0, lambda s: 1.0),  # unit scale, whatever nu
     "table": Family({"path": None, "weights": (), "assume_symmetric": False}),
 }
 

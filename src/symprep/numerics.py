@@ -1,10 +1,12 @@
-"""Deterministic dense linear algebra helpers.
+"""Dense linear algebra helpers.
 
-Everything downstream (tensor decompositions, gate extraction, isometry
-completion) needs SVDs with a fixed sign convention and orthogonal
-completions that keep the supplied columns bit-identical. numpy's SVD is
-deterministic per platform but leaves singular-vector signs arbitrary; the
-helpers here pin them. `is_int` and `is_finite_number` are the one value rules.
+`svd` is LAPACK's thin SVD on a checked real matrix; its singular-vector
+signs are LAPACK's, deterministic per build. `complete_isometry` extends
+orthonormal columns to an orthogonal matrix with the trailing columns of
+one full SVD, writing the supplied columns back bit-identically.
+No sign or determinant is fixed here: the one gauge rule lives in
+`disentangler._chain_gate`. `is_int` and `is_finite_number` are the one
+value rules.
 """
 
 from __future__ import annotations
@@ -23,10 +25,6 @@ __all__ = [
     "is_int",
     "is_finite_number",
 ]
-
-# Columns with norm below this are treated as numerically zero during
-# orthogonal completion.
-_ZERO_COL_TOL = 1e-8
 
 
 class NumericsError(ValueError):
@@ -51,28 +49,13 @@ def _as_matrix(a) -> np.ndarray:
     return m
 
 
-def _fix_signs(u: np.ndarray, vt: np.ndarray) -> None:
-    # Sign convention: the largest-magnitude entry of each left singular
-    # vector is made positive (ties broken by lowest row index). In-place.
-    if not u.size:  # argmax has no answer over an empty row axis
-        return
-    ut = u.T  # columns of u as rows: |u.T| in C order spares argmax a copy
-    top = np.abs(ut, order="C").argmax(axis=1)
-    flip = u[top, np.arange(u.shape[1])] < 0
-    ut[flip] = -ut[flip]
-    vt[flip] = -vt[flip]
-
-
 def svd(a) -> SvdResult:
-    """Full SVD with deterministic singular-vector signs.
+    """Thin SVD of a finite 2-d real matrix.
 
     Reconstruction u @ diag(s) @ vt equals the input within 1e-12 of its
     norm; s is non-increasing.
     """
-    m = _as_matrix(a)
-    u, s, vt = np.linalg.svd(m, full_matrices=False)
-    _fix_signs(u, vt)
-    return SvdResult(u, s, vt)
+    return SvdResult(*np.linalg.svd(_as_matrix(a), full_matrices=False))
 
 
 def is_orthonormal(a) -> bool:
@@ -98,9 +81,9 @@ def complete_isometry(v) -> np.ndarray:
     """Extend a (d, k) matrix with orthonormal columns to a (d, d) orthogonal
     matrix whose first k columns are the input, bit-identical.
 
-    The added columns come from Gram-Schmidt against the canonical basis in
-    index order, so the completion is deterministic. Input columns must be
-    orthonormal within 1e-10.
+    The added columns are the trailing left singular vectors of the input
+    (one full LAPACK SVD), so the completion is deterministic. Input
+    columns must be orthonormal within 1e-10.
     """
     m = _as_matrix(v)
     d, k = m.shape
@@ -108,22 +91,6 @@ def complete_isometry(v) -> np.ndarray:
         raise NumericsError(f"cannot complete {d}x{k}: more columns than rows")
     if not is_orthonormal(m):
         raise NumericsError("input columns are not orthonormal within 1e-10")
-    cols = [m[:, j] for j in range(k)]
-    for b in range(d):
-        if len(cols) == d:
-            break
-        cand = np.zeros(d)
-        cand[b] = 1.0
-        # two rounds of Gram-Schmidt for numerical orthogonality
-        for _ in range(2):
-            for c in cols:
-                cand = cand - np.dot(c, cand) * c
-        nrm = np.linalg.norm(cand)
-        if nrm < _ZERO_COL_TOL:
-            continue
-        cols.append(cand / nrm)
-    if len(cols) != d:
-        raise NumericsError("orthogonal completion failed")  # pragma: no cover
-    out = np.column_stack(cols)
-    out[:, :k] = m  # keep supplied columns bit-identical
-    return out
+    u = np.linalg.svd(m)[0]  # full u: its last d-k columns span the complement
+    u[:, :k] = m  # keep supplied columns bit-identical
+    return u

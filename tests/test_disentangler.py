@@ -70,7 +70,8 @@ def test_layer_gate_structure_bit_exact():
     # end gate equals the last tensor exactly
     assert np.array_equal(layer.end, m.tensors[-1][:, :, 0])
     # chain gate q's columns 2k hold the slices of site tensor q; the other
-    # columns hold the completion of those slices, in order
+    # columns hold the completion of those slices, in order, the last one
+    # negated if that is what makes det = +1
     assert len(layer.chain) == m.n_qubits - 1
     for q, g in enumerate(layer.chain):
         assert g.flags.c_contiguous
@@ -83,7 +84,12 @@ def test_layer_gate_structure_bit_exact():
             constrained[:, k] = expect.reshape(4)
             assert np.array_equal(g[:, 2 * k], constrained[:, k])
         free = [c for c in range(4) if c not in (0, 2)[:l]]
-        assert np.array_equal(g[:, free], complete_isometry(constrained)[:, l:])
+        completion = complete_isometry(constrained)[:, l:]
+        assert np.array_equal(g[:, free[:-1]], completion[:, :-1])
+        assert np.array_equal(g[:, free[-1]], completion[:, -1]) or np.array_equal(
+            g[:, free[-1]], -completion[:, -1]
+        )
+        assert abs(np.linalg.det(g) - 1.0) <= 1e-12
 
 
 def test_layer_gates_orthogonal():

@@ -19,7 +19,6 @@ from symprep.mps import (
 )
 from symprep.numerics import (
     NumericsError,
-    _fix_signs,
     complete_isometry,
     is_finite_number,
     is_int,
@@ -42,6 +41,7 @@ def test_svd_reconstruction_and_order():
 
 
 def test_svd_sign_convention_deterministic():
+    # no sign rule: the signs are LAPACK's, but a repeat gives the same bits
     rng = np.random.default_rng(12)
     for _ in range(30):
         a = rng.standard_normal((6, 4))
@@ -49,16 +49,12 @@ def test_svd_sign_convention_deterministic():
         r2 = svd(a.copy())
         assert np.array_equal(r1.u, r2.u)
         assert np.array_equal(r1.vt, r2.vt)
-        # largest-|entry| element of each left singular vector is positive
-        for j in range(r1.u.shape[1]):
-            col = r1.u[:, j]
-            assert col[int(np.argmax(np.abs(col)))] > 0
 
 
 def test_complete_isometry_shapes():
-    # random isometries of the shapes the gate extraction produces
+    # random isometries of the shapes the gate extraction produces, plus empty and square
     rng = np.random.default_rng(14)
-    shapes = [(2, 1), (4, 1), (4, 2), (4, 3)]
+    shapes = [(2, 1), (4, 1), (4, 2), (4, 3), (3, 0), (4, 4)]
     for _ in range(250):
         for d, k in shapes:
             q = np.linalg.qr(rng.standard_normal((d, d)))[0][:, :k]
@@ -84,37 +80,6 @@ def test_complete_isometry_identity_passthrough():
     full = complete_isometry(np.eye(4)[:, :2])
     assert np.array_equal(full[:, :2], np.eye(4)[:, :2])
     assert np.allclose(full.T @ full, np.eye(4), atol=1e-14)
-
-
-def fix_signs_loop(u, vt):
-    # reference: the per-column loop the vectorized convention must match
-    for j in range(u.shape[1]):
-        col = u[:, j]
-        i = int(np.argmax(np.abs(col)))
-        if col[i] < 0:
-            u[:, j] = -col
-            vt[j, :] = -vt[j, :]
-
-
-def test_fix_signs_bit_identical_to_loop():
-    rng = np.random.default_rng(15)
-    cases = []
-    for _ in range(200):
-        m, n, k = rng.integers(1, 9, size=3)
-        cases.append((rng.standard_normal((m, k)), rng.standard_normal((k, n))))
-    # tied +-max entries in one column: the lowest row index decides
-    tied = np.array([[0.5, -0.5, 0.5, -0.3], [-0.5, 0.5, -0.5, 0.3], [0.1, 0.0, 0.5, -0.3]])
-    cases.append((tied, rng.standard_normal((4, 3))))
-    zero_col = rng.standard_normal((5, 3))
-    zero_col[:, 1] = 0.0
-    cases.append((zero_col, rng.standard_normal((3, 4))))
-    cases.append((np.zeros((0, 0)), np.zeros((0, 3))))
-    for u, vt in cases:
-        u_ref, vt_ref = u.copy(), vt.copy()
-        fix_signs_loop(u_ref, vt_ref)
-        _fix_signs(u, vt)
-        assert u.tobytes() == u_ref.tobytes()
-        assert vt.tobytes() == vt_ref.tobytes()
 
 
 def _accepts(name, error, scale):

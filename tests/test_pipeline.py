@@ -47,9 +47,21 @@ def test_default_grid_other_kinds():
     c1 = config_from_dict({"dist": {"kind": "lorentzian", "gamma": 1.0}, "n_qubits": 6})
     assert (c1.grid.min, c1.grid.max) == (-5.0, 5.0)
     c2 = config_from_dict({"dist": {"kind": "student_t", "nu": 2.0}, "n_qubits": 6})
-    assert (c2.grid.min, c2.grid.max) == (-10.0, 10.0)
+    assert (c2.grid.min, c2.grid.max) == (-5.0, 5.0)  # the standard t's scale is 1, for any nu
     with pytest.raises(ConfigError):
         config_from_dict({"dist": {"kind": "table", "weights": [1.0] * 64}, "n_qubits": 6})
+
+
+@pytest.mark.parametrize("nu", [1e-3, 1e6])
+def test_default_grid_student_t_extreme_nu(nu):
+    # a grid of nu scale units would be +-0.005 (a flat target) at nu = 1e-3
+    # and +-5e6 (zero density on every point) at nu = 1e6
+    cfg = config_from_dict({"dist": {"kind": "student_t", "nu": nu}, "n_qubits": 6})
+    assert (cfg.grid.min, cfg.grid.max) == (-5.0, 5.0)
+    res = run_full(cfg)
+    p = res.target.p
+    assert p[0] < 0.1 * p[len(p) // 2]  # the grid reaches the tails
+    assert 0.0 <= res.report.kl_divergence < 1e-3
 
 
 def test_config_validation_errors():
