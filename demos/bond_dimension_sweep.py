@@ -28,4 +28,4 @@ print(rows_to_csv(rows))
 
 best = reports[-1]
 print(f"chi = 32 reaches KL = {best.kl_divergence:.3e} "
-      f"at analytic CNOT depth {best.gate_stats.cnot_depth_analytic}")
+      f"at CNOT depth {best.gate_stats.cnot_depth_counted}")

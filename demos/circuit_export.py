@@ -22,7 +22,7 @@ for g in circ.gates:
     print(f"  {g.kind:9s} on {g.qubits}")
 
 stats = sp.accounting(circ, num_layers=1, symmetry=True)
-print(f"\nanalytic CNOT depth = {stats.cnot_depth_analytic}")
+print(f"\nCNOT depth = {stats.cnot_depth_counted}")
 print(f"two-qubit gate count = {stats.two_qubit_gate_count}")
 
 print("\nqasm-like export:")

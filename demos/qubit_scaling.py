@@ -19,5 +19,5 @@ for n in range(6, 16, 2):
     )
     r = sp.run(cfg)
     g = r.gate_stats
-    print(f"{n:8d}   {r.kl_divergence:21.4e}   {g.cnot_depth_analytic:10d}   "
+    print(f"{n:8d}   {r.kl_divergence:21.4e}   {g.cnot_depth_counted:10d}   "
           f"{g.two_qubit_gate_count:15d}")

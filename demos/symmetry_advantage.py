@@ -24,12 +24,12 @@ print(f"n = {N}, one staircase layer each")
 print(f"  baseline  KL = {base.kl_divergence:.4e}   fidelity = {base.classical_fidelity:.10f}")
 print(f"  symmetry  KL = {sym.kl_divergence:.4e}   fidelity = {sym.classical_fidelity:.10f}")
 print(f"  improvement  = {base.kl_divergence / sym.kl_divergence:.1f}x")
-print(f"  CNOT depth (analytic): baseline {base.gate_stats.cnot_depth_analytic}, "
-      f"symmetry {sym.gate_stats.cnot_depth_analytic}")
+print(f"  CNOT depth: baseline {base.gate_stats.cnot_depth_counted}, "
+      f"symmetry {sym.gate_stats.cnot_depth_counted}")
 
 # stacking more disentangling rounds keeps improving the half-state encoding
 print("\nlayer scaling (symmetry method):")
 for layers in (1, 3, 5, 7, 9, 11):
     r = run("symmetry", layers)
     print(f"  {layers:2d} layers: KL = {r.kl_divergence:.4e}   "
-          f"depth = {r.gate_stats.cnot_depth_analytic}")
+          f"depth = {r.gate_stats.cnot_depth_counted}")

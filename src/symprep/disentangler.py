@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import statevec
-from .mps import Mps, apply_gate_run, is_left_canonical, to_statevector, truncate
+from .mps import Mps, apply_gate_run, to_statevector, truncate
 from .numerics import complete_isometry, is_int, is_orthonormal
 
 __all__ = [
@@ -33,10 +33,9 @@ __all__ = [
     "build_layer",
     "build_stack",
     "residual",
-    "DEFAULT_CHI_WORK_CAP",
 ]
 
-DEFAULT_CHI_WORK_CAP = 256
+_CHI_WORK_CAP = 256
 
 
 class DisentanglerError(ValueError):
@@ -123,7 +122,9 @@ def build_layer(m: Mps) -> MpdLayer:
         raise DisentanglerError(f"build_layer needs n >= 3, got {n}")
     if max(m.bond_dims) > 2:
         raise DisentanglerError(f"bond dims {m.bond_dims} exceed 2")
-    if m.canonical != "left" or not is_left_canonical(m):
+    # complete_isometry checks each chain tensor's columns and MpdLayer the
+    # end gate, so the flag is the only check of canonical form made here
+    if m.canonical != "left":
         raise DisentanglerError("build_layer needs a canonical-form MPS")
 
     chain = tuple(_chain_gate(t) for t in m.tensors[:-1])
@@ -155,30 +156,19 @@ def _disentangle_dense(psi: np.ndarray, layer: MpdLayer) -> np.ndarray:
     return psi
 
 
-def build_stack(
-    m: Mps,
-    num_layers: int,
-    chi_work: int | None = None,
-) -> DisentanglerStack:
+def build_stack(m: Mps, num_layers: int) -> DisentanglerStack:
     """Iteratively extract and apply layers.
 
     Each round builds a layer from the chi=2 truncation of the current
-    state, disentangles the current state with it at working bond dimension
-    chi_work, and records the residual. Runs exactly num_layers rounds. The
-    default chi_work is 2x the input's max bond dim, capped at
-    DEFAULT_CHI_WORK_CAP but never below the input's max bond dim.
+    state, disentangles the current state with it at a working bond
+    dimension, and records the residual. Runs exactly num_layers rounds.
+    The working bond dimension is 2x the input's max bond dim, capped at
+    _CHI_WORK_CAP but never below the input's max bond dim.
     """
     if not is_int(num_layers) or num_layers < 1:
         raise DisentanglerError(f"num_layers must be an integer >= 1, got {num_layers!r}")
-    if chi_work is not None and (not is_int(chi_work) or chi_work < 1):
-        raise DisentanglerError(f"chi_work must be an integer >= 1, got {chi_work!r}")
     max_bond = max(m.bond_dims)
-    if chi_work is None:
-        chi_work = max(max_bond, min(2 * max_bond, DEFAULT_CHI_WORK_CAP))
-    if chi_work < max_bond:
-        raise DisentanglerError(
-            f"chi_work={chi_work} is below the input's max bond dim {max_bond}"
-        )
+    chi_work = max(max_bond, min(2 * max_bond, _CHI_WORK_CAP))
 
     state = m
     layers = []

@@ -282,40 +282,24 @@ def sample_pdf(spec: DistSpec, grid: Grid) -> TargetDistribution:
     per mirrored pair and copied, so p[k] == p[2^n-1-k] holds bit-exactly.
     """
     n = grid.size
+    sym = is_mirror_symmetric(spec, grid)
     if spec.kind == "table":
         w = np.array(spec.weights, dtype=float) if spec.weights else _read_table(spec.path)
         if w.shape != (n,):
-            raise DistError(
-                f"table has {w.size} weights, grid needs {n}"
-            )
-        if np.any(w < 0) or not np.all(np.isfinite(w)):
-            raise DistError("table weights must be finite and non-negative")
-        if not np.any(w > 0):
-            raise DistError("table weights are all zero")
-        sym = is_mirror_symmetric(spec, grid)
-        if sym:
-            scale = float(np.max(w))
-            if np.max(np.abs(w - w[::-1])) > 1e-12 * scale:
-                raise DistError(
-                    "assume_symmetric set but table is not mirror symmetric"
-                )
-            w = 0.5 * (w + w[::-1])  # make the pairing bit-exact
-        return TargetDistribution(grid, _exact_normalize(w, sym), symmetric=sym)
-
-    x = grid.points()
-    sym = is_mirror_symmetric(spec, grid)
-    if sym:
-        half = n // 2
-        f_left = spec.pdf(x[:half])
-        w = np.empty(n, dtype=float)
-        w[:half] = f_left
-        w[half:] = f_left[::-1]
+            raise DistError(f"table has {w.size} weights, grid needs {n}")
+    elif sym:
+        f_left = spec.pdf(grid.points()[: n // 2])
+        w = np.concatenate([f_left, f_left[::-1]])
     else:
-        w = spec.pdf(x)
+        w = spec.pdf(grid.points())
     if not np.all(np.isfinite(w)) or np.any(w < 0):
-        raise DistError("density evaluated non-finite or negative on the grid")
+        raise DistError(f"{spec.kind} weights on the grid must be finite and non-negative")
     if not np.any(w > 0):
-        raise DistError("density is zero on every grid point")
+        raise DistError(f"{spec.kind} weights are zero on every grid point")
+    if spec.kind == "table" and sym:
+        if np.max(np.abs(w - w[::-1])) > 1e-12 * float(np.max(w)):
+            raise DistError("assume_symmetric set but table is not mirror symmetric")
+        w = 0.5 * (w + w[::-1])  # make the pairing bit-exact
     return TargetDistribution(grid, _exact_normalize(w, sym), symmetric=sym)
 
 

@@ -83,13 +83,12 @@ class RunConfig:
     n_qubits: int
     method: str = "symmetry"
     num_layers: int = 1
-    chi_work: int | None = None
     seed: int | None = None
 
     def __post_init__(self):
-        for key in ("n_qubits", "num_layers", "chi_work", "seed"):
+        for key in ("n_qubits", "num_layers", "seed"):
             v = getattr(self, key)
-            if not is_int(v) and not (v is None and key in ("chi_work", "seed")):
+            if not is_int(v) and not (v is None and key == "seed"):
                 raise ConfigError(f"{key} must be an integer, got {v!r}")
         if self.n_qubits < 3:
             raise ConfigError(f"n_qubits must be >= 3, got {self.n_qubits}")
@@ -102,8 +101,6 @@ class RunConfig:
             raise ConfigError(f"method=symmetry needs n_qubits >= 4, got {self.n_qubits}")
         if self.num_layers < 1:
             raise ConfigError(f"num_layers must be >= 1, got {self.num_layers}")
-        if self.chi_work is not None and self.chi_work < 2:
-            raise ConfigError(f"chi_work must be >= 2, got {self.chi_work}")
         if self.grid.n_qubits != self.n_qubits:
             raise ConfigError("grid qubit count does not match n_qubits")
         if self.method == "symmetry" and not is_mirror_symmetric(self.dist, self.grid):
@@ -182,9 +179,7 @@ def config_from_dict(doc: dict, *, assume_symmetric: bool = False) -> RunConfig 
             raise ConfigError(f"vary.{key} must be a list of integers, got {values!r}")
         return SweepConfig(base=base, vary_key=key, vary_values=tuple(values))
 
-    allowed = (
-        "dist", "grid", "n_qubits", "method", "num_layers", "chi_work", "outputs", "seed",
-    )
+    allowed = ("dist", "grid", "n_qubits", "method", "num_layers", "outputs", "seed")
     _reject_unknown(doc, allowed, "run config")
     if "dist" not in doc or "n_qubits" not in doc:
         raise ConfigError("run config needs at least 'dist' and 'n_qubits'")
@@ -219,7 +214,6 @@ def config_from_dict(doc: dict, *, assume_symmetric: bool = False) -> RunConfig 
         n_qubits=doc["n_qubits"],
         method=doc.get("method", "symmetry"),
         num_layers=doc.get("num_layers", 1),
-        chi_work=doc.get("chi_work"),
         seed=doc.get("seed"),
     )
 
@@ -257,7 +251,6 @@ def _config_echo(cfg: RunConfig) -> dict:
         "n_qubits": cfg.n_qubits,
         "method": cfg.method,
         "num_layers": cfg.num_layers,
-        "chi_work": cfg.chi_work,
         "seed": cfg.seed,
     }
 
@@ -276,7 +269,7 @@ def run_full(config: RunConfig) -> RunResult:
         stage = "mps_from_statevector"
         m = mps_from_statevector(amp)
         stage = "build_stack"
-        stack = build_stack(m, config.num_layers, config.chi_work)
+        stack = build_stack(m, config.num_layers)
         stage = "prep_circuit"
         circ = prep_circuit(stack)
         if config.method == "symmetry":

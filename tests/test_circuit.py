@@ -110,7 +110,7 @@ def test_prep_circuit_duality_matches_residual():
     v = rng.standard_normal(2**6)
     v /= np.linalg.norm(v)
     m = mps_from_statevector(v, chi_max=4)
-    stack = build_stack(m, num_layers=2, chi_work=16)
+    stack = build_stack(m, num_layers=2)
     psi = simulate(prep_circuit(stack))
     target = to_statevector(m)
     infid = 1.0 - float(np.dot(psi, target)) ** 2
@@ -178,6 +178,10 @@ def test_accounting_depth_formulas():
     stats20 = accounting(dummy, num_layers=11, symmetry=False)
     assert stats20.cnot_depth_analytic == 2 * ((20 - 2) + (11 - 1))
     assert stats20.cnot_depth_analytic == 56
+
+    # the staircase term n-2 stops at 0 rather than going negative
+    one = accounting(Circuit(1, (GateOp("hadamard", (0,)),)), num_layers=1, symmetry=False)
+    assert one.cnot_depth_analytic == 0
 
     empty = accounting(Circuit(5, ()), num_layers=1, symmetry=True)
     assert (

@@ -137,6 +137,9 @@ def test_build_layer_validation():
     junk = Mps([t.copy() * 1.5 for t in mps_from_statevector(ghz(4), chi_max=2).tensors])
     with pytest.raises(DisentanglerError):
         build_layer(junk)  # not canonical
+    flagged = Mps(junk.tensors, canonical="left")
+    with pytest.raises(ValueError):
+        build_layer(flagged)  # flagged canonical, but the tensors are not
 
 
 def test_build_stack_single_layer_chi2():
@@ -171,30 +174,26 @@ def test_build_stack_validation():
     m = mps_from_statevector(ghz(4))
     with pytest.raises(DisentanglerError):
         build_stack(m, num_layers=0)
-    with pytest.raises(DisentanglerError):
-        build_stack(m, num_layers=1, chi_work=1)
 
 
-@pytest.mark.parametrize(
-    "num_layers, chi_work",
-    [(True, None), (2.5, None), ("2", None), (1, True), (1, 2.5), (1, "2")],
-    ids=repr,
-)
-def test_build_stack_refuses_non_integer_counts(num_layers, chi_work):
+@pytest.mark.parametrize("num_layers", [True, 2.5, "2"], ids=repr)
+def test_build_stack_refuses_non_integer_counts(num_layers):
     # neither read as 1 layer (True) nor left to fail inside range() (2.5)
     m = mps_from_statevector(ghz(4))
     with pytest.raises(DisentanglerError, match="must be an integer >= 1"):
-        build_stack(m, num_layers, chi_work)
+        build_stack(m, num_layers)
 
 
 def test_default_chi_work_covers_the_input_bond(monkeypatch):
-    # A cap below the input's max bond must not refuse the default: the
-    # default never drops under the bond the input already has.
-    monkeypatch.setattr(disentangler, "DEFAULT_CHI_WORK_CAP", 4)
+    # A cap below the input's max bond never cuts the working bond under
+    # the bond the input already has: cap 4 works at 16, as cap 16 does.
     m = mps_from_statevector(random_state(np.random.default_rng(8), 8))
     assert max(m.bond_dims) == 16
-    stack = build_stack(m, num_layers=2)
-    assert stack.residual_history == build_stack(m, num_layers=2, chi_work=16).residual_history
+    histories = []
+    for cap in (16, 4):
+        monkeypatch.setattr(disentangler, "_CHI_WORK_CAP", cap)
+        histories.append(build_stack(m, num_layers=2).residual_history)
+    assert histories[0] == histories[1]
 
 
 def test_residual_empty_stack():

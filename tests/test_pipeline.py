@@ -1,6 +1,7 @@
 """Config parsing, end-to-end runs, sweeps, and the CLI surface."""
 
 import json
+from dataclasses import fields
 
 import numpy as np
 import pytest
@@ -87,7 +88,6 @@ def test_config_validation_errors():
         {"n_qubits": 6.7},
         {"num_layers": True},
         {"seed": 3.9},
-        {"chi_work": 4.5},
         {"dist": {"kind": "normal", "sigma2": "0.01"}},
         {"grid": {"min": "-1", "max": 1.0}},
         {"dist": {"kind": "table", "weights": [1.0] * 64, "assume_symmetric": "no"},
@@ -123,6 +123,15 @@ def test_config_values_are_not_coerced(over, tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+def test_chi_work_is_an_unknown_key(tmp_path, capsys):
+    # the working bond is derived inside build_stack, not configured
+    doc = minimal_doc(chi_work=2)
+    with pytest.raises(ConfigError, match="unknown key"):
+        config_from_dict(doc)
+    assert main(["run", "--config", write_config(tmp_path, doc)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def _direct(**over):
     # RunConfig(DistSpec, Grid) built in code, as the demos do
     spec = over.pop("dist", None) or DistSpec("normal", mu=0.0, sigma2=0.01)
@@ -138,7 +147,6 @@ def _direct(**over):
         pytest.param(lambda: _direct(num_layers=True), ConfigError, id="num_layers True"),
         pytest.param(lambda: _direct(num_layers=1.0), ConfigError, id="num_layers 1.0"),
         pytest.param(lambda: _direct(seed=3.9), ConfigError, id="seed 3.9"),
-        pytest.param(lambda: _direct(chi_work=4.5), ConfigError, id="chi_work 4.5"),
         pytest.param(lambda: DistSpec("normal", sigma2="0.01"), DistError, id="sigma2 str"),
         pytest.param(lambda: DistSpec("normal", sigma2=True), DistError, id="sigma2 True"),
         pytest.param(lambda: DistSpec("normal", mu=float("nan")), DistError, id="mu nan"),
@@ -257,6 +265,7 @@ def test_run_report_document(tmp_path, capsys):
     assert doc["artifact"]["name"] == "symprep"
     assert doc["config"]["method"] == "symmetry"
     assert doc["config"]["grid"]["min"] == -0.5
+    assert set(doc["config"]) == {f.name for f in fields(RunConfig)}
     assert doc["metrics"]["kl_log_base"] == "natural"
     assert doc["metrics"]["kl_divergence"] == res.report.kl_divergence
     assert doc["gate_stats"]["two_qubit_gate_count"] == res.report.gate_stats.two_qubit_gate_count
