@@ -109,14 +109,12 @@ class Circuit:
 class GateStats:
     """cnot_depth_analytic is the paper's staircase depth formula, not the
     depth of the emitted circuit (a baseline run at n=14 with 11 layers
-    reads 44 against a counted 66); cnot_count_analytic is the flat tally
-    (2 per unitary2, 1 per cnot).
+    reads 44 against a counted 66).
     cnot_count and cnot_depth_counted use each emitted gate's true price:
     a cnot 1, a unitary2 0 if it is a product gate, 3 if det = -1, else 2
     (Vatan & Williams, PRA 69, 032315, 2004), a one-qubit gate 0; the depth
     layers the priced gates greedily and lets free gates take no time."""
 
-    cnot_count_analytic: int
     cnot_depth_analytic: int
     two_qubit_gate_count: int
     total_gate_count: int
@@ -233,14 +231,13 @@ def accounting(c: Circuit, num_layers: int = 1, symmetry: bool = False) -> GateS
     if not is_int(num_layers) or num_layers < 1:
         raise CircuitError(f"num_layers must be an integer >= 1, got {num_layers!r}")
     if not c.gates:
-        return GateStats(0, 0, 0, 0, 0, 0)
+        return GateStats(0, 0, 0, 0, 0)
     n = c.n_qubits
     depth = 2 * (max(n - 2, 0) + (num_layers - 1))
     if symmetry:
         depth += n - 1
     prices = _cnot_prices(c)
     return GateStats(
-        cnot_count_analytic=sum({"unitary2": 2, "cnot": 1}.get(g.kind, 0) for g in c.gates),
         cnot_depth_analytic=depth,
         two_qubit_gate_count=sum(1 for g in c.gates if len(g.qubits) == 2),
         total_gate_count=len(c.gates),

@@ -5,16 +5,15 @@ CSV summary), export (circuit export), inspect-mps (decompose the encoded
 state and report bond structure). Exit codes: 0 success, 2 config/validation
 error, 1 runtime error.
 
-The pipeline itself is deterministic; run's --seed is recorded in report
-metadata only (it exists so reports produced alongside seeded property tests
-are self-describing). The other subcommands have no seed to record and
-refuse the option.
+The config file describes the computation and nothing else; the command
+line says only where the result goes (--out, default stdout) and in which
+format (--format). No option restates a config setting, and the config
+holds no output paths.
 """
 
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
 import os
 import sys
@@ -28,8 +27,7 @@ from .pipeline import (
     PipelineError,
     RunConfig,
     SweepConfig,
-    config_from_dict,
-    read_config,
+    parse_config,
     report_row,
     rows_to_csv,
     run_full,
@@ -45,54 +43,27 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, formats, default_format):
+    def common(p, *formats):
+        """--config and --out, plus --format when there is a choice (the
+        first format is the default)."""
         p.add_argument("--config", required=True, help="path to a JSON config file")
         p.add_argument("--out", default=None, help="output path (default: stdout)")
-        p.add_argument("--format", default=default_format, choices=formats)
-        p.add_argument("--assume-symmetric", action="store_true",
-                       help="treat a tabulated distribution as mirror symmetric")
-        return p
+        if formats:
+            p.add_argument("--format", default=formats[0], choices=formats)
 
-    run = common(sub.add_parser("run", help="execute one pipeline run"), ("json", "csv"), "json")
-    run.add_argument("--seed", type=int, default=None,
-                     help="recorded in report metadata; the pipeline is deterministic")
-    common(sub.add_parser("sweep", help="run a parameter sweep"), ("csv", "json"), "csv")
-    common(sub.add_parser("export", help="export the preparation circuit"),
-           ("json", "qasm_like"), "json")
-    common(sub.add_parser("inspect-mps", help="bond structure of the encoded state"),
-           ("json",), "json")
+    common(sub.add_parser("run", help="execute one pipeline run"), "json", "csv")
+    common(sub.add_parser("sweep", help="run a parameter sweep"), "csv", "json")
+    common(sub.add_parser("export", help="export the preparation circuit"), "json", "qasm_like")
+    common(sub.add_parser("inspect-mps", help="bond structure of the encoded state"))
     return ap
 
 
-@dataclasses.dataclass(frozen=True)
-class Outputs:
-    """Where `run` writes its report and circuit; the config's 'outputs'."""
-
-    report_path: str | None = None
-    circuit_path: str | None = None
-
-
-def _outputs_from_dict(doc: dict) -> Outputs:
-    section = doc.get("outputs", {})
-    if not isinstance(section, dict):
-        raise ConfigError("outputs must be an object")
-    unknown = sorted(set(section) - {f.name for f in dataclasses.fields(Outputs)})
-    if unknown:
-        raise ConfigError(f"unknown key(s) {unknown} in outputs")
-    for key, value in section.items():
-        if value is not None and not isinstance(value, str):
-            raise ConfigError(f"outputs.{key} must be a path string, got {value!r}")
-    return Outputs(**section)
-
-
 def _load(args, want: type):
-    """Read the config file once: the pipeline config and the CLI's Outputs."""
-    doc = read_config(args.config)
-    cfg = config_from_dict(doc, assume_symmetric=args.assume_symmetric)
+    cfg = parse_config(args.config)
     if not isinstance(cfg, want):
         need = "a sweep config (a 'vary' section)" if want is SweepConfig else "a run config"
         raise ConfigError(f"'{args.command}' needs {need}")
-    return cfg, _outputs_from_dict(doc["base"] if isinstance(cfg, SweepConfig) else doc)
+    return cfg
 
 
 def _emit(text: str, out: str | None) -> None:
@@ -113,44 +84,36 @@ def _emit(text: str, out: str | None) -> None:
 
 
 def _cmd_run(args) -> int:
-    cfg, outputs = _load(args, RunConfig)
-    if args.seed is not None:  # report metadata only
-        cfg = dataclasses.replace(cfg, seed=args.seed)
+    cfg = _load(args, RunConfig)
     res = run_full(cfg)
     if args.format == "csv":
         text = rows_to_csv([report_row(res.report, cfg.num_layers)], METRIC_COLUMNS)
     else:
         text = json.dumps(res.report_doc, indent=2) + "\n"
-    report_path = args.out or outputs.report_path
-    _emit(text, report_path)
-    if report_path:
-        print(f"report written to {report_path}")
-    if outputs.circuit_path:
-        fmt = "qasm_like" if outputs.circuit_path.endswith((".qasm", ".txt")) else "json"
-        _emit(export_circuit(res.circuit, fmt), outputs.circuit_path)
+    _emit(text, args.out)
+    if args.out:
+        print(f"report written to {args.out}")
     return 0
 
 
 def _cmd_sweep(args) -> int:
-    cfg, outputs = _load(args, SweepConfig)
-    _, rows = sweep_full(cfg)
+    _, rows = sweep_full(_load(args, SweepConfig))
     if args.format == "json":
         text = json.dumps({"rows": rows}, indent=2)
     else:
         text = rows_to_csv(rows)
-    _emit(text, args.out or outputs.report_path)
+    _emit(text, args.out)
     return 0
 
 
 def _cmd_export(args) -> int:
-    cfg, outputs = _load(args, RunConfig)
-    res = run_full(cfg)
-    _emit(export_circuit(res.circuit, args.format), args.out or outputs.circuit_path)
+    res = run_full(_load(args, RunConfig))
+    _emit(export_circuit(res.circuit, args.format), args.out)
     return 0
 
 
 def _cmd_inspect(args) -> int:
-    cfg, _ = _load(args, RunConfig)
+    cfg = _load(args, RunConfig)
     try:
         target = sample_pdf(cfg.dist, cfg.grid)
         encode = left_half(target) if cfg.method == "symmetry" else target

@@ -41,8 +41,6 @@ class MetricsReport:
 
 
 def _prob_vector(p, name: str) -> np.ndarray:
-    if hasattr(p, "p"):  # TargetDistribution
-        p = p.p
     v = np.asarray(p, dtype=float)
     if v.ndim != 1:
         raise MetricsError(f"{name} must be a vector")

@@ -159,16 +159,18 @@ def _dist_from_dict(d: dict) -> DistSpec:
     return DistSpec(d["kind"], **params)
 
 
-def config_from_dict(doc: dict, *, assume_symmetric: bool = False) -> RunConfig | SweepConfig:
-    """Validate a parsed config document. Unknown keys are rejected and values
-    are not coerced. The 'outputs' section belongs to the CLI and is not read."""
+def config_from_dict(doc: dict) -> RunConfig | SweepConfig:
+    """Validate a parsed config document: a run config, or a sweep config
+    ({"base": run config, "vary": ...}). The document describes the
+    computation only; where results go is the caller's business. Unknown
+    keys are rejected and values are not coerced."""
     if not isinstance(doc, dict):
         raise ConfigError("config root must be an object")
     if "vary" in doc:
         _reject_unknown(doc, ("base", "vary"), "sweep config")
-        if "base" not in doc:
-            raise ConfigError("sweep config needs a 'base' run config")
-        base = config_from_dict(doc["base"], assume_symmetric=assume_symmetric)
+        if not isinstance(doc.get("base"), dict):  # checked here: the root error would misname it
+            raise ConfigError("sweep base must be a run config object")
+        base = config_from_dict(doc["base"])
         if not isinstance(base, RunConfig):
             raise ConfigError("sweep base must be a run config, not another sweep")
         vary = doc["vary"]
@@ -179,13 +181,10 @@ def config_from_dict(doc: dict, *, assume_symmetric: bool = False) -> RunConfig 
             raise ConfigError(f"vary.{key} must be a list of integers, got {values!r}")
         return SweepConfig(base=base, vary_key=key, vary_values=tuple(values))
 
-    allowed = ("dist", "grid", "n_qubits", "method", "num_layers", "outputs", "seed")
+    allowed = ("dist", "grid", "n_qubits", "method", "num_layers", "seed")
     _reject_unknown(doc, allowed, "run config")
     if "dist" not in doc or "n_qubits" not in doc:
         raise ConfigError("run config needs at least 'dist' and 'n_qubits'")
-    dist_doc = doc["dist"]
-    if assume_symmetric and isinstance(dist_doc, dict) and dist_doc.get("kind") == "table":
-        dist_doc = {**dist_doc, "assume_symmetric": True}
     grid_doc = doc.get("grid", {})
     if not isinstance(grid_doc, dict):
         raise ConfigError("grid must be an object")
@@ -194,7 +193,7 @@ def config_from_dict(doc: dict, *, assume_symmetric: bool = False) -> RunConfig 
         raise ConfigError("grid needs both min and max")
 
     try:  # the constructors check every value
-        spec = _dist_from_dict(dist_doc)
+        spec = _dist_from_dict(doc["dist"])
         if "min" in grid_doc:
             gmin, gmax = grid_doc["min"], grid_doc["max"]
         else:
@@ -218,20 +217,17 @@ def config_from_dict(doc: dict, *, assume_symmetric: bool = False) -> RunConfig 
     )
 
 
-def read_config(path: str) -> dict:
-    """Load a JSON config document; a missing or malformed file is a ConfigError."""
+def parse_config(path: str) -> RunConfig | SweepConfig:
+    """Load and validate a JSON config file; a missing or malformed file is
+    a ConfigError."""
     try:
         with open(path) as fh:
-            return json.load(fh)
+            doc = json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
-
-
-def parse_config(path: str, *, assume_symmetric: bool = False) -> RunConfig | SweepConfig:
-    """Load and validate a JSON config file."""
-    return config_from_dict(read_config(path), assume_symmetric=assume_symmetric)
+    return config_from_dict(doc)
 
 
 def _config_echo(cfg: RunConfig) -> dict:

@@ -170,7 +170,6 @@ def test_accounting_depth_formulas():
     stats5 = accounting(c, num_layers=1, symmetry=True)
     assert stats5.cnot_depth_analytic == 10  # 2(n-2) + (n-1) at n=5
     assert stats5.two_qubit_gate_count == 8  # (n-1) chain gates + (n-1) fan-out
-    assert stats5.cnot_count_analytic == 2 * 4 + 4
     assert stats5.total_gate_count == 9  # 4 chain + H + 4 fan-out
 
     # bare staircase formula without the wrapper
@@ -185,8 +184,7 @@ def test_accounting_depth_formulas():
 
     empty = accounting(Circuit(5, ()), num_layers=1, symmetry=True)
     assert (
-        empty.cnot_count_analytic
-        == empty.cnot_depth_analytic
+        empty.cnot_depth_analytic
         == empty.two_qubit_gate_count
         == empty.total_gate_count
         == empty.cnot_depth_counted
@@ -205,7 +203,6 @@ def test_accounting_counted_depth_ghz():
     stats2 = accounting(ghz_circuit(), num_layers=1, symmetry=False)
     assert stats2.cnot_depth_counted == 1
     assert stats2.two_qubit_gate_count == 1
-    assert stats2.cnot_count_analytic == 1
 
 
 def test_export_json_roundtrip():

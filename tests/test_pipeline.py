@@ -6,6 +6,7 @@ from dataclasses import fields
 import numpy as np
 import pytest
 
+from symprep.circuit import export_circuit
 from symprep.cli import main
 from symprep.pipeline import (
     ConfigError,
@@ -213,12 +214,32 @@ def test_symmetry_method_needs_symmetric_density():
     }
     with pytest.raises(ConfigError):
         config_from_dict(tdoc)
-    cfg = config_from_dict(tdoc, assume_symmetric=True)
+    flagged = {**tdoc, "dist": {**tdoc["dist"], "assume_symmetric": True}}
+    cfg = config_from_dict(flagged)
     assert cfg.dist.assume_symmetric
     # the half state of a symmetric n=3 run is too small for a layer
-    t3 = {**tdoc, "dist": {"kind": "table", "weights": [1.0] * 8}, "n_qubits": 3}
+    t3 = {**tdoc, "dist": {"kind": "table", "weights": [1.0] * 8, "assume_symmetric": True},
+          "n_qubits": 3}
     with pytest.raises(ConfigError, match="n_qubits >= 4"):
-        config_from_dict(t3, assume_symmetric=True)
+        config_from_dict(t3)
+
+
+def test_cli_runs_flagged_table_with_symmetry(tmp_path, capsys):
+    # the table's own key is the one way to declare it symmetric
+    doc = {
+        "dist": {"kind": "table", "weights": [1.0, 2.0, 3.0, 4.0] * 2 + [4.0, 3.0, 2.0, 1.0] * 2,
+                 "assume_symmetric": True},
+        "grid": {"min": 0.0, "max": 1.0},
+        "n_qubits": 4,
+        "method": "symmetry",
+    }
+    assert main(["run", "--config", write_config(tmp_path, doc)]) == 0
+    report = json.loads(capsys.readouterr().out)
+    assert report["config"]["method"] == "symmetry"
+    assert report["config"]["dist"]["assume_symmetric"] is True
+    unflagged = {**doc, "dist": {k: v for k, v in doc["dist"].items() if k != "assume_symmetric"}}
+    assert main(["run", "--config", write_config(tmp_path, unflagged, "unflagged.json")]) == 2
+    assert "mirror symmetric" in capsys.readouterr().err
 
 
 def test_sweep_config_validation():
@@ -237,6 +258,9 @@ def test_sweep_config_validation():
         config_from_dict({"base": base, "vary": {"bond_dims": [2], "layer_counts": [1]}})
     with pytest.raises(ConfigError):
         config_from_dict({"vary": {"bond_dims": [2]}})
+    for bad_base in (5, [1], None):
+        with pytest.raises(ConfigError, match="sweep base must be a run config object"):
+            config_from_dict({"base": bad_base, "vary": {"bond_dims": [2]}})
 
 
 def test_run_point_mass_table_is_exact():
@@ -257,8 +281,8 @@ def test_run_point_mass_table_is_exact():
 
 def test_run_report_document(tmp_path, capsys):
     out = tmp_path / "report.json"
-    doc = minimal_doc(outputs={"report_path": str(out)})
-    assert main(["run", "--config", write_config(tmp_path, doc)]) == 0
+    doc = minimal_doc()
+    assert main(["run", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
     capsys.readouterr()
     res = run_full(config_from_dict(doc))
     doc = json.loads(out.read_text())
@@ -278,25 +302,24 @@ def test_run_determinism():
     assert json.dumps(d1) == json.dumps(d2)
 
 
-def test_run_circuit_export_path(tmp_path, capsys):
+def test_run_circuit_export_path(tmp_path):
     out = tmp_path / "circ.json"
-    cfg = write_config(tmp_path, minimal_doc(outputs={"circuit_path": str(out)}))
-    assert main(["run", "--config", cfg]) == 0
-    capsys.readouterr()
-    doc = json.loads(out.read_text())
+    cfg = write_config(tmp_path, minimal_doc())
+    assert main(["export", "--config", cfg, "--out", str(out)]) == 0
+    text = out.read_text()
+    doc = json.loads(text)
     assert doc["n_qubits"] == 6
     kinds = [g["kind"] for g in doc["gates"]]
     assert kinds.count("hadamard") == 1
     assert kinds.count("cnot") == 5
+    # the pipeline is deterministic: export writes the circuit run_full emits
+    assert text == export_circuit(run_full(config_from_dict(minimal_doc())).circuit, "json")
 
 
 def test_sweep_rows_and_reports(tmp_path):
     out = tmp_path / "sweep.csv"
-    doc = {
-        "base": minimal_doc(outputs={"report_path": str(out)}),
-        "vary": {"layer_counts": [1, 2]},
-    }
-    assert main(["sweep", "--config", write_config(tmp_path, doc)]) == 0
+    doc = {"base": minimal_doc(), "vary": {"layer_counts": [1, 2]}}
+    assert main(["sweep", "--config", write_config(tmp_path, doc), "--out", str(out)]) == 0
     reports = sweep(config_from_dict(doc))
     assert len(reports) == 2
     lines = out.read_text().strip().splitlines()
@@ -409,19 +432,37 @@ def test_cli_export_and_inspect(tmp_path, capsys):
 
 
 def test_cli_seed_recorded(tmp_path, capsys):
-    cfg = write_config(tmp_path, minimal_doc())
-    assert main(["run", "--config", cfg, "--seed", "7"]) == 0
+    cfg = write_config(tmp_path, minimal_doc(seed=7))
+    assert main(["run", "--config", cfg]) == 0
     doc = json.loads(capsys.readouterr().out)
     assert doc["config"]["seed"] == 7
 
 
-@pytest.mark.parametrize("command", ["sweep", "export", "inspect-mps"])
-def test_cli_seed_only_on_run(command, tmp_path, capsys):
+@pytest.mark.parametrize("command", ["run", "sweep", "export", "inspect-mps"])
+def test_cli_refuses_restated_settings(command, tmp_path, capsys):
+    # the config holds seed and a table's assume_symmetric; no option restates
+    # them, and inspect-mps has one output format, so it takes no --format
     cfg = write_config(tmp_path, minimal_doc())
-    with pytest.raises(SystemExit) as exc:
-        main([command, "--config", cfg, "--seed", "1"])
-    assert exc.value.code == 2
-    assert "--seed" in capsys.readouterr().err
+    options = [["--seed", "1"], ["--assume-symmetric"]]
+    if command == "inspect-mps":
+        options.append(["--format", "json"])
+    for option in options:
+        with pytest.raises(SystemExit) as exc:
+            main([command, "--config", cfg, *option])
+        assert exc.value.code == 2
+        assert option[0] in capsys.readouterr().err
+
+
+def test_outputs_is_an_unknown_key(tmp_path, capsys):
+    # output paths belong to the command line (--out), not to the config
+    outputs = {"report_path": "r.json"}
+    run_doc = minimal_doc(outputs=outputs)
+    sweep_doc = {"base": minimal_doc(outputs=outputs), "vary": {"bond_dims": [2]}}
+    for command, doc in (("run", run_doc), ("sweep", sweep_doc)):
+        with pytest.raises(ConfigError, match="unknown key"):
+            config_from_dict(doc)
+        assert main([command, "--config", write_config(tmp_path, doc)]) == 2
+        assert "unknown key" in capsys.readouterr().err
 
 
 def test_report_csv_format(tmp_path, capsys):
@@ -433,30 +474,26 @@ def test_report_csv_format(tmp_path, capsys):
 
 
 def test_cli_writes_outputs_atomically(tmp_path, capsys, monkeypatch):
+    cfg = write_config(tmp_path, minimal_doc())
     out = tmp_path / "out"
     out.mkdir()
     report, circ = out / "report.json", out / "circ.qasm"
-    doc = minimal_doc(outputs={"report_path": str(report), "circuit_path": str(circ)})
-    assert main(["run", "--config", write_config(tmp_path, doc)]) == 0
+    assert main(["run", "--config", cfg, "--out", str(report)]) == 0
     assert str(report) in capsys.readouterr().out
     assert json.loads(report.read_text())["config"]["n_qubits"] == 6
+    assert main(["export", "--config", cfg, "--format", "qasm_like", "--out", str(circ)]) == 0
     assert "cx q0,q5" in circ.read_text()
     assert sorted(p.name for p in out.iterdir()) == ["circ.qasm", "report.json"]
 
     # a failed write removes its temp file: a directory cannot be replaced
-    doc = minimal_doc(outputs={"report_path": str(out)})
-    assert main(["run", "--config", write_config(tmp_path, doc)]) == 1
-    capsys.readouterr()
-    assert sorted(p.name for p in out.iterdir()) == ["circ.qasm", "report.json"]
+    for command in ("run", "export"):
+        assert main([command, "--config", cfg, "--out", str(out)]) == 1
+        assert "error" in capsys.readouterr().err
+        assert sorted(p.name for p in out.iterdir()) == ["circ.qasm", "report.json"]
 
-    # the CLI owns 'outputs'; 'format' is not one of its keys
-    bad = write_config(tmp_path, minimal_doc(outputs={"format": "json"}), "bad.json")
-    assert main(["run", "--config", bad]) == 2
-    assert "unknown key" in capsys.readouterr().err
-
-    # the library writes nothing, whatever the document's outputs say
+    # the library writes nothing
     empty = tmp_path / "empty"
     empty.mkdir()
     monkeypatch.chdir(empty)
-    run_full(config_from_dict(minimal_doc(outputs={"report_path": "r.json", "circuit_path": "c.json"})))
+    run_full(config_from_dict(minimal_doc()))
     assert list(empty.iterdir()) == []
