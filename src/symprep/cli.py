@@ -6,9 +6,9 @@ state and report bond structure). Exit codes: 0 success, 2 config/validation
 error, 1 runtime error.
 
 The config file describes the computation and nothing else; the command
-line says only where the result goes (--out, default stdout) and in which
-format (--format). No option restates a config setting, and the config
-holds no output paths.
+line says only where the result goes (--out, default stdout; inspect-mps
+writes its MPS only to --out) and in which format (--format). No option
+restates a config setting, and the config holds no output paths.
 """
 
 from __future__ import annotations
@@ -43,18 +43,20 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = ap.add_subparsers(dest="command", required=True)
 
-    def common(p, *formats):
+    def common(p, *formats, out="output path (default: stdout)"):
         """--config and --out, plus --format when there is a choice (the
         first format is the default)."""
         p.add_argument("--config", required=True, help="path to a JSON config file")
-        p.add_argument("--out", default=None, help="output path (default: stdout)")
+        p.add_argument("--out", default=None, help=out)
         if formats:
             p.add_argument("--format", default=formats[0], choices=formats)
 
     common(sub.add_parser("run", help="execute one pipeline run"), "json", "csv")
     common(sub.add_parser("sweep", help="run a parameter sweep"), "csv", "json")
     common(sub.add_parser("export", help="export the preparation circuit"), "json", "qasm_like")
-    common(sub.add_parser("inspect-mps", help="bond structure of the encoded state"))
+    common(sub.add_parser("inspect-mps", help="bond structure of the encoded state"),
+           out="write the MPS as JSON to this path (default: the MPS is not written; "
+           "the bond summary always goes to stdout)")
     return ap
 
 

@@ -1,16 +1,16 @@
 """Discretize probability densities onto 2^n-point grids.
 
-Supports analytic families (normal, Lorentzian, Student's t) and tabulated
-weights, plus the left-half extraction used by the reflection-symmetry
+Supports analytic families (normal, Lorentzian, Student's t) and tables of
+inline weights, plus the left-half extraction used by the reflection-symmetry
 construction. Symmetric densities on symmetric grids come out bit-exactly
-mirror symmetric: the pdf is evaluated once per mirrored pair and copied.
+mirror symmetric: the pdf is evaluated once per mirrored pair and copied. A
+table is symmetric when its weights equal their mirror image. Nothing here
+reads or writes a file.
 """
 
 from __future__ import annotations
 
-import csv
 import math
-import os
 from dataclasses import dataclass, fields
 from typing import Callable
 
@@ -25,6 +25,7 @@ __all__ = [
     "FAMILIES",
     "TargetDistribution",
     "is_mirror_symmetric",
+    "check_fits",
     "sample_pdf",
     "left_half",
     "amplitudes",
@@ -138,26 +139,20 @@ FAMILIES = {
                          lambda s: s.x0, lambda s: s.gamma),
     "student_t": Family({"nu": 1.0}, "nu", _student_t_pdf,
                         lambda s: 0.0, lambda s: 1.0),  # unit scale, whatever nu
-    "table": Family({"path": None, "weights": (), "assume_symmetric": False}),
+    "table": Family({"weights": ()}),
 }
 
 
 def _param(kind: str, name: str, value):
     # the family default's type decides the value's type; numbers are kept as floats
-    default = FAMILIES[kind].params[name]
-    if isinstance(default, float):
+    if isinstance(FAMILIES[kind].params[name], float):
         if is_finite_number(value):
             return float(value)
         want = "a finite number"
-    elif isinstance(default, tuple):
+    else:  # a table's weights
         if isinstance(value, (list, tuple)) and all(is_finite_number(x) for x in value):
             return tuple(float(x) for x in value)
         want = "a list of finite numbers"
-    else:
-        typ = bool if isinstance(default, bool) else str
-        if isinstance(value, typ):
-            return value
-        want = f"a {typ.__name__}"
     raise DistError(f"{kind} {name} must be {want}, got {value!r}")
 
 
@@ -166,9 +161,10 @@ class DistSpec:
     """Density family plus parameters.
 
     kind: normal(mu, sigma2) | lorentzian(x0, gamma) | student_t(nu) |
-    table(path | weights, assume_symmetric). Parameters left unset take
-    the family's defaults; a parameter of another family is an error. A
-    value must have its default's type; numbers must be finite.
+    table(weights). Parameters left unset take the family's defaults; a
+    parameter of another family is an error. A value must have its
+    default's type; numbers must be finite. Table weights must be
+    non-negative with a positive finite sum.
     """
 
     kind: str
@@ -177,9 +173,7 @@ class DistSpec:
     x0: float | None = None
     gamma: float | None = None
     nu: float | None = None
-    path: str | None = None
     weights: tuple | None = None
-    assume_symmetric: bool | None = None
 
     def __post_init__(self):
         fam = FAMILIES.get(self.kind) if isinstance(self.kind, str) else None
@@ -194,8 +188,8 @@ class DistSpec:
                 raise DistError(f"{self.kind} has no parameter {f.name!r}")
         if fam.positive and not getattr(self, fam.positive) > 0:
             raise DistError(f"{self.kind} needs {fam.positive} > 0, got {getattr(self, fam.positive)}")
-        if self.kind == "table" and (self.path is None) == (not self.weights):
-            raise DistError("table spec needs exactly one of a path or inline weights")
+        if self.kind == "table" and (min(self.weights, default=0.0) < 0 or not 0 < sum(self.weights) < math.inf):
+            raise DistError("table weights must be non-negative with a positive finite sum")
 
     def pdf(self, x: np.ndarray) -> np.ndarray:
         fam = FAMILIES[self.kind]
@@ -205,12 +199,20 @@ class DistSpec:
 
 
 def is_mirror_symmetric(spec: DistSpec, grid: Grid) -> bool:
-    """True when p[k] == p[2^n-1-k] by construction: an analytic density
-    centered on the grid center, or a table flagged assume_symmetric."""
+    """True when the sampled p has p[k] == p[2^n-1-k] exactly: an analytic
+    density centered on the grid center (sampled once per mirrored pair), or
+    a table whose weights equal their mirror image."""
     center = FAMILIES[spec.kind].center
     if center is None:
-        return bool(spec.assume_symmetric)
+        return spec.weights == spec.weights[::-1]
     return abs(center(spec) - grid.center) <= 1e-12 * (grid.max - grid.min)
+
+
+def check_fits(spec: DistSpec, grid: Grid) -> None:
+    """Raise DistError unless the spec can be sampled on the grid: a table
+    needs one weight per grid point."""
+    if spec.kind == "table" and len(spec.weights) != grid.size:
+        raise DistError(f"table has {len(spec.weights)} weights, grid needs {grid.size}")
 
 
 @dataclass(frozen=True)
@@ -219,7 +221,6 @@ class TargetDistribution:
 
     grid: Grid
     p: np.ndarray
-    symmetric: bool = False
 
     def __post_init__(self):
         p = np.asarray(self.p, dtype=float)
@@ -232,24 +233,6 @@ class TargetDistribution:
         if abs(float(p.sum()) - 1.0) > 1e-12:
             raise DistError(f"probabilities sum to {p.sum():.17g}, not 1")
         object.__setattr__(self, "p", p)
-
-
-def _read_table(path: str) -> np.ndarray:
-    if not os.path.exists(path):
-        raise DistError(f"table file not found: {path}")
-    vals = []
-    with open(path, newline="") as fh:
-        for row in csv.reader(fh):
-            if not row or not row[0].strip():
-                continue
-            cell = row[0].strip()
-            if cell.lower() == "weight":  # optional header
-                continue
-            try:
-                vals.append(float(cell))
-            except ValueError as exc:
-                raise DistError(f"bad table entry {cell!r} in {path}") from exc
-    return np.asarray(vals, dtype=float)
 
 
 def _exact_normalize(w: np.ndarray, symmetric: bool) -> np.ndarray:
@@ -280,13 +263,13 @@ def sample_pdf(spec: DistSpec, grid: Grid) -> TargetDistribution:
 
     Symmetric analytic specs centered on the grid center are evaluated once
     per mirrored pair and copied, so p[k] == p[2^n-1-k] holds bit-exactly.
+    Table weights are normalized as given.
     """
+    check_fits(spec, grid)
     n = grid.size
     sym = is_mirror_symmetric(spec, grid)
     if spec.kind == "table":
-        w = np.array(spec.weights, dtype=float) if spec.weights else _read_table(spec.path)
-        if w.shape != (n,):
-            raise DistError(f"table has {w.size} weights, grid needs {n}")
+        w = np.array(spec.weights)
     elif sym:
         f_left = spec.pdf(grid.points()[: n // 2])
         w = np.concatenate([f_left, f_left[::-1]])
@@ -296,11 +279,7 @@ def sample_pdf(spec: DistSpec, grid: Grid) -> TargetDistribution:
         raise DistError(f"{spec.kind} weights on the grid must be finite and non-negative")
     if not np.any(w > 0):
         raise DistError(f"{spec.kind} weights are zero on every grid point")
-    if spec.kind == "table" and sym:
-        if np.max(np.abs(w - w[::-1])) > 1e-12 * float(np.max(w)):
-            raise DistError("assume_symmetric set but table is not mirror symmetric")
-        w = 0.5 * (w + w[::-1])  # make the pairing bit-exact
-    return TargetDistribution(grid, _exact_normalize(w, sym), symmetric=sym)
+    return TargetDistribution(grid, _exact_normalize(w, sym))
 
 
 def left_half(t: TargetDistribution) -> TargetDistribution:
@@ -314,7 +293,7 @@ def left_half(t: TargetDistribution) -> TargetDistribution:
     if not np.any(w > 0):
         raise DistError("left half of the distribution is zero everywhere")
     sub = Grid(t.grid.min, t.grid.center, n - 1, t.grid.convention)
-    return TargetDistribution(sub, _exact_normalize(w, False), symmetric=False)
+    return TargetDistribution(sub, _exact_normalize(w, False))
 
 
 def amplitudes(t: TargetDistribution) -> np.ndarray:

@@ -14,7 +14,7 @@ import json
 
 import numpy as np
 
-from .numerics import is_orthonormal, svd
+from .numerics import is_int, is_orthonormal, svd
 
 __all__ = [
     "MpsError",
@@ -100,10 +100,16 @@ class Mps:
         return f"Mps(n={self.n_qubits}, bond_dims={self.bond_dims}, canonical={self.canonical!r})"
 
 
+def _check_count(name: str, v) -> None:
+    # bond caps and site numbers follow numerics.is_int, and are at least 1
+    if not (is_int(v) and v >= 1):
+        raise MpsError(f"{name} must be an integer >= 1, got {v!r}")
+
+
 def _kept(s: np.ndarray, chi: int | None = None) -> int:
     # The rank rule: how many singular values survive, at least one.
     k = int(np.count_nonzero(s > _RANK_CUTOFF * s[0])) or 1
-    return k if chi is None else min(k, int(chi))
+    return k if chi is None else min(k, chi)
 
 
 def mps_from_statevector(v, chi_max: int | None = None) -> Mps:
@@ -121,8 +127,8 @@ def mps_from_statevector(v, chi_max: int | None = None) -> Mps:
     nrm = float(np.linalg.norm(v))
     if abs(nrm - 1.0) > 1e-10:
         raise MpsError(f"statevector norm is {nrm:.12g}, need 1 within 1e-10")
-    if chi_max is not None and chi_max < 1:
-        raise MpsError(f"chi_max must be >= 1, got {chi_max}")
+    if chi_max is not None:
+        _check_count("chi_max", chi_max)
 
     tensors: list = [None] * n
     m = v.reshape(2 ** (n - 1), 2)
@@ -212,8 +218,7 @@ def truncate(m: Mps, chi: int):
     Truncating to at least the current max bond dim returns the input
     tensors unchanged with error 0.
     """
-    if chi < 1:
-        raise MpsError(f"chi must be >= 1, got {chi}")
+    _check_count("chi", chi)
     if m.canonical != "left":
         raise MpsError("truncate needs a canonical-form input")
     if chi >= max(m.bond_dims):
@@ -244,6 +249,9 @@ def apply_gate_run(m: Mps, gates, top: int, chi_max: int | None = None):
             raise MpsError(f"gate must be 4x4, got {g.shape}")
         if not is_orthonormal(g):
             raise MpsError("gate is not orthogonal within 1e-10")
+    _check_count("top", top)
+    if chi_max is not None:
+        _check_count("chi_max", chi_max)
     n = m.n_qubits
     bottom = top - len(gates) + 1
     if not 1 <= bottom <= top <= n - 1:

@@ -25,6 +25,7 @@ from .dist import (
     Grid,
     TargetDistribution,
     amplitudes,
+    check_fits,
     is_mirror_symmetric,
     left_half,
     sample_pdf,
@@ -103,10 +104,14 @@ class RunConfig:
             raise ConfigError(f"num_layers must be >= 1, got {self.num_layers}")
         if self.grid.n_qubits != self.n_qubits:
             raise ConfigError("grid qubit count does not match n_qubits")
+        try:
+            check_fits(self.dist, self.grid)
+        except DistError as exc:
+            raise ConfigError(str(exc)) from exc
         if self.method == "symmetry" and not is_mirror_symmetric(self.dist, self.grid):
             raise ConfigError(
                 "method=symmetry needs a density that is mirror symmetric about "
-                "the grid center (or a table with assume_symmetric set)"
+                "the grid center (a table: weights equal to their mirror image)"
             )
 
 

@@ -11,6 +11,7 @@ from symprep.dist import (
     DistSpec,
     Grid,
     amplitudes,
+    is_mirror_symmetric,
     left_half,
     sample_pdf,
 )
@@ -44,8 +45,9 @@ def test_grid_validation():
 
 
 def test_sample_pdf_normal_symmetric_bit_exact():
-    t = sample_pdf(DistSpec("normal", mu=0.0, sigma2=0.01), Grid(-0.5, 0.5, 10))
-    assert t.symmetric
+    spec, grid = DistSpec("normal", mu=0.0, sigma2=0.01), Grid(-0.5, 0.5, 10)
+    assert is_mirror_symmetric(spec, grid)
+    t = sample_pdf(spec, grid)
     assert t.p[511] == t.p[512]
     assert np.array_equal(t.p, t.p[::-1])  # mirrored pairs copied, bit-exact
     assert abs(t.p.sum() - 1.0) <= 1e-12
@@ -63,57 +65,48 @@ def test_sample_pdf_lorentzian_heavier_tails():
 
 
 def test_sample_pdf_offcenter_normal_not_symmetric():
-    t = sample_pdf(DistSpec("normal", mu=0.3, sigma2=0.01), Grid(-0.5, 0.5, 6))
-    assert not t.symmetric
+    spec, grid = DistSpec("normal", mu=0.3, sigma2=0.01), Grid(-0.5, 0.5, 6)
+    assert not is_mirror_symmetric(spec, grid)
+    t = sample_pdf(spec, grid)
     assert abs(t.p.sum() - 1.0) <= 1e-12
 
 
-def test_table_point_mass(tmp_path):
-    path = tmp_path / "w.csv"
-    rows = ["weight"] + ["0.0"] * 16
-    rows[5] = "2.5"  # single nonzero entry, index 4 after the header
-    path.write_text("\n".join(rows) + "\n")
-    t = sample_pdf(DistSpec("table", path=str(path)), Grid(0.0, 1.0, 4))
+def test_table_point_mass():
+    w = [0.0] * 16
+    w[4] = 2.5  # single nonzero entry
+    t = sample_pdf(DistSpec("table", weights=w), Grid(0.0, 1.0, 4))
     expect = np.zeros(16)
     expect[4] = 1.0
     assert np.array_equal(t.p, expect)
 
 
-def test_table_row_count_and_negatives(tmp_path):
-    short = tmp_path / "short.csv"
-    short.write_text("1.0\n2.0\n")
-    with pytest.raises(DistError):
-        sample_pdf(DistSpec("table", path=str(short)), Grid(0.0, 1.0, 4))
-    neg = tmp_path / "neg.csv"
-    neg.write_text("\n".join(["1.0"] * 15 + ["-0.5"]) + "\n")
-    with pytest.raises(DistError):
-        sample_pdf(DistSpec("table", path=str(neg)), Grid(0.0, 1.0, 4))
-    with pytest.raises(DistError):
-        sample_pdf(DistSpec("table", weights=(0.0,) * 16), Grid(0.0, 1.0, 4))
+def test_table_row_count_and_negatives():
+    with pytest.raises(DistError, match="grid needs 16"):
+        sample_pdf(DistSpec("table", weights=(1.0, 2.0)), Grid(0.0, 1.0, 4))
+    with pytest.raises(DistError, match="non-negative"):
+        DistSpec("table", weights=(1.0,) * 15 + (-0.5,))
+    with pytest.raises(DistError, match="positive finite sum"):
+        DistSpec("table", weights=(0.0,) * 16)
 
 
-def test_table_assume_symmetric():
-    w = tuple(float(x) for x in [1, 2, 3, 4, 4, 3, 2, 1])
-    t = sample_pdf(
-        DistSpec("table", weights=w, assume_symmetric=True), Grid(0.0, 1.0, 3)
-    )
-    assert t.symmetric and np.array_equal(t.p, t.p[::-1])
-    with pytest.raises(DistError):
-        sample_pdf(
-            DistSpec("table", weights=(1.0, 2.0, 3.0, 4.0, 9.0, 3.0, 2.0, 1.0),
-                     assume_symmetric=True),
-            Grid(0.0, 1.0, 3),
-        )
+def test_table_symmetry_read_off_weights():
+    grid = Grid(0.0, 1.0, 3)
+    mirrored = DistSpec("table", weights=(1.0, 2.0, 3.0, 4.0, 4.0, 3.0, 2.0, 1.0))
+    assert is_mirror_symmetric(mirrored, grid)
+    t = sample_pdf(mirrored, grid)
+    assert np.array_equal(t.p, t.p[::-1])
+    # one weight off: not symmetric, and sampled as given (no averaging)
+    w = (1.0, 2.0, 3.0, 4.0, 9.0, 3.0, 2.0, 1.0)
+    off = DistSpec("table", weights=w)
+    assert not is_mirror_symmetric(off, grid)
+    assert np.allclose(sample_pdf(off, grid).p, np.array(w) / sum(w), rtol=1e-15, atol=0)
 
 
 def test_table_symmetric_zero_center_pair():
     # the normalisation residual must not land on a zero centre pair, where
     # rounding would leave it slightly negative and the table be refused
     half = [0.641771001269369, 0.5822868192737389, 0.08126313318700795, 0.0]
-    t = sample_pdf(
-        DistSpec("table", weights=tuple(half + half[::-1]), assume_symmetric=True),
-        Grid(0.0, 1.0, 3),
-    )
+    t = sample_pdf(DistSpec("table", weights=half + half[::-1]), Grid(0.0, 1.0, 3))
     assert np.all(t.p >= 0) and np.array_equal(t.p, t.p[::-1])
     assert t.p[3] == t.p[4] == 0.0
     assert float(t.p.sum()) == 1.0
@@ -174,10 +167,10 @@ def test_spec_validation():
         DistSpec("student_t", nu=0.0)
     with pytest.raises(DistError):
         DistSpec("gauss")
-    with pytest.raises(DistError):
+    with pytest.raises(DistError):  # no weights sum to zero
         DistSpec("table")
-    with pytest.raises(DistError):  # exactly one of path or weights
-        DistSpec("table", path="weights.csv", weights=(1.0,) * 16)
+    with pytest.raises(DistError):  # the sum must be finite
+        DistSpec("table", weights=(1e308, 1e308))
 
 
 # scipy.stats evaluates each family with the same operations in the same order

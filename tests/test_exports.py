@@ -33,6 +33,16 @@ def test_no_allclose_in_src():
     assert not offenders, f"allclose( in {offenders}; use numerics.is_orthonormal"
 
 
+def test_file_io_stays_at_the_doors():
+    # the compute code reads and writes no file: only the CLI (its outputs)
+    # and pipeline.parse_config (the config file) open one
+    src = pathlib.Path(symprep.__file__).parent
+    offenders = [p.name for p in sorted(src.glob("*.py"))
+                 if p.name not in ("cli.py", "pipeline.py") and "open(" in p.read_text()]
+    assert not offenders, f"open( in {offenders}; file I/O belongs to cli.py and pipeline.parse_config"
+    assert (src / "pipeline.py").read_text().count("open(") == 1  # parse_config's
+
+
 def test_float_range_rule_lives_in_numerics():
     # numerics.is_finite_number is the one home of the finite-number rule;
     # a second reading of float_info would let the two drift apart.

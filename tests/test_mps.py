@@ -191,6 +191,19 @@ def test_truncate_noop_and_ghz():
         truncate(m, 0)
 
 
+@pytest.mark.parametrize("value", [True, 2.5, 2.0, "2", 0])
+@pytest.mark.parametrize("call", [
+    pytest.param(lambda m, v: mps_from_statevector(ghz(4), chi_max=v), id="mps_from_statevector chi_max"),
+    pytest.param(lambda m, v: truncate(m, v), id="truncate chi"),
+    pytest.param(lambda m, v: apply_gate_run(m, [np.eye(4)], 2, chi_max=v), id="apply_gate_run chi_max"),
+    pytest.param(lambda m, v: apply_gate_run(m, [np.eye(4)], v), id="apply_gate_run top"),
+])
+def test_mps_counts_are_integers(call, value):
+    # numerics.is_int, at least 1: no bool, float or str is read as a count
+    with pytest.raises(MpsError, match="must be an integer >= 1"):
+        call(mps_from_statevector(ghz(4)), value)
+
+
 def test_truncate_matches_dense_oracle():
     v = normal_amplitudes(10)
     m = mps_from_statevector(v)

@@ -91,10 +91,7 @@ def test_config_validation_errors():
         {"seed": 3.9},
         {"dist": {"kind": "normal", "sigma2": "0.01"}},
         {"grid": {"min": "-1", "max": 1.0}},
-        {"dist": {"kind": "table", "weights": [1.0] * 64, "assume_symmetric": "no"},
-         "grid": {"min": 0.0, "max": 1.0}},
         {"dist": {"kind": "table", "weights": ["1"] * 64}, "grid": {"min": 0.0, "max": 1.0}},
-        {"dist": {"kind": "table", "path": 5}, "grid": {"min": 0.0, "max": 1.0}},
         # json.load accepts Infinity and NaN, and integers past the float range
         {"dist": {"kind": "normal", "sigma2": float("inf")}, "grid": {"min": -0.5, "max": 0.5}},
         {"dist": {"kind": "normal", "sigma2": 10**400}, "grid": {"min": -0.5, "max": 0.5}},
@@ -103,7 +100,21 @@ def test_config_validation_errors():
         {"dist": {"kind": "normal", "mu": float("nan")}, "grid": {"min": -0.5, "max": 0.5}, "method": "baseline"},
         {"dist": {"kind": "table", "weights": [1.0] * 63 + [float("nan")]}, "grid": {"min": 0.0, "max": 1.0},
          "method": "baseline"},
-        # a table takes exactly one of path and weights
+        # every table fault is refused before sampling: a length that is not
+        # 2^n, a negative weight, no mass, a table that is not its own mirror
+        # image under method symmetry, and the keys of a symmetry flag and a
+        # side file, which a table no longer has
+        {"dist": {"kind": "table", "weights": [1.0, 2.0, 3.0]}, "grid": {"min": 0.0, "max": 1.0},
+         "n_qubits": 4, "method": "baseline"},
+        {"dist": {"kind": "table", "weights": [1.0] * 63 + [-0.5]}, "grid": {"min": 0.0, "max": 1.0},
+         "method": "baseline"},
+        {"dist": {"kind": "table", "weights": [0.0] * 64}, "grid": {"min": 0.0, "max": 1.0},
+         "method": "baseline"},
+        {"dist": {"kind": "table", "weights": list(range(1, 17))}, "grid": {"min": 0.0, "max": 1.0},
+         "n_qubits": 4, "method": "symmetry"},
+        {"dist": {"kind": "table", "weights": [1.0] * 64, "assume_symmetric": True},
+         "grid": {"min": 0.0, "max": 1.0}},
+        {"dist": {"kind": "table", "path": 5}, "grid": {"min": 0.0, "max": 1.0}},
         {"dist": {"kind": "table", "path": "missing.csv", "weights": [1.0] * 64},
          "grid": {"min": 0.0, "max": 1.0}, "method": "baseline"},
         {"dist": 5},
@@ -153,10 +164,12 @@ def _direct(**over):
         pytest.param(lambda: DistSpec("normal", mu=float("nan")), DistError, id="mu nan"),
         pytest.param(lambda: DistSpec("normal", sigma2=float("inf")), DistError, id="sigma2 inf"),
         pytest.param(lambda: DistSpec("normal", sigma2=10**400), DistError, id="sigma2 10**400"),
-        pytest.param(lambda: DistSpec("table", weights=(1.0,) * 64, assume_symmetric="no"), DistError, id="assume_symmetric str"),
         pytest.param(lambda: DistSpec("table", weights=("1",) * 64), DistError, id="weights str"),
         pytest.param(lambda: DistSpec("table", weights=(1.0,) * 63 + (float("nan"),)), DistError, id="weights nan"),
-        pytest.param(lambda: DistSpec("table", path=5), DistError, id="path int"),
+        pytest.param(lambda: DistSpec("table", weights=(1.0,) * 63 + (-0.5,)), DistError, id="weights negative"),
+        pytest.param(lambda: DistSpec("table", weights=(0.0,) * 64), DistError, id="weights all zero"),
+        pytest.param(lambda: _direct(dist=DistSpec("table", weights=(1.0,) * 3), grid=Grid(0.0, 1.0, 6),
+                                     method="baseline"), ConfigError, id="weights length 3 at n=6"),
         pytest.param(lambda: Grid("-1", 1.0, 4), DistError, id="grid.min str"),
         pytest.param(lambda: Grid(-1, 1.0, 4.5), DistError, id="grid n_qubits 4.5"),
     ],
@@ -206,29 +219,26 @@ def test_symmetry_method_needs_symmetric_density():
     with pytest.raises(ConfigError):
         config_from_dict(doc)
     assert config_from_dict({**doc, "method": "baseline"}).method == "baseline"
-    # tables only pass with the explicit flag
+    # a table passes when its weights equal their mirror image, bit for bit
     tdoc = {
-        "dist": {"kind": "table", "weights": [1.0] * 16},
+        "dist": {"kind": "table", "weights": [1.0] * 15 + [1.0 + 2**-52]},
         "grid": {"min": 0.0, "max": 1.0},
         "n_qubits": 4,
     }
-    with pytest.raises(ConfigError):
+    with pytest.raises(ConfigError, match="mirror symmetric"):
         config_from_dict(tdoc)
-    flagged = {**tdoc, "dist": {**tdoc["dist"], "assume_symmetric": True}}
-    cfg = config_from_dict(flagged)
-    assert cfg.dist.assume_symmetric
+    cfg = config_from_dict({**tdoc, "dist": {"kind": "table", "weights": [1.0] * 16}})
+    assert cfg.method == "symmetry"
     # the half state of a symmetric n=3 run is too small for a layer
-    t3 = {**tdoc, "dist": {"kind": "table", "weights": [1.0] * 8, "assume_symmetric": True},
-          "n_qubits": 3}
+    t3 = {**tdoc, "dist": {"kind": "table", "weights": [1.0] * 8}, "n_qubits": 3}
     with pytest.raises(ConfigError, match="n_qubits >= 4"):
         config_from_dict(t3)
 
 
-def test_cli_runs_flagged_table_with_symmetry(tmp_path, capsys):
-    # the table's own key is the one way to declare it symmetric
+def test_cli_runs_mirrored_table_with_symmetry(tmp_path, capsys):
+    # method symmetry is the one declaration: the weights show the symmetry
     doc = {
-        "dist": {"kind": "table", "weights": [1.0, 2.0, 3.0, 4.0] * 2 + [4.0, 3.0, 2.0, 1.0] * 2,
-                 "assume_symmetric": True},
+        "dist": {"kind": "table", "weights": [1.0, 2.0, 3.0, 4.0] * 2 + [4.0, 3.0, 2.0, 1.0] * 2},
         "grid": {"min": 0.0, "max": 1.0},
         "n_qubits": 4,
         "method": "symmetry",
@@ -236,9 +246,9 @@ def test_cli_runs_flagged_table_with_symmetry(tmp_path, capsys):
     assert main(["run", "--config", write_config(tmp_path, doc)]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["config"]["method"] == "symmetry"
-    assert report["config"]["dist"]["assume_symmetric"] is True
-    unflagged = {**doc, "dist": {k: v for k, v in doc["dist"].items() if k != "assume_symmetric"}}
-    assert main(["run", "--config", write_config(tmp_path, unflagged, "unflagged.json")]) == 2
+    assert report["config"]["dist"] == {"kind": "table", "inline_weights": 16}
+    unmirrored = {**doc, "dist": {"kind": "table", "weights": [1.0, 2.0, 3.0, 4.0] * 4}}
+    assert main(["run", "--config", write_config(tmp_path, unmirrored, "unmirrored.json")]) == 2
     assert "mirror symmetric" in capsys.readouterr().err
 
 
@@ -336,32 +346,27 @@ def test_sweep_qubit_counts():
     assert all(row["error"] == "" for row in rows)
 
 
-def test_sweep_continues_past_failures(tmp_path):
-    missing = str(tmp_path / "nope.csv")
-    base = {
-        "dist": {"kind": "table", "path": missing},
-        "grid": {"min": 0.0, "max": 1.0},
-        "n_qubits": 4,
-        "method": "baseline",
-    }
-    cfg = config_from_dict({"base": base, "vary": {"layer_counts": [1, 2]}})
+# a valid config whose density underflows to zero on every grid point: a
+# runtime failure of stage sample_pdf
+UNDERFLOW = {
+    "dist": {"kind": "normal", "mu": 0.0, "sigma2": 1e-4},
+    "grid": {"min": 10.0, "max": 11.0},
+    "n_qubits": 4,
+    "method": "baseline",
+}
+
+
+def test_sweep_continues_past_failures():
+    cfg = config_from_dict({"base": UNDERFLOW, "vary": {"layer_counts": [1, 2]}})
     reports, rows = sweep_full(cfg)
     assert reports == []
     assert len(rows) == 2
-    assert all("not found" in row["error"] for row in rows)
+    assert all("zero on every grid point" in row["error"] for row in rows)
 
 
-def test_pipeline_error_carries_stage(tmp_path):
-    missing = str(tmp_path / "nope.csv")
-    cfg = config_from_dict(
-        {
-            "dist": {"kind": "table", "path": missing},
-            "grid": {"min": 0.0, "max": 1.0},
-            "n_qubits": 4,
-            "method": "baseline",
-        }
-    )
-    with pytest.raises(PipelineError, match="sample_pdf"):
+def test_pipeline_error_carries_stage():
+    cfg = config_from_dict(UNDERFLOW)
+    with pytest.raises(PipelineError, match="stage sample_pdf: normal weights are zero on every grid point"):
         run(cfg)
 
 
@@ -392,17 +397,8 @@ def test_cli_run_and_exit_codes(tmp_path, capsys):
     assert main(["run", "--config", sweep_cfg]) == 2
     capsys.readouterr()
 
-    missing_table = write_config(
-        tmp_path,
-        {
-            "dist": {"kind": "table", "path": str(tmp_path / "nope.csv")},
-            "grid": {"min": 0.0, "max": 1.0},
-            "n_qubits": 4,
-            "method": "baseline",
-        },
-        "table.json",
-    )
-    assert main(["run", "--config", missing_table]) == 1
+    underflow = write_config(tmp_path, UNDERFLOW, "underflow.json")
+    assert main(["run", "--config", underflow]) == 1
     assert "sample_pdf" in capsys.readouterr().err
 
 
@@ -430,6 +426,13 @@ def test_cli_export_and_inspect(tmp_path, capsys):
     saved = json.loads(out.read_text())
     assert saved["n_qubits"] == 5  # symmetry method encodes the half state
 
+    # without --out the MPS goes nowhere: stdout holds the summary alone
+    assert main(["inspect-mps", "--config", cfg]) == 0
+    assert json.loads(capsys.readouterr().out)["n_qubits"] == 5
+    with pytest.raises(SystemExit):
+        main(["inspect-mps", "--help"])
+    assert "the MPS is not written" in " ".join(capsys.readouterr().out.split())
+
 
 def test_cli_seed_recorded(tmp_path, capsys):
     cfg = write_config(tmp_path, minimal_doc(seed=7))
@@ -440,8 +443,9 @@ def test_cli_seed_recorded(tmp_path, capsys):
 
 @pytest.mark.parametrize("command", ["run", "sweep", "export", "inspect-mps"])
 def test_cli_refuses_restated_settings(command, tmp_path, capsys):
-    # the config holds seed and a table's assume_symmetric; no option restates
-    # them, and inspect-mps has one output format, so it takes no --format
+    # the config holds seed and method (the one symmetry declaration); no
+    # option restates them, and inspect-mps has one output format, so it
+    # takes no --format
     cfg = write_config(tmp_path, minimal_doc())
     options = [["--seed", "1"], ["--assume-symmetric"]]
     if command == "inspect-mps":
