@@ -21,7 +21,7 @@ print(f"{circ.n_qubits} qubits, {len(circ.gates)} gates")
 for g in circ.gates:
     print(f"  {g.kind:9s} on {g.qubits}")
 
-stats = sp.accounting(circ, num_layers=1, symmetry=True)
+stats = res.report.gate_stats  # accounting of the emitted circuit
 print(f"\nCNOT depth = {stats.cnot_depth_counted}")
 print(f"two-qubit gate count = {stats.two_qubit_gate_count}")
 

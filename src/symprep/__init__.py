@@ -32,7 +32,6 @@ from .disentangler import (
     MpdLayer,
     build_layer,
     build_stack,
-    residual,
 )
 from .circuit import (
     Circuit,
@@ -44,6 +43,7 @@ from .circuit import (
     export_circuit,
     import_circuit,
     prep_circuit,
+    residual,
     simulate,
 )
 from .metrics import (
@@ -78,9 +78,9 @@ __all__ = [
     "truncate", "apply_gate_run", "is_left_canonical",
     "mps_to_json", "mps_from_json",
     "DisentanglerError", "MpdLayer", "DisentanglerStack",
-    "build_layer", "build_stack", "residual",
+    "build_layer", "build_stack",
     "CircuitError", "GateOp", "Circuit", "GateStats",
-    "prep_circuit", "add_reflection_wrapper", "simulate", "accounting",
+    "prep_circuit", "add_reflection_wrapper", "simulate", "residual", "accounting",
     "export_circuit", "import_circuit",
     "MetricsError", "MetricsReport", "kl_divergence", "classical_fidelity",
     "meyer_wallach_direct", "meyer_wallach_purity",

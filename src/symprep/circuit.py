@@ -1,5 +1,6 @@
 """Circuit intermediate representation, reflection wrapper, dense simulator,
-depth/count accounting, and export.
+depth/count accounting, and export. `simulate` is the library's one dense
+interpreter: `residual` checks a stack by running the circuit it emits.
 
 Qubit 0 (the top wire, and the reflection qubit when the wrapper is used) is
 the most significant bit of the basis index, which makes the mirror map
@@ -20,7 +21,7 @@ import numpy as np
 
 from . import statevec
 from .disentangler import DisentanglerStack
-from .mps import DENSE_LIMIT
+from .mps import DENSE_LIMIT, Mps, to_statevector
 from .numerics import is_finite_number, is_int, is_orthonormal
 
 __all__ = [
@@ -31,6 +32,7 @@ __all__ = [
     "prep_circuit",
     "add_reflection_wrapper",
     "simulate",
+    "residual",
     "accounting",
     "export_circuit",
     "import_circuit",
@@ -161,7 +163,7 @@ def simulate(c: Circuit) -> np.ndarray:
     Each gate is one einsum on a view of the state, a named CNOT a
     permutation, and a qubit's axis has width 1 until a gate first touches
     it: a staircase layer on |0...0> costs O(2^n), gate q working on 2^(q+2)
-    amplitudes. The amplitudes equal the kernels' on flat 2^n vectors.
+    amplitudes. The amplitudes equal the kernels' on full-width states.
     """
     n = c.n_qubits
     if n > DENSE_LIMIT:
@@ -187,6 +189,15 @@ def simulate(c: Circuit) -> np.ndarray:
     if abs(nrm - 1.0) > 1e-12:
         raise CircuitError(f"simulation lost norm: {nrm:.15g}")
     return psi
+
+
+def residual(m: Mps, stack: DisentanglerStack) -> float:
+    """1 - <psi|prepared>^2 for the state psi of m and the state the emitted
+    circuit prep_circuit(stack) prepares from |0...0>, computed densely."""
+    if m.n_qubits != stack.n_qubits:
+        raise CircuitError("qubit count mismatch between state and stack")
+    overlap = float(to_statevector(m) @ simulate(prep_circuit(stack)))
+    return max(0.0, 1.0 - overlap**2)
 
 
 # realignment singular-value ratio at or below which a 4x4 gate is a product gate
@@ -230,6 +241,8 @@ def accounting(c: Circuit, num_layers: int = 1, symmetry: bool = False) -> GateS
     """
     if not is_int(num_layers) or num_layers < 1:
         raise CircuitError(f"num_layers must be an integer >= 1, got {num_layers!r}")
+    if not isinstance(symmetry, bool):
+        raise CircuitError(f"symmetry must be a bool, got {symmetry!r}")
     if not c.gates:
         return GateStats(0, 0, 0, 0, 0)
     n = c.n_qubits

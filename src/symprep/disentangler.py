@@ -7,7 +7,7 @@ end gate first and then the chain gates' adjoints descending the chain, a
 layer maps its source state exactly to |0...0>. Stacking layers extends the
 construction to higher bond dimension: each layer is extracted from the
 chi=2 truncation of the current state, applied, and the residual state fed
-to the next layer.
+to the next layer, all on the MPS (`circuit.residual` is the dense check).
 
 Constrained gate columns are copied bit-exactly from the source tensors;
 free columns come from a deterministic orthogonal completion, the last of
@@ -22,8 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import statevec
-from .mps import Mps, apply_gate_run, to_statevector, truncate
+from .mps import Mps, apply_gate_run, truncate
 from .numerics import complete_isometry, is_int, is_orthonormal
 
 __all__ = [
@@ -32,7 +31,6 @@ __all__ = [
     "DisentanglerStack",
     "build_layer",
     "build_stack",
-    "residual",
 ]
 
 _CHI_WORK_CAP = 256
@@ -149,13 +147,6 @@ def _disentangle_mps(m: Mps, layer: MpdLayer, chi_work: int | None):
     return apply_gate_run(Mps(tensors, canonical="left"), gates, n - 1, chi_work)
 
 
-def _disentangle_dense(psi: np.ndarray, layer: MpdLayer) -> np.ndarray:
-    psi = statevec.apply_1q(psi, layer.end.T, layer.n_qubits - 1)
-    for q in reversed(range(len(layer.chain))):
-        psi = statevec.apply_2q(psi, layer.chain[q].T, q, q + 1)
-    return psi
-
-
 def build_stack(m: Mps, num_layers: int) -> DisentanglerStack:
     """Iteratively extract and apply layers.
 
@@ -190,13 +181,3 @@ def build_stack(m: Mps, num_layers: int) -> DisentanglerStack:
         residual_history=tuple(history),
         truncation_error=trunc_err,
     )
-
-
-def residual(m: Mps, stack: DisentanglerStack) -> float:
-    """1 - |<0...0| stack applied in order |psi>|^2, computed densely."""
-    if m.n_qubits != stack.n_qubits:
-        raise DisentanglerError("qubit count mismatch between state and stack")
-    psi = to_statevector(m)
-    for layer in stack.layers:
-        psi = _disentangle_dense(psi, layer)
-    return max(0.0, 1.0 - float(psi[0]) ** 2)

@@ -283,8 +283,9 @@ def sample_pdf(spec: DistSpec, grid: Grid) -> TargetDistribution:
 
 
 def left_half(t: TargetDistribution) -> TargetDistribution:
-    """First 2^{n-1} entries renormalized to sum 1, on an (n-1)-qubit grid
-    covering [min, center]."""
+    """First 2^{n-1} entries renormalized to sum 1, on the (n-1)-qubit grid
+    whose points are the parent grid's first 2^{n-1}: [min, center] for the
+    midpoint convention, [min, x_{2^{n-1}-1}] for the endpoint one."""
     n = t.grid.n_qubits
     if n < 3:
         raise DistError(f"left_half needs n_qubits >= 3, got {n}")
@@ -292,7 +293,9 @@ def left_half(t: TargetDistribution) -> TargetDistribution:
     w = t.p[:half].copy()
     if not np.any(w > 0):
         raise DistError("left half of the distribution is zero everywhere")
-    sub = Grid(t.grid.min, t.grid.center, n - 1, t.grid.convention)
+    g = t.grid
+    top = g.center if g.convention == "midpoint" else g.min + (half - 1) * (g.max - g.min) / (g.size - 1)
+    sub = Grid(g.min, top, n - 1, g.convention)
     return TargetDistribution(sub, _exact_normalize(w, False))
 
 

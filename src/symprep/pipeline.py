@@ -236,12 +236,11 @@ def parse_config(path: str) -> RunConfig | SweepConfig:
 
 
 def _config_echo(cfg: RunConfig) -> dict:
+    # the inverse of config_from_dict; a table's weights tuple echoes as a list
     dist = {"kind": cfg.dist.kind}
     for key in FAMILIES[cfg.dist.kind].params:
-        if key == "weights":
-            dist["inline_weights"] = len(cfg.dist.weights)
-        else:
-            dist[key] = getattr(cfg.dist, key)
+        v = getattr(cfg.dist, key)
+        dist[key] = list(v) if isinstance(v, tuple) else v
     return {
         "dist": dist,
         "grid": {
@@ -289,8 +288,6 @@ def run_full(config: RunConfig) -> RunResult:
             residual_infidelity=stack.residual_infidelity,
             gate_stats=stats,
         )
-    except (ConfigError, PipelineError):
-        raise
     except Exception as exc:
         raise PipelineError(f"stage {stage}: {exc}") from exc
 

@@ -1,8 +1,8 @@
-"""Dense statevector kernels shared by the simulator and the disentangler.
+"""Dense statevector kernels of `circuit.simulate`, the one dense interpreter.
 
 Qubit 0 is the most significant bit of the basis index throughout. For
 two-qubit gates the first listed wire is the higher-significance bit of the
-4x4 gate index. A state is a flat 2^n vector or an n-axis array in which an
+4x4 gate index. A state is an n-axis array, one axis per qubit, in which an
 untouched qubit's axis may have width 1 (`widen` appends its zero |1> slice).
 A kernel runs one einsum on a (left, 2, [mid, 2,] right) view of the state;
 `apply_cnot` is an exact permutation, a copy with the control=1 slice
@@ -14,7 +14,7 @@ from __future__ import annotations
 import numpy as np
 
 __all__ = [
-    "zero_state", "n_qubits_of", "widen", "apply_1q", "apply_2q", "apply_cnot", "HADAMARD", "CNOT"
+    "zero_state", "widen", "apply_1q", "apply_2q", "apply_cnot", "HADAMARD", "CNOT"
 ]
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
@@ -30,14 +30,8 @@ CNOT = np.array(
 )
 
 
-def n_qubits_of(psi: np.ndarray) -> int:
-    n = int(psi.size).bit_length() - 1
-    if 2**n != psi.size:
-        raise ValueError(f"statevector length {psi.size} is not a power of two")
-    return n
-
-
 def zero_state(n: int) -> np.ndarray:
+    """|0...0> as a flat 2^n vector, the input layout of `mps_from_statevector`."""
     v = np.zeros(2**n)
     v[0] = 1.0
     return v
@@ -53,11 +47,10 @@ def widen(psi: np.ndarray, qubits) -> np.ndarray:
 
 
 def _view(psi: np.ndarray, lo: int, hi: int) -> np.ndarray:
-    # (left, 2, right) when lo == hi, else (left, 2, mid, 2, right); a flat
-    # vector's axes all have width 2, an n-axis state's 1 or 2
-    s = psi.shape if psi.ndim > 1 else (2,) * n_qubits_of(psi)
-    if s[lo] != 2 or s[hi] != 2:
-        raise ValueError(f"qubit axes {lo} and {hi} of a {s} state need width 2")
+    # (left, 2, right) when lo == hi, else (left, 2, mid, 2, right)
+    s = psi.shape
+    if len(s) <= hi or s[lo] != 2 or s[hi] != 2:
+        raise ValueError(f"qubits {lo} and {hi} need axes of width 2, the state's shape is {s}")
     left, right = 1 << s[:lo].count(2), 1 << s[hi + 1 :].count(2)
     return psi.reshape(left, 2, right) if lo == hi else psi.reshape(left, 2, -1, 2, right)
 

@@ -199,6 +199,15 @@ def test_accounting_refuses_bad_layer_counts(num_layers):
         accounting(ghz_circuit(), num_layers=num_layers)
 
 
+@pytest.mark.parametrize("symmetry", ["no", 1, None], ids=repr)
+def test_accounting_refuses_non_bool_symmetry(symmetry):
+    # "no" is not read as true: the wrapper's n-1 would be added to the depth
+    c = prep_circuit(half_stack(6))
+    assert accounting(c, 1, False).cnot_depth_analytic == 6
+    with pytest.raises(CircuitError, match="symmetry must be a bool"):
+        accounting(c, 1, symmetry)
+
+
 def test_accounting_counted_depth_ghz():
     stats2 = accounting(ghz_circuit(), num_layers=1, symmetry=False)
     assert stats2.cnot_depth_counted == 1
@@ -248,18 +257,17 @@ def test_dense_vs_mps_simulator_agreement():
 
 
 # Reference kernels: moveaxis, einsum on the strided view, copy back. These
-# are the flat-vector kernels simulate ran before its view kernels, CNOT
+# are the full-width kernels simulate ran before its view kernels, CNOT
 # permutation and width-1 axes, and the oracle those are held to bit for bit.
+# They take and return n-axis states whose axes all have width 2.
 def ref_apply_1q(psi, g, q):
-    t = np.moveaxis(psi.reshape([2] * statevec.n_qubits_of(psi)), q, 0)
-    t = np.moveaxis(np.einsum("ij,j...->i...", g, t), 0, q)
-    return np.ascontiguousarray(t).reshape(-1)
+    t = np.moveaxis(np.einsum("ij,j...->i...", g, np.moveaxis(psi, q, 0)), 0, q)
+    return np.ascontiguousarray(t)
 
 
 def ref_apply_2q(psi, g, qa, qb):
-    t = np.moveaxis(psi.reshape([2] * statevec.n_qubits_of(psi)), (qa, qb), (0, 1))
-    t = np.moveaxis(np.einsum("uvst,st...->uv...", g.reshape(2, 2, 2, 2), t), (0, 1), (qa, qb))
-    return np.ascontiguousarray(t).reshape(-1)
+    t = np.einsum("uvst,st...->uv...", g.reshape(2, 2, 2, 2), np.moveaxis(psi, (qa, qb), (0, 1)))
+    return np.ascontiguousarray(np.moveaxis(t, (0, 1), (qa, qb)))
 
 
 def gate_matrix(g):
@@ -267,11 +275,11 @@ def gate_matrix(g):
 
 
 def ref_simulate(c):
-    psi = statevec.zero_state(c.n_qubits)
+    psi = statevec.zero_state(c.n_qubits).reshape((2,) * c.n_qubits)
     for g in c.gates:
         kernel = ref_apply_1q if len(g.qubits) == 1 else ref_apply_2q
         psi = kernel(psi, gate_matrix(g), *g.qubits)
-    return psi
+    return psi.reshape(-1)
 
 
 def kron_simulate(c):
@@ -339,7 +347,7 @@ def test_simulate_matches_reference_kernels(c):
 def test_flat_kernels_match_reference():
     rng = np.random.default_rng(17)
     for n in range(2, 9):
-        psi = rng.standard_normal(2**n)
+        psi = rng.standard_normal((2,) * n)
         g4, g2 = (np.linalg.qr(rng.standard_normal((d, d)))[0] for d in (4, 2))
         for qa in range(n):
             assert statevec.apply_1q(psi, g2, qa).tobytes() == ref_apply_1q(psi, g2, qa).tobytes()
@@ -348,6 +356,18 @@ def test_flat_kernels_match_reference():
                 assert got.tobytes() == ref_apply_2q(psi, g4, qa, qb).tobytes()
                 cnot = statevec.apply_cnot(psi, qa, qb)
                 assert cnot.tobytes() == ref_apply_2q(psi, statevec.CNOT, qa, qb).tobytes()
+
+
+def test_kernels_refuse_flat_vectors():
+    # one layout: a state has one axis per qubit, so a flat 2^n vector is
+    # refused, not read as a single wide qubit or indexed past its one axis
+    psi = np.ones(8) / np.sqrt(8.0)
+    with pytest.raises(ValueError, match="need axes of width 2"):
+        statevec.apply_2q(psi, np.eye(4), 1, 2)
+    with pytest.raises(ValueError, match="need axes of width 2"):
+        statevec.apply_1q(psi, np.eye(2), 0)
+    with pytest.raises(ValueError, match="need axes of width 2"):
+        statevec.apply_cnot(psi, 0, 1)
 
 
 def test_simulate_cost_is_linear_in_the_state(monkeypatch):

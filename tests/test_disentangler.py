@@ -6,15 +6,14 @@ from scipy import stats
 
 from symprep import disentangler, statevec
 from symprep import mps as mps_module
+from symprep.circuit import CircuitError, residual
 from symprep.disentangler import (
     DisentanglerError,
     DisentanglerStack,
     MpdLayer,
-    _disentangle_dense,
     _disentangle_mps,
     build_layer,
     build_stack,
-    residual,
 )
 from symprep.mps import (
     apply_gate_run,
@@ -44,6 +43,16 @@ def ghz(n):
     return v
 
 
+def disentangle_dense(psi, layer):
+    # Dense oracle of _disentangle_mps: the layer's adjoints (end gate, then
+    # the chain descending) on a flat 2^n vector, through the n-axis kernels.
+    n = layer.n_qubits
+    t = statevec.apply_1q(psi.reshape((2,) * n), layer.end.T, n - 1)
+    for q in reversed(range(n - 1)):
+        t = statevec.apply_2q(t, layer.chain[q].T, q, q + 1)
+    return t.reshape(-1)
+
+
 def single_layer_stack(m):
     layer = build_layer(m)
     return DisentanglerStack(layers=(layer,), n_qubits=m.n_qubits, residual_infidelity=0.0)
@@ -52,7 +61,7 @@ def single_layer_stack(m):
 def test_layer_on_zero_state_is_identity_at_zero():
     m = mps_from_statevector(statevec.zero_state(5))
     layer = build_layer(m)
-    psi = _disentangle_dense(statevec.zero_state(5), layer)
+    psi = disentangle_dense(statevec.zero_state(5), layer)
     assert abs(abs(psi[0]) - 1.0) <= 1e-12
 
 
@@ -206,7 +215,7 @@ def test_residual_qubit_mismatch():
     m = mps_from_statevector(ghz(4), chi_max=2)
     stack = single_layer_stack(m)
     m5 = mps_from_statevector(ghz(5), chi_max=2)
-    with pytest.raises(DisentanglerError):
+    with pytest.raises(CircuitError, match="qubit count mismatch"):
         residual(m5, stack)
 
 
@@ -218,7 +227,7 @@ def test_truncate_then_layer_pipeline_identity():
     assert residual(coarse, stack) <= 1e-10
     psi = to_statevector(coarse)
     for layer in stack.layers:
-        psi = _disentangle_dense(psi, layer)
+        psi = disentangle_dense(psi, layer)
     assert abs(abs(psi[0]) - 1.0) <= 1e-10
 
 
@@ -233,7 +242,7 @@ def test_layer_mps_path_matches_dense_oracle():
             m = random_mps(rng, n, chi)
             layer = build_layer(truncate(m, 2)[0])
             out, err = _disentangle_mps(m, layer, None)
-            dense = _disentangle_dense(to_statevector(m), layer)
+            dense = disentangle_dense(to_statevector(m), layer)
             assert np.max(np.abs(to_statevector(out) - dense)) <= 1e-12
             assert is_left_canonical(out)
             assert 0.0 <= err <= 1e-24  # only numerically zero ranks dropped
@@ -254,7 +263,7 @@ def test_one_gate_discarded_weight_is_the_infidelity():
         site = int(rng.integers(1, n))
         for chi in (1, 2, 3):
             out, err = apply_gate_run(m, [g], site, chi)
-            dense = statevec.apply_2q(v, g, site - 1, site)
+            dense = statevec.apply_2q(v.reshape((2,) * n), g, site - 1, site).reshape(-1)
             overlap = float(dense @ to_statevector(out))
             assert abs(err - (1.0 - overlap**2)) <= 1e-12
             assert out.bond_dims[site - 1] <= chi  # only the gate's bond is cut

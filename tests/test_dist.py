@@ -122,10 +122,16 @@ def test_left_half_monotone_normal():
     assert np.all(np.diff(h.p) > 0)  # strictly rising toward the mean
 
 
-def test_left_half_midpoint_subgrid_matches_parent_points():
-    t = sample_pdf(DistSpec("normal", mu=0.0, sigma2=0.04), Grid(-1.0, 1.0, 6))
-    h = left_half(t)
-    assert np.allclose(h.grid.points(), t.grid.points()[:32], atol=1e-15)
+@pytest.mark.parametrize("convention", ["midpoint", "endpoint"])
+def test_left_half_subgrid_matches_parent_points(convention):
+    # the half's grid points are the parent's first half: for the endpoint
+    # convention they end at x_{2^(n-1)-1}, not at the centre (at n=4 on
+    # [-1, 1] the half steps by 2/15 and ends at -1/15, not 0)
+    for n in (3, 4, 6, 9):
+        t = sample_pdf(DistSpec("normal", mu=0.0, sigma2=0.04), Grid(-1.0, 1.0, n, convention))
+        h = left_half(t)
+        assert h.grid.convention == convention and h.grid.n_qubits == n - 1
+        assert np.max(np.abs(h.grid.points() - t.grid.points()[: 2 ** (n - 1)])) <= 1e-15
 
 
 def test_left_half_mirror_reconstruction():

@@ -1,5 +1,6 @@
 """The public surface: every exported name resolves."""
 
+import ast
 import importlib
 import os
 import pathlib
@@ -69,3 +70,52 @@ def test_run_imports_no_scipy():
     out = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, check=True,
                          env={**os.environ, "PYTHONPATH": src}).stdout
     assert out.strip() == "[]", out
+
+
+MODULE_NAMES = {i.name for i in pkgutil.iter_modules(symprep.__path__)}
+
+
+def _symprep_imports(path):
+    # (module, name) for every import of a symprep module or of a name from
+    # one; module is the symprep submodule's name ("" for the package)
+    tree = ast.parse(path.read_text())
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom):
+            mod = node.module or ""
+            if node.level == 0 and not mod.startswith("symprep"):
+                continue
+            mod = mod.removeprefix("symprep").lstrip(".")
+            for alias in node.names:
+                yield mod, alias.name
+        elif isinstance(node, ast.Import):
+            for alias in node.names:
+                if alias.name.startswith("symprep."):
+                    yield alias.name.removeprefix("symprep."), None
+
+
+def test_one_dense_interpreter():
+    # circuit.simulate is the only dense interpreter: no other module runs
+    # the statevec kernels
+    src = pathlib.Path(symprep.__file__).parent
+    users = sorted({p.name for p in src.glob("*.py") for mod, name in _symprep_imports(p)
+                    if mod.startswith("statevec") or (mod == "" and name == "statevec")})
+    assert users == ["circuit.py"], users
+
+
+def _private(name):
+    return name.startswith("_") and not name.startswith("__")
+
+
+def test_no_private_names_shared_across_modules():
+    # neither imported (from .mps import _kept) nor reached through an
+    # imported module (statevec._view)
+    src = pathlib.Path(symprep.__file__).parent
+    shared = []
+    for p in sorted(src.glob("*.py")):
+        imports = list(_symprep_imports(p))
+        shared += [f"{p.name}: {mod}.{name}" for mod, name in imports if name and _private(name)]
+        modules = {name or mod for mod, name in imports if (name or mod) in MODULE_NAMES}
+        shared += [f"{p.name}: {n.value.id}.{n.attr}" for n in ast.walk(ast.parse(p.read_text()))
+                   if isinstance(n, ast.Attribute) and isinstance(n.value, ast.Name)
+                   and n.value.id in modules and _private(n.attr)]
+    assert not shared, f"private names shared across modules: {shared}"

@@ -322,7 +322,7 @@ def test_apply_gate_matches_dense_oracle():
         g = np.linalg.qr(rng.standard_normal((4, 4)))[0]
         site = int(rng.integers(1, 4))
         out = apply_gate_run(m, [g], site)[0]
-        dense = statevec.apply_2q(v, g, site - 1, site)
+        dense = statevec.apply_2q(v.reshape(2, 2, 2, 2), g, site - 1, site).reshape(-1)
         got = to_statevector(out)
         assert np.max(np.abs(got - dense)) <= 1e-10
         assert is_left_canonical(out)

@@ -204,6 +204,23 @@ def test_family_table(kind):
         config_from_dict({"dist": {**dist, "scale": 1.0}, "n_qubits": 6})
 
 
+@pytest.mark.parametrize("method", ["symmetry", "baseline"])
+@pytest.mark.parametrize("convention", ["midpoint", "endpoint"])
+@pytest.mark.parametrize("kind", list(FAMILIES))
+def test_config_echo_reads_back_as_the_config(kind, convention, method):
+    # the report's config echo is the config: through JSON and config_from_dict
+    # it gives back the RunConfig that ran, a table's weights included
+    if kind == "table":
+        dist = {"kind": kind, "weights": [1.0, 2.0, 0.5, 4.0, 4.0, 0.5, 2.0, 1.0] * 2}
+        grid = {"min": 0.0, "max": 1.0, "convention": convention}
+    else:
+        dist = {"kind": kind, **{k: v + 0.5 for k, v in FAMILIES[kind].params.items()}}
+        grid = {"convention": convention}
+    cfg = config_from_dict({"dist": dist, "grid": grid, "n_qubits": 4, "method": method, "seed": 3})
+    echo = run_full(cfg).report_doc["config"]
+    assert config_from_dict(json.loads(json.dumps(echo))) == cfg
+
+
 def test_n_qubits_limits():
     # refused before any 2^n allocation: at n=40 a sampled grid is 8 TiB
     with pytest.raises(ConfigError, match="<= 24"):
@@ -246,7 +263,7 @@ def test_cli_runs_mirrored_table_with_symmetry(tmp_path, capsys):
     assert main(["run", "--config", write_config(tmp_path, doc)]) == 0
     report = json.loads(capsys.readouterr().out)
     assert report["config"]["method"] == "symmetry"
-    assert report["config"]["dist"] == {"kind": "table", "inline_weights": 16}
+    assert report["config"]["dist"] == doc["dist"]
     unmirrored = {**doc, "dist": {"kind": "table", "weights": [1.0, 2.0, 3.0, 4.0] * 4}}
     assert main(["run", "--config", write_config(tmp_path, unmirrored, "unmirrored.json")]) == 2
     assert "mirror symmetric" in capsys.readouterr().err
