@@ -157,33 +157,48 @@ def add_reflection_wrapper(c: Circuit) -> Circuit:
     return Circuit(n_qubits=n, gates=tuple(gates))
 
 
+def _fanouts(gates) -> list:
+    # (kind, qubits, matrix) per gate, with each run of consecutive CNOTs on one
+    # control and distinct targets merged into one ("cnot", (control, *targets))
+    ops = []
+    for g in gates:
+        run = ops[-1][1] if ops and ops[-1][0] == "cnot" else ()
+        if g.kind == "cnot" and run[:1] == g.qubits[:1] and g.qubits[1] not in run:
+            ops[-1] = ("cnot", run + g.qubits[1:], None)
+        else:
+            ops.append((g.kind, g.qubits, g.matrix))
+    return ops
+
+
 def simulate(c: Circuit) -> np.ndarray:
     """Exact dense application of the gates in order to |0...0>.
 
-    Each gate is one einsum on a view of the state, a named CNOT a
-    permutation, and a qubit's axis has width 1 until a gate first touches
-    it: a staircase layer on |0...0> costs O(2^n), gate q working on 2^(q+2)
-    amplitudes. The amplitudes equal the kernels' on full-width states.
+    Each gate is one einsum on a view of the state, a run of consecutive
+    CNOTs from one control (the wrapper's fan-out) one permutation with one
+    copy of the state, and a qubit's axis has width 1 until a gate first
+    touches it: a staircase layer on |0...0> costs O(2^n), gate q working on
+    2^(q+2) amplitudes. The amplitudes equal the kernels' on full-width
+    states, one gate at a time.
     """
     n = c.n_qubits
     if n > DENSE_LIMIT:
         raise CircuitError(f"n={n} exceeds dense limit {DENSE_LIMIT}")
     psi = np.ones((1,) * n)
-    for g in c.gates:
-        qs = g.qubits
-        if g.kind == "unitary2" and psi.shape[qs[0]] == psi.shape[qs[1]] == 2:
+    for kind, qubits, matrix in _fanouts(c.gates):
+        qs = qubits
+        if kind == "unitary2" and psi.shape[qs[0]] == psi.shape[qs[1]] == 2:
             # einsum's summation order turns on whether the view's mid and right
             # blocks have length 1: widen the wires after each qubit so they match
             # the flat vector's (a fresh qubit leaves two terms, summed alike)
             qs = (qs[0] + 1, min(qs[1] + 1, n - 1))
         psi = statevec.widen(psi, qs)
-        if g.kind == "cnot":
-            psi = statevec.apply_cnot(psi, *g.qubits)
-        elif g.kind == "unitary2":
-            psi = statevec.apply_2q(psi, g.matrix, *g.qubits)
+        if kind == "cnot":
+            psi = statevec.apply_cnot(psi, *qubits)
+        elif kind == "unitary2":
+            psi = statevec.apply_2q(psi, matrix, *qubits)
         else:
-            m = statevec.HADAMARD if g.kind == "hadamard" else g.matrix
-            psi = statevec.apply_1q(psi, m, *g.qubits)
+            m = statevec.HADAMARD if kind == "hadamard" else matrix
+            psi = statevec.apply_1q(psi, m, *qubits)
     psi = statevec.widen(psi, range(n)).reshape(-1)
     nrm = float(np.linalg.norm(psi))
     if abs(nrm - 1.0) > 1e-12:

@@ -5,29 +5,18 @@ two-qubit gates the first listed wire is the higher-significance bit of the
 4x4 gate index. A state is an n-axis array, one axis per qubit, in which an
 untouched qubit's axis may have width 1 (`widen` appends its zero |1> slice).
 A kernel runs one einsum on a (left, 2, [mid, 2,] right) view of the state;
-`apply_cnot` is an exact permutation, a copy with the control=1 slice
-written with the target axis reversed.
+`apply_cnot` is an exact permutation, one copy of the state with the
+control=1 slice written with every target axis reversed, so a CNOT fan-out
+from one control costs one copy however many targets it has.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-__all__ = [
-    "zero_state", "widen", "apply_1q", "apply_2q", "apply_cnot", "HADAMARD", "CNOT"
-]
+__all__ = ["zero_state", "widen", "apply_1q", "apply_2q", "apply_cnot", "HADAMARD"]
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-
-# control = first wire: |c t> -> |c, t xor c>
-CNOT = np.array(
-    [
-        [1.0, 0.0, 0.0, 0.0],
-        [0.0, 1.0, 0.0, 0.0],
-        [0.0, 0.0, 0.0, 1.0],
-        [0.0, 0.0, 1.0, 0.0],
-    ]
-)
 
 
 def zero_state(n: int) -> np.ndarray:
@@ -46,11 +35,16 @@ def widen(psi: np.ndarray, qubits) -> np.ndarray:
     return psi
 
 
+def _need_wide(psi: np.ndarray, qubits) -> None:
+    s = psi.shape
+    if len(s) <= max(qubits) or any(s[q] != 2 for q in qubits):
+        raise ValueError(f"qubits {sorted(set(qubits))} need axes of width 2, the state's shape is {s}")
+
+
 def _view(psi: np.ndarray, lo: int, hi: int) -> np.ndarray:
     # (left, 2, right) when lo == hi, else (left, 2, mid, 2, right)
+    _need_wide(psi, (lo, hi))
     s = psi.shape
-    if len(s) <= hi or s[lo] != 2 or s[hi] != 2:
-        raise ValueError(f"qubits {lo} and {hi} need axes of width 2, the state's shape is {s}")
     left, right = 1 << s[:lo].count(2), 1 << s[hi + 1 :].count(2)
     return psi.reshape(left, 2, right) if lo == hi else psi.reshape(left, 2, -1, 2, right)
 
@@ -71,12 +65,17 @@ def apply_2q(psi: np.ndarray, g: np.ndarray, qa: int, qb: int) -> np.ndarray:
     return np.ascontiguousarray(t).reshape(psi.shape)
 
 
-def apply_cnot(psi: np.ndarray, control: int, target: int) -> np.ndarray:
-    """CNOT(control, target) as an exact permutation of the amplitudes."""
-    t = _view(psi, min(control, target), max(control, target))
-    out = t.copy()
-    if control < target:
-        out[:, 1] = t[:, 1, :, ::-1]
-    else:
-        out[..., 1, :] = t[:, ::-1, :, 1]
-    return out.reshape(psi.shape)
+def apply_cnot(psi: np.ndarray, control: int, *targets: int) -> np.ndarray:
+    """CNOT(control, t) for each of the distinct targets t, as one exact
+    permutation of the amplitudes: the control=1 slice with every target axis
+    reversed."""
+    if not targets or control in targets or len(set(targets)) != len(targets):
+        raise ValueError(f"a CNOT fan-out needs distinct targets other than its control, got {control}, {targets}")
+    _need_wide(psi, (control, *targets))
+    src = [slice(None)] * psi.ndim
+    for t in targets:
+        src[t] = slice(None, None, -1)
+    src[control] = 1
+    out = psi.copy()
+    out[(slice(None),) * control + (1,)] = psi[tuple(src)]
+    return out

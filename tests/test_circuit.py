@@ -270,8 +270,11 @@ def ref_apply_2q(psi, g, qa, qb):
     return np.ascontiguousarray(np.moveaxis(t, (0, 1), (qa, qb)))
 
 
+CNOT = np.eye(4)[[0, 1, 3, 2]]  # control = first wire: |c t> -> |c, t xor c>
+
+
 def gate_matrix(g):
-    return {"hadamard": statevec.HADAMARD, "cnot": statevec.CNOT}.get(g.kind, g.matrix)
+    return {"hadamard": statevec.HADAMARD, "cnot": CNOT}.get(g.kind, g.matrix)
 
 
 def ref_simulate(c):
@@ -320,6 +323,8 @@ def named_circuits(rng):
 
     h = GateOp("hadamard", (1,))
     cx = [GateOp("cnot", qs) for qs in ((1, 3), (4, 0), (3, 1))]
+    # runs from one control: a repeated target or a new control ends a run
+    fan = [GateOp("cnot", qs) for qs in ((2, 0), (2, 4), (2, 3), (2, 4), (2, 1), (4, 2), (4, 0))]
     return {
         "empty": Circuit(5, ()),
         "cnot-down-and-up": Circuit(5, (h, cx[0], u(3, 4), cx[1], cx[2])),
@@ -328,6 +333,8 @@ def named_circuits(rng):
         # gates on two already-wide wires with untouched wires between or after them
         "wide-pair-untouched-around": Circuit(7, (u(2, 3), u(2, 3), u(5, 6), u(3, 5), u(1), u(1, 5))),
         "staircase": Circuit(6, (*(u(q, q + 1) for q in range(5)), u(4, 5), u(0, 1))),
+        "cnot-fan-out-runs": Circuit(5, (u(0, 1), u(2, 3), h, *fan, u(3, 4), fan[0], fan[1])),
+        "fan-out-on-untouched": Circuit(5, (u(1), fan[1], fan[2], fan[4])),
     }
 
 
@@ -355,7 +362,59 @@ def test_flat_kernels_match_reference():
                 got = statevec.apply_2q(psi, g4, qa, qb)
                 assert got.tobytes() == ref_apply_2q(psi, g4, qa, qb).tobytes()
                 cnot = statevec.apply_cnot(psi, qa, qb)
-                assert cnot.tobytes() == ref_apply_2q(psi, statevec.CNOT, qa, qb).tobytes()
+                assert cnot.tobytes() == ref_apply_2q(psi, CNOT, qa, qb).tobytes()
+
+
+def test_cnot_fan_out_is_its_cnots_one_at_a_time():
+    # one permutation with every target axis reversed in the control=1 slice
+    # equals the CNOTs applied one target at a time, bit for bit, on states
+    # whose untouched axes have width 1; on full-width states it also equals
+    # the moveaxis reference
+    rng = np.random.default_rng(23)
+    named = [(0, (1, 2, 3, 4)), (4, (0, 1, 2)), (2, (0, 4)), (3, (4, 1)), (1, (0,))]  # above, below, between
+    cases = [(5, c, ts) for c, ts in named]
+    for n in range(2, 9):
+        for _ in range(6):
+            control, *targets = (int(q) for q in rng.permutation(n)[: int(rng.integers(2, n + 1))])
+            cases.append((n, control, tuple(targets)))
+    for n, control, targets in cases:
+        for full_width in (True, False):
+            shape = tuple(2 if full_width or q in (control, *targets) or rng.random() < 0.5 else 1 for q in range(n))
+            psi = rng.standard_normal(shape)
+            one_by_one, ref = psi, psi
+            for t in targets:
+                one_by_one = statevec.apply_cnot(one_by_one, control, t)
+                if full_width:
+                    ref = ref_apply_2q(ref, CNOT, control, t)
+            got = statevec.apply_cnot(psi, control, *targets)
+            assert got.tobytes() == one_by_one.tobytes(), (shape, control, targets)
+            if full_width:
+                assert got.tobytes() == ref.tobytes(), (shape, control, targets)
+
+
+def test_cnot_fan_out_refuses_bad_wires():
+    psi = np.ones((2, 2, 2)) / np.sqrt(8.0)
+    for targets in ((), (1, 1), (0, 2)):
+        with pytest.raises(ValueError, match="distinct targets other than its control"):
+            statevec.apply_cnot(psi, 0, *targets)
+    with pytest.raises(ValueError, match="need axes of width 2"):
+        statevec.apply_cnot(np.ones((2, 1, 2)), 0, 1, 2)  # a target never touched is not widened here
+
+
+def test_wrapper_fan_out_is_one_permutation(monkeypatch):
+    n = 8
+    wrapped = add_reflection_wrapper(prep_circuit(half_stack(n)))
+    calls = []
+    real = statevec.apply_cnot
+
+    def recording(psi, control, *targets):
+        calls.append((control, targets))
+        return real(psi, control, *targets)
+
+    monkeypatch.setattr(statevec, "apply_cnot", recording)
+    psi = simulate(wrapped)
+    assert calls == [(0, tuple(range(1, n)))]
+    assert psi.tobytes() == psi[::-1].tobytes()  # exactly mirror symmetric
 
 
 def test_kernels_refuse_flat_vectors():
@@ -368,6 +427,8 @@ def test_kernels_refuse_flat_vectors():
         statevec.apply_1q(psi, np.eye(2), 0)
     with pytest.raises(ValueError, match="need axes of width 2"):
         statevec.apply_cnot(psi, 0, 1)
+    with pytest.raises(ValueError, match="need axes of width 2"):
+        statevec.apply_cnot(psi, 0, 1, 2)
 
 
 def test_simulate_cost_is_linear_in_the_state(monkeypatch):
@@ -382,7 +443,7 @@ def test_simulate_cost_is_linear_in_the_state(monkeypatch):
 
     def recording(psi, g, qa, qb):
         sizes.append(psi.size)
-        assert not np.array_equal(g, statevec.CNOT)
+        assert not np.array_equal(g, CNOT)
         return real(psi, g, qa, qb)
 
     monkeypatch.setattr(statevec, "apply_2q", recording)

@@ -159,3 +159,76 @@ def test_meyer_wallach_validation():
         meyer_wallach_direct(np.ones(3) / np.sqrt(3.0))  # not a power of two
     with pytest.raises(MetricsError):
         meyer_wallach_direct(random_state(np.random.default_rng(0), 13))  # too wide
+
+
+# Reference forms: the full-vector kernels the metrics ran before they
+# scored mirror-symmetric inputs on their half. The moveaxis Meyer-Wallach
+# copies each qubit's (2, 2^(n-1)) matricization.
+def ref_kl(p, q):
+    mask = p > 0
+    return float(np.sum(p[mask] * np.log(p[mask] / np.maximum(q[mask], 1e-300))))
+
+
+def ref_fidelity(p, q):
+    return min(1.0, max(0.0, float(np.sum(np.sqrt(p * q)) ** 2)))
+
+
+def ref_meyer_wallach(v):
+    n = int(v.size).bit_length() - 1
+    acc = 0.0
+    for j in range(n):
+        t = np.moveaxis(v.reshape([2] * n), j, 0).reshape(2, -1)
+        rho = t @ t.T
+        acc += float(np.sum(rho * rho))
+    return 2.0 * (1.0 - acc / n)
+
+
+def mirrored(half, norm):
+    v = np.concatenate([half, half[::-1]])
+    return v / norm(v)
+
+
+def test_half_forms_equal_full_forms_on_mirror_symmetric_inputs():
+    rng = np.random.default_rng(57)
+    for n in range(4, 17):
+        for _ in range(3):
+            v = mirrored(rng.standard_normal(2 ** (n - 1)), np.linalg.norm)
+            p, q = (mirrored(rng.random(2 ** (n - 1)), np.sum) for _ in range(2))
+            q_state = v * v  # the prepared state's distribution is symmetric too
+            assert v.tobytes() == v[::-1].tobytes() and p.tobytes() == p[::-1].tobytes()
+            assert abs(meyer_wallach_purity(v) - ref_meyer_wallach(v)) <= 1e-12, n
+            for a, b in ((p, q), (p, q_state)):
+                assert abs(kl_divergence(a, b) - ref_kl(a, b)) <= 1e-12, n
+                assert abs(classical_fidelity(a, b) - ref_fidelity(a, b)) <= 1e-12, n
+    # zeros in p take the masked sum on the half too
+    p = mirrored(np.array([0.0, 0.3, 0.0, 0.7]), np.sum)
+    q = mirrored(np.array([0.1, 0.2, 0.3, 0.4]), np.sum)
+    assert abs(kl_divergence(p, q) - ref_kl(p, q)) <= 1e-15
+
+
+def asymmetric_cases(rng, n):
+    h = rng.random(2 ** (n - 1))
+    end_pairs_equal = np.concatenate([h, h[::-1]])
+    end_pairs_equal[2 ** (n - 2)] *= 1.5  # passes the end-pair test, not the full one
+    one_side = np.concatenate([h, h[::-1]])  # symmetric p against an asymmetric q
+    with_zeros = rng.random(2**n)
+    with_zeros[1:][rng.random(2**n - 1) < 0.2] = 0.0  # the masked sum
+    return [
+        (with_zeros, rng.random(2**n)),
+        (end_pairs_equal, end_pairs_equal[::-1].copy()),
+        (one_side, end_pairs_equal),
+        (end_pairs_equal, one_side),
+    ]
+
+
+def test_asymmetric_inputs_keep_the_full_forms():
+    rng = np.random.default_rng(58)
+    for n in range(2, 13):
+        for p, q in asymmetric_cases(rng, n):
+            p, q = p / p.sum(), q / q.sum()
+            for a, b in ((p, q), (q, p)):
+                assert kl_divergence(a, b) == ref_kl(a, b)  # bit-identical
+                assert classical_fidelity(a, b) == ref_fidelity(a, b)
+            v = np.sqrt(q)
+            v /= np.linalg.norm(v)
+            assert abs(meyer_wallach_purity(v) - ref_meyer_wallach(v)) <= 1e-12

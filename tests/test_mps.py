@@ -303,10 +303,11 @@ def test_apply_identity_gate():
 
 def test_apply_cnot_on_product_state():
     # |10...> with control on qubit 1 flips qubit 2
+    cnot = np.eye(4)[[0, 1, 3, 2]]  # control = first wire: |c t> -> |c, t xor c>
     v = np.zeros(2**4)
     v[0b1000] = 1.0
     m = mps_from_statevector(v)
-    out = apply_gate_run(m, [statevec.CNOT], 1)[0]
+    out = apply_gate_run(m, [cnot], 1)[0]
     expect = np.zeros(2**4)
     expect[0b1100] = 1.0
     assert np.allclose(to_statevector(out), expect, atol=1e-12)

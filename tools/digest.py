@@ -1,4 +1,4 @@
-"""Print one SHA-256 per benchmark workload: a byte-level parity check.
+"""Print two SHA-256 per benchmark workload: a byte-level parity check.
 
     PYTHONPATH=src python3 tools/digest.py
 
@@ -8,12 +8,17 @@ the printed lines tells whether a change kept every output bit-identical.
 
 The requests and their fingerprints are the benchmark's own, imported
 read-only from `perfbench/run.py`: per workload and seed in SEEDS,
-`make_items` gives the pool, and each output goes into the hash through
-`RunItem.fingerprint` (sorted report document, state bytes) or
+`make_items` gives the pool, and each output goes into the first hash
+through `RunItem.fingerprint` (sorted report document, state bytes) or
 `SweepItem.fingerprint` (sweep rows and reports). This tool adds the
 emitted gates, which those fingerprints leave out: every gate's kind,
 wires and matrix bytes, of each `run_full` request and, for sweep-mix, of
 a `run_full` of each sweep point.
+
+The second hash, after `states+gates`, covers only the state bytes and the
+emitted gates of the same `run_full` calls, no report document or sweep
+row. A change that moves only the last bits of reported metrics changes
+the first hash and keeps the second.
 """
 
 from __future__ import annotations
@@ -28,34 +33,40 @@ sys.path.insert(0, str(Path(__file__).resolve().parent.parent / "perfbench"))
 import run  # noqa: E402
 import workloads  # noqa: E402
 
+import numpy as np  # noqa: E402
+
 SEEDS = (0, 1, 2)
 
 
-def _update_run(h, item: run.RunItem) -> None:
+def _update_run(full, core, item: run.RunItem) -> None:
     res = item.call()
-    h.update(repr(item.fingerprint(res)).encode())
+    full.update(repr(item.fingerprint(res)).encode())
+    core.update(np.ascontiguousarray(res.state).tobytes())
     for g in res.circuit.gates:
-        h.update(repr((g.kind, g.qubits)).encode())
-        if g.matrix is not None:
-            h.update(g.matrix.tobytes())
+        for h in (full, core):
+            h.update(repr((g.kind, g.qubits)).encode())
+            if g.matrix is not None:
+                h.update(g.matrix.tobytes())
 
 
-def workload_digest(name: str) -> str:
-    h = hashlib.sha256()
+def workload_digests(name: str) -> tuple[str, str]:
+    """(hash of reports, states and gates; hash of states and gates)."""
+    full, core = hashlib.sha256(), hashlib.sha256()
     for seed in SEEDS:
         for item in run.make_items(name, seed):
             if isinstance(item, run.SweepItem):
-                h.update(repr(item.fingerprint(item.call())).encode())
+                full.update(repr(item.fingerprint(item.call())).encode())
                 for point in workloads.sweep_points(item.doc):
-                    _update_run(h, run.RunItem(point))
+                    _update_run(full, core, run.RunItem(point))
             else:
-                _update_run(h, item)
-    return h.hexdigest()
+                _update_run(full, core, item)
+    return full.hexdigest(), core.hexdigest()
 
 
 def main() -> None:
     for name in workloads.POOLS:
-        print(f"{name} {workload_digest(name)}", flush=True)
+        full, core = workload_digests(name)
+        print(f"{name} {full} states+gates {core}", flush=True)
 
 
 if __name__ == "__main__":
