@@ -69,8 +69,10 @@ class Grid:
     def center(self) -> float:
         return 0.5 * (self.min + self.max)
 
-    def points(self) -> np.ndarray:
-        k = np.arange(self.size, dtype=float)
+    def points(self, count: int | None = None) -> np.ndarray:
+        """The first `count` sample points x_k, all 2^n_qubits by default;
+        each x_k is the same float whatever the count."""
+        k = np.arange(self.size if count is None else count, dtype=float)
         if self.convention == "midpoint":
             return self.min + (k + 0.5) * (self.max - self.min) / self.size
         return self.min + k * (self.max - self.min) / (self.size - 1)
@@ -271,7 +273,7 @@ def sample_pdf(spec: DistSpec, grid: Grid) -> TargetDistribution:
     if spec.kind == "table":
         w = np.array(spec.weights)
     elif sym:
-        f_left = spec.pdf(grid.points()[: n // 2])
+        f_left = spec.pdf(grid.points(n // 2))
         w = np.concatenate([f_left, f_left[::-1]])
     else:
         w = spec.pdf(grid.points())

@@ -138,6 +138,7 @@ def mps_from_statevector(v, chi_max: int | None = None) -> Mps:
         k = _kept(s, chi_max)
         tensors[i] = vt[:k].reshape(k, 2, r_prev).transpose(1, 0, 2)
         carry = u[:, :k] * s[:k]
+        del u  # up to 2^n floats: free them before the next svd
         m = carry.reshape(carry.shape[0] // 2, 2 * k)
         r_prev = k
     first = m.reshape(2, 1, r_prev)

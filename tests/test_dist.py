@@ -25,6 +25,13 @@ def test_grid_point_formulas():
     assert np.allclose(e.points(), -0.5 + k / 7, atol=1e-15)
 
 
+@pytest.mark.parametrize("convention", ["midpoint", "endpoint"])
+def test_grid_first_points_are_the_full_grids_bit_for_bit(convention):
+    g = Grid(-2.0, 3.0, 9, convention)
+    for count in (0, 1, 7, 256, 511, 512):
+        assert g.points(count).tobytes() == g.points()[:count].tobytes()
+
+
 def test_grid_mirror_pairing_both_conventions():
     for conv in ("midpoint", "endpoint"):
         g = Grid(-2.0, 3.0, 5, conv)
