@@ -20,7 +20,6 @@ from .mps import (
     MpsError,
     apply_gate_run,
     is_left_canonical,
-    mps_from_json,
     mps_from_statevector,
     mps_to_json,
     to_statevector,
@@ -76,7 +75,7 @@ __all__ = [
     "sample_pdf", "left_half", "amplitudes",
     "DENSE_LIMIT", "Mps", "MpsError", "mps_from_statevector", "to_statevector",
     "truncate", "apply_gate_run", "is_left_canonical",
-    "mps_to_json", "mps_from_json",
+    "mps_to_json",
     "DisentanglerError", "MpdLayer", "DisentanglerStack",
     "build_layer", "build_stack",
     "CircuitError", "GateOp", "Circuit", "GateStats",

@@ -19,14 +19,13 @@ import os
 import sys
 
 from .circuit import export_circuit
-from .dist import amplitudes, left_half, sample_pdf
-from .mps import is_left_canonical, mps_from_statevector, mps_to_json
+from .mps import is_left_canonical, mps_to_json
 from .pipeline import (
     METRIC_COLUMNS,
     ConfigError,
-    PipelineError,
     RunConfig,
     SweepConfig,
+    encode,
     parse_config,
     report_row,
     rows_to_csv,
@@ -116,12 +115,7 @@ def _cmd_export(args) -> int:
 
 def _cmd_inspect(args) -> int:
     cfg = _load(args, RunConfig)
-    try:
-        target = sample_pdf(cfg.dist, cfg.grid)
-        encode = left_half(target) if cfg.method == "symmetry" else target
-        m = mps_from_statevector(amplitudes(encode))
-    except Exception as exc:
-        raise PipelineError(f"inspect-mps: {exc}") from exc
+    _, m = encode(cfg)
     summary = {
         "n_qubits": m.n_qubits,
         "bond_dims": m.bond_dims,

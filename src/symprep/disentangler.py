@@ -71,15 +71,20 @@ class DisentanglerStack:
 
     residual_infidelity: 1 - |<0...0| layers applied in order |psi>|^2
     residual_history: residual after each layer during the build
-    truncation_error: discarded weight accumulated by working-precision
-        recompression while the stack was built
+    truncation_history: discarded weight accumulated by working-precision
+        recompression during the build, after each layer
     """
 
     layers: tuple
     n_qubits: int
     residual_infidelity: float
     residual_history: tuple = field(default=())
-    truncation_error: float = 0.0
+    truncation_history: tuple = field(default=())
+
+    @property
+    def truncation_error(self) -> float:
+        """Discarded weight accumulated over the whole build."""
+        return self.truncation_history[-1] if self.truncation_history else 0.0
 
     def __post_init__(self):
         if self.n_qubits < 3:
@@ -91,6 +96,21 @@ class DisentanglerStack:
             raise DisentanglerError(
                 f"residual_infidelity {self.residual_infidelity} outside [0, 1]"
             )
+
+    def prefix(self, k: int) -> DisentanglerStack:
+        """The stack of the first k layers. The build is sequential, so for
+        a built stack this is, bit for bit, build_stack of k layers."""
+        if not is_int(k) or not 1 <= k <= len(self.layers):
+            raise DisentanglerError(f"prefix length must be an integer in 1..{len(self.layers)}, got {k!r}")
+        if not len(self.residual_history) == len(self.truncation_history) == len(self.layers):
+            raise DisentanglerError("prefix needs the per-layer residual and truncation histories")
+        return DisentanglerStack(
+            layers=self.layers[:k],
+            n_qubits=self.n_qubits,
+            residual_infidelity=self.residual_history[k - 1],
+            residual_history=self.residual_history[:k],
+            truncation_history=self.truncation_history[:k],
+        )
 
 
 # Gate input slot of each column of the completed isometry, by left bond:
@@ -164,12 +184,14 @@ def build_stack(m: Mps, num_layers: int) -> DisentanglerStack:
     state = m
     layers = []
     history = []
+    trunc_history = []
     trunc_err = 0.0
     for _ in range(num_layers):
         coarse, _ = truncate(state, 2)
         layer = build_layer(coarse)
         state, e = _disentangle_mps(state, layer, chi_work)
         trunc_err += e
+        trunc_history.append(trunc_err)
         layers.append(layer)
         amp = state.amplitude([0] * m.n_qubits)
         history.append(max(0.0, 1.0 - amp * amp))
@@ -179,5 +201,5 @@ def build_stack(m: Mps, num_layers: int) -> DisentanglerStack:
         n_qubits=m.n_qubits,
         residual_infidelity=history[-1],
         residual_history=tuple(history),
-        truncation_error=trunc_err,
+        truncation_history=tuple(trunc_history),
     )

@@ -26,7 +26,6 @@ __all__ = [
     "apply_gate_run",
     "is_left_canonical",
     "mps_to_json",
-    "mps_from_json",
 ]
 
 # Dense reconstruction limit: 2^24 doubles = 128 MiB.
@@ -290,26 +289,3 @@ def mps_to_json(m: Mps) -> str:
         ],
     }
     return json.dumps(doc, indent=2)
-
-
-def mps_from_json(text: str) -> Mps:
-    """Inverse of mps_to_json; a malformed document is an MpsError, and a
-    "left" canonical claim is checked, not trusted."""
-    doc = json.loads(text)
-    if not isinstance(doc, dict):
-        raise MpsError("MPS document must be a JSON object")
-    if doc.get("format_version") != FORMAT_VERSION:
-        raise MpsError(f"unsupported format_version {doc.get('format_version')!r}")
-    try:
-        tensors = [
-            np.asarray(entry["data"], dtype=float).reshape(entry["shape"])
-            for entry in doc["tensors"]
-        ]
-    except KeyError as exc:
-        raise MpsError(f"MPS document lacks key {exc}") from exc
-    except (TypeError, ValueError, OverflowError) as exc:  # wrong type, size or range
-        raise MpsError(f"malformed MPS document: {exc}") from exc
-    m = Mps(tensors, canonical=doc.get("canonical", "none"))
-    if m.canonical == "left" and not is_left_canonical(m):
-        raise MpsError("MPS document claims canonical 'left', but its tensors are not")
-    return m

@@ -1,9 +1,14 @@
 """End-to-end orchestration: config parsing, single runs, and sweeps.
 
 A run executes: sample the target density, optionally cut to its left half,
-encode as amplitudes, decompose to an exact MPS, build the disentangler
-stack, emit the preparation circuit (plus reflection wrapper for the
-symmetry method), simulate densely, and score against the full target.
+encode as amplitudes, decompose to an exact MPS (together `encode`), build
+the disentangler stack, emit the preparation circuit (plus reflection
+wrapper for the symmetry method), simulate densely, and score against the
+full target. A failure is a PipelineError that names its stage.
+
+A layer or bond sweep encodes once and builds one stack, for its largest
+point; every smaller point is verified on a prefix of that stack, which the
+sequential build makes bit-identical to the point's own stack.
 """
 
 from __future__ import annotations
@@ -11,13 +16,14 @@ from __future__ import annotations
 import csv
 import io
 import json
+from contextlib import contextmanager
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
 from . import __version__
 from .circuit import Circuit, accounting, add_reflection_wrapper, prep_circuit, simulate
-from .disentangler import build_stack
+from .disentangler import DisentanglerStack, build_stack
 from .dist import (
     FAMILIES,
     DistError,
@@ -31,7 +37,7 @@ from .dist import (
     sample_pdf,
 )
 from .metrics import MetricsReport, classical_fidelity, kl_divergence, meyer_wallach_purity
-from .mps import DENSE_LIMIT, mps_from_statevector
+from .mps import DENSE_LIMIT, Mps, mps_from_statevector
 from .numerics import is_int
 
 __all__ = [
@@ -42,6 +48,7 @@ __all__ = [
     "RunResult",
     "parse_config",
     "config_from_dict",
+    "encode",
     "run",
     "run_full",
     "sweep",
@@ -146,6 +153,7 @@ class RunResult:
     circuit: Circuit
     state: np.ndarray
     target: TargetDistribution
+    stack: DisentanglerStack
 
 
 def _reject_unknown(d: dict, allowed, ctx: str) -> None:
@@ -255,31 +263,45 @@ def _config_echo(cfg: RunConfig) -> dict:
     }
 
 
-def run_full(config: RunConfig) -> RunResult:
-    """Execute the pipeline and return the report plus artifacts; writes nothing."""
-    stage = "sample_pdf"
+@contextmanager
+def _stage(name: str):
+    """Re-raise any failure in the block as PipelineError("stage <name>: ...")."""
     try:
+        yield
+    except Exception as exc:
+        raise PipelineError(f"stage {name}: {exc}") from exc
+
+
+def encode(config: RunConfig) -> tuple[TargetDistribution, Mps]:
+    """The sampled target and the exact MPS of the state the circuit
+    prepares: the target's amplitudes, or its left half's for the symmetry
+    method."""
+    with _stage("sample_pdf"):
         target = sample_pdf(config.dist, config.grid)
-        encode = target
-        if config.method == "symmetry":
-            stage = "left_half"
-            encode = left_half(target)
-        stage = "amplitudes"
-        amp = amplitudes(encode)
-        stage = "mps_from_statevector"
+    encoded = target
+    if config.method == "symmetry":
+        with _stage("left_half"):
+            encoded = left_half(target)
+    with _stage("amplitudes"):
+        amp = amplitudes(encoded)
+    with _stage("mps_from_statevector"):
         m = mps_from_statevector(amp)
-        stage = "build_stack"
-        stack = build_stack(m, config.num_layers)
-        stage = "prep_circuit"
+    return target, m
+
+
+def _verify(config: RunConfig, target: TargetDistribution, stack: DisentanglerStack) -> RunResult:
+    # emit the circuit of a built stack, simulate it and score it
+    symmetry = config.method == "symmetry"
+    with _stage("prep_circuit"):
         circ = prep_circuit(stack)
-        if config.method == "symmetry":
-            stage = "add_reflection_wrapper"
+    if symmetry:
+        with _stage("add_reflection_wrapper"):
             circ = add_reflection_wrapper(circ)
-        stage = "simulate"
+    with _stage("simulate"):
         psi = simulate(circ)
-        stage = "metrics"
+    with _stage("metrics"):
         probs = psi * psi
-        stats = accounting(circ, num_layers=config.num_layers, symmetry=config.method == "symmetry")
+        stats = accounting(circ, num_layers=config.num_layers, symmetry=symmetry)
         report = MetricsReport(
             kl_divergence=kl_divergence(target.p, probs),
             classical_fidelity=classical_fidelity(target.p, probs),
@@ -288,8 +310,6 @@ def run_full(config: RunConfig) -> RunResult:
             residual_infidelity=stack.residual_infidelity,
             gate_stats=stats,
         )
-    except Exception as exc:
-        raise PipelineError(f"stage {stage}: {exc}") from exc
 
     doc = {
         "artifact": {"name": "symprep", "version": __version__, "report_format": REPORT_FORMAT},
@@ -305,7 +325,15 @@ def run_full(config: RunConfig) -> RunResult:
         },
         "gate_stats": asdict(report.gate_stats),
     }
-    return RunResult(report=report, report_doc=doc, circuit=circ, state=psi, target=target)
+    return RunResult(report=report, report_doc=doc, circuit=circ, state=psi, target=target, stack=stack)
+
+
+def run_full(config: RunConfig) -> RunResult:
+    """Execute the pipeline and return the report plus artifacts; writes nothing."""
+    target, m = encode(config)
+    with _stage("build_stack"):
+        stack = build_stack(m, config.num_layers)
+    return _verify(config, target, stack)
 
 
 def report_row(report: MetricsReport, num_layers: int) -> dict:
@@ -334,12 +362,32 @@ def _point_config(base: RunConfig, key: str, value: int) -> RunConfig:
     return replace(base, num_layers=value.bit_length() - 1 if key == "bond_dims" else value)
 
 
+def _largest_point(config: SweepConfig):
+    """(target, stack, report) of a layer or bond sweep's largest point, run
+    through run_full; None for a qubit sweep (each point encodes another
+    state) or when that run fails."""
+    if config.vary_key == "qubit_counts":
+        return None
+    try:
+        res = run_full(_point_config(config.base, config.vary_key, config.vary_values[-1]))
+    except (ConfigError, PipelineError, ValueError):
+        return None
+    return res.target, res.stack, res.report  # not the state or circuit
+
+
 def sweep_full(config: SweepConfig):
     """Run every point; per-point failures become rows with an error note.
 
     Returns (reports, rows): reports holds a MetricsReport per successful
     point, rows one CSV-ready dict per point in vary order.
+
+    A layer or bond sweep encodes once and builds one stack: its largest
+    point runs through run_full, and every smaller point is verified on a
+    prefix of that stack, which is bit for bit the stack run_full would
+    build for it. If that shared run fails, every point runs alone, so each
+    row carries the error run_full gives it.
     """
+    shared = _largest_point(config)
     reports = []
     rows = []
     for value in config.vary_values:
@@ -348,7 +396,14 @@ def sweep_full(config: SweepConfig):
         row["value"] = value
         try:
             cfg = _point_config(config.base, config.vary_key, value)
-            rep = run_full(cfg).report
+            if shared is None:
+                rep = run_full(cfg).report
+            else:
+                target, stack, largest = shared
+                if cfg.num_layers == len(stack.layers):
+                    rep = largest
+                else:
+                    rep = _verify(cfg, target, stack.prefix(cfg.num_layers)).report
             reports.append(rep)
             row.update(report_row(rep, cfg.num_layers))
         except (ConfigError, PipelineError, ValueError) as exc:

@@ -23,6 +23,7 @@ from symprep.mps import (
     truncate,
 )
 from symprep.numerics import complete_isometry
+from symprep.pipeline import config_from_dict, encode
 
 
 def random_state(rng, n):
@@ -183,6 +184,50 @@ def test_build_stack_validation():
     m = mps_from_statevector(ghz(4))
     with pytest.raises(DisentanglerError):
         build_stack(m, num_layers=0)
+
+
+def assert_same_stack(a, b):
+    # bit for bit: every gate's bytes and every recorded float
+    assert len(a.layers) == len(b.layers) and a.n_qubits == b.n_qubits
+    for la, lb in zip(a.layers, b.layers):
+        assert la.end.tobytes() == lb.end.tobytes()
+        assert [g.tobytes() for g in la.chain] == [g.tobytes() for g in lb.chain]
+    for key in ("residual_infidelity", "residual_history", "truncation_error", "truncation_history"):
+        assert repr(getattr(a, key)) == repr(getattr(b, key)), key
+
+
+def prefix_sources():
+    rng = np.random.default_rng(43)
+    for n, chi in ((5, None), (7, 4), (8, 4), (8, None), (9, 8)):
+        yield f"random n={n} chi={chi}", random_mps(rng, n, chi)
+    for method in ("symmetry", "baseline"):
+        cfg = config_from_dict({"dist": {"kind": "normal", "mu": 0.0, "sigma2": 0.01},
+                                "grid": {"min": -0.5, "max": 0.5}, "n_qubits": 9, "method": method})
+        yield f"normal {method}", encode(cfg)[1]
+
+
+def test_prefix_is_the_shorter_build():
+    # the build is sequential and deterministic, so the first k layers of a
+    # K-layer stack are the k-layer stack, histories and sums included
+    K = 4
+    cut = False
+    for name, m in prefix_sources():
+        full = build_stack(m, K)
+        assert len(full.truncation_history) == K
+        cut = cut or full.truncation_error > 0.0
+        for k in range(1, K + 1):
+            assert_same_stack(full.prefix(k), build_stack(m, k))
+        for k in (0, K + 1, True, 2.0):
+            with pytest.raises(DisentanglerError, match="prefix length"):
+                full.prefix(k)
+    assert cut  # some source is recompressed, so the truncation sums are tested
+
+
+def test_prefix_needs_histories():
+    layer = build_layer(mps_from_statevector(ghz(4)))
+    stack = DisentanglerStack(layers=(layer, layer), n_qubits=4, residual_infidelity=0.0)
+    with pytest.raises(DisentanglerError, match="histories"):
+        stack.prefix(1)
 
 
 @pytest.mark.parametrize("num_layers", [True, 2.5, "2"], ids=repr)

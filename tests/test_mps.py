@@ -20,12 +20,13 @@ from symprep.mps import (
     MpsError,
     apply_gate_run,
     is_left_canonical,
-    mps_from_json,
     mps_from_statevector,
     mps_to_json,
     to_statevector,
     truncate,
 )
+
+from mps_json import mps_from_json
 
 # frozen oracle value: chi=2 truncation KL of the n=10 normal(0, 0.01)
 # state on [-0.5, 0.5] (midpoint grid), computed by dense_truncate below

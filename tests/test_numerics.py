@@ -13,7 +13,6 @@ from symprep.mps import (
     MpsError,
     apply_gate_run,
     is_left_canonical,
-    mps_from_json,
     mps_from_statevector,
     mps_to_json,
 )
@@ -24,6 +23,8 @@ from symprep.numerics import (
     is_int,
     svd,
 )
+
+from mps_json import mps_from_json
 
 
 def test_svd_reconstruction_and_order():

@@ -1,20 +1,27 @@
 """Config parsing, end-to-end runs, sweeps, and the CLI surface."""
 
 import json
+import sys
 from dataclasses import fields
 
 import numpy as np
 import pytest
 
+from symprep import numerics, pipeline
 from symprep.circuit import export_circuit
 from symprep.cli import main
+from symprep.disentangler import DisentanglerError
 from symprep.pipeline import (
+    SWEEP_COLUMNS,
     ConfigError,
     PipelineError,
     RunConfig,
     SweepConfig,
     config_from_dict,
+    encode,
     parse_config,
+    report_row,
+    rows_to_csv,
     run,
     run_full,
     sweep,
@@ -387,6 +394,107 @@ def test_pipeline_error_carries_stage():
         run(cfg)
 
 
+def point_doc(base, key, value):
+    if key == "qubit_counts":
+        return {**base, "n_qubits": value}
+    return {**base, "num_layers": value.bit_length() - 1 if key == "bond_dims" else value}
+
+
+def per_point(doc):
+    """(reports, rows) of a sweep document, every point a run_full of its own."""
+    (key, values), = doc["vary"].items()
+    reports, rows = [], []
+    for value in values:
+        row = {**dict.fromkeys(SWEEP_COLUMNS, ""), "varied_param": key, "value": value}
+        try:
+            cfg = config_from_dict(point_doc(doc["base"], key, value))
+            rep = run_full(cfg).report
+        except (ConfigError, PipelineError) as exc:
+            row["error"] = str(exc)
+        else:
+            reports.append(rep)
+            row.update(report_row(rep, cfg.num_layers))
+        rows.append(row)
+    return reports, rows
+
+
+def assert_sweep_is_per_point(doc):
+    reports, rows = sweep_full(config_from_dict(doc))
+    want_reports, want_rows = per_point(doc)
+    assert rows == want_rows
+    assert rows_to_csv(rows) == rows_to_csv(want_rows)
+    assert repr(reports) == repr(want_reports)  # float reprs round-trip: bit for bit
+    return rows
+
+
+FAMILY_DOCS = {
+    "normal": {"dist": {"kind": "normal", "mu": 0.0, "sigma2": 0.01}, "grid": {"min": -0.5, "max": 0.5}},
+    "lorentzian": {"dist": {"kind": "lorentzian", "gamma": 1.0}},
+    "student_t": {"dist": {"kind": "student_t", "nu": 3.0}},
+}
+# each vary list holds one value that cannot run (0 layers, a symmetric
+# run on 3 qubits), so error rows are compared too
+VARY = {"layer_counts": [0, 1, 2, 4], "bond_dims": [2, 8], "qubit_counts": [3, 5, 7]}
+
+
+@pytest.mark.parametrize("method", ["symmetry", "baseline"])
+@pytest.mark.parametrize("family", sorted(FAMILY_DOCS))
+@pytest.mark.parametrize("key", sorted(VARY))
+def test_sweep_equals_per_point_runs(key, family, method):
+    base = {**FAMILY_DOCS[family], "n_qubits": 8, "method": method}
+    rows = assert_sweep_is_per_point({"base": base, "vary": {key: VARY[key]}})
+    assert sum(not row["error"] for row in rows) >= 2
+
+
+def test_sweep_falls_back_when_the_shared_run_fails(monkeypatch):
+    # the largest point fails in build_stack: every point then runs alone,
+    # and only the largest one's row carries the error
+    real = pipeline.build_stack
+
+    def no_third_layer(m, num_layers):
+        if num_layers == 3:
+            raise DisentanglerError("no third layer")
+        return real(m, num_layers)
+
+    monkeypatch.setattr(pipeline, "build_stack", no_third_layer)
+    doc = {"base": minimal_doc(method="baseline"), "vary": {"layer_counts": [1, 2, 3]}}
+    rows = assert_sweep_is_per_point(doc)
+    assert [row["error"] for row in rows] == ["", "", "stage build_stack: no third layer"]
+
+
+def test_layer_sweep_builds_one_stack(monkeypatch):
+    # encode and build once, at the largest point: a (1, 3, 5) sweep makes
+    # the SVD calls of one 5-layer run, where per-point runs make 1 + 3 + 5
+    # layers' worth and three encodes
+    real, calls = numerics.svd, []
+
+    def counting(a):
+        calls.append(1)
+        return real(a)
+
+    for name, mod in list(sys.modules.items()):
+        if name == "symprep" or name.startswith("symprep."):
+            for attr, val in list(vars(mod).items()):
+                if val is real:
+                    monkeypatch.setattr(mod, attr, counting)
+    sweep_full(config_from_dict({"base": minimal_doc(n_qubits=9), "vary": {"layer_counts": [1, 3, 5]}}))
+    swept = len(calls)
+    calls.clear()
+    run_full(config_from_dict(minimal_doc(n_qubits=9, num_layers=5)))
+    assert swept == len(calls) > 0
+
+
+def test_run_result_carries_its_stack():
+    cfg = config_from_dict(minimal_doc(num_layers=2))
+    res = run_full(cfg)
+    assert len(res.stack.layers) == 2
+    assert res.report.residual_infidelity == res.stack.residual_infidelity
+    assert res.report.truncation_error == res.stack.truncation_history[-1]
+    assert res.report_doc["metrics"]["residual_history"] == list(res.stack.residual_history)
+    target, m = encode(cfg)
+    assert np.array_equal(target.p, res.target.p) and m.n_qubits == 5  # the half state
+
+
 def test_runconfig_direct_validation():
     spec = DistSpec("normal", mu=0.0, sigma2=0.01)
     grid = Grid(-0.5, 0.5, 6)
@@ -449,6 +557,12 @@ def test_cli_export_and_inspect(tmp_path, capsys):
     with pytest.raises(SystemExit):
         main(["inspect-mps", "--help"])
     assert "the MPS is not written" in " ".join(capsys.readouterr().out.split())
+
+
+def test_cli_inspect_names_the_failing_stage(tmp_path, capsys):
+    # inspect-mps runs the pipeline's encode step, so its errors read as run's
+    assert main(["inspect-mps", "--config", write_config(tmp_path, UNDERFLOW)]) == 1
+    assert "error: stage sample_pdf: normal weights are zero on every grid point" in capsys.readouterr().err
 
 
 def test_cli_seed_recorded(tmp_path, capsys):

@@ -56,3 +56,14 @@ def test_a_sweep_calls_every_traced_function():
     called = traced_calls(lambda: pipeline.sweep_full(pipeline.config_from_dict(doc)))
     missing = SWEEP - called
     assert not missing, f"sweep never called {sorted(missing)}"
+
+
+@pytest.mark.parametrize("vary", [{"bond_dims": [2, 4]}, {"qubit_counts": [5, 6]}], ids=lambda v: next(iter(v)))
+def test_every_sweep_axis_calls_every_traced_function(vary):
+    # a layer or bond sweep verifies its smaller points on a prefix of one
+    # run_full's stack, a qubit sweep runs each point alone: both must
+    # still reach every name the benchmark requires of sweep-mix
+    doc = {"base": {**NORMAL, "method": "symmetry"}, "vary": vary}
+    called = traced_calls(lambda: pipeline.sweep_full(pipeline.config_from_dict(doc)))
+    missing = SWEEP - called
+    assert not missing, f"sweep never called {sorted(missing)}"
