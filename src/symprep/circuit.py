@@ -140,6 +140,11 @@ def prep_circuit(stack: DisentanglerStack) -> Circuit:
     return Circuit(n_qubits=n, gates=tuple(gates))
 
 
+def _reflection_tail(n: int) -> tuple:
+    # the wrapper's last n gates on n wires: H on wire 0, then CNOT(0, j) for j = 1 .. n-1
+    return (GateOp("hadamard", (0,)), *(GateOp("cnot", (0, j)) for j in range(1, n)))
+
+
 def add_reflection_wrapper(c: Circuit) -> Circuit:
     """Wrap an (n-1)-qubit circuit into an n-qubit mirror-symmetric one.
 
@@ -151,10 +156,16 @@ def add_reflection_wrapper(c: Circuit) -> Circuit:
         raise CircuitError(f"inner circuit needs >= 2 qubits, got {c.n_qubits}")
     n = c.n_qubits + 1
     gates = [GateOp(g.kind, tuple(q + 1 for q in g.qubits), g.matrix) for g in c.gates]
-    gates.append(GateOp("hadamard", (0,)))
-    for j in range(1, n):
-        gates.append(GateOp("cnot", (0, j)))
-    return Circuit(n_qubits=n, gates=tuple(gates))
+    return Circuit(n_qubits=n, gates=(*gates, *_reflection_tail(n)))
+
+
+def _has_reflection_tail(c: Circuit) -> bool:
+    """True when c ends with the tail add_reflection_wrapper appends, which
+    needs n >= 3 wires. GateOps compare field by field, kind first: a gate
+    with a matrix differs from every tail gate in kind, so no matrix is
+    compared."""
+    n = c.n_qubits
+    return n >= 3 and c.gates[-n:] == _reflection_tail(n)
 
 
 def _fanouts(gates) -> list:
@@ -247,22 +258,21 @@ def _counted_cnot_depth(c: Circuit, prices: list) -> int:
     return max(clock, default=0)
 
 
-def accounting(c: Circuit, num_layers: int = 1, symmetry: bool = False) -> GateStats:
+def accounting(c: Circuit, num_layers: int = 1) -> GateStats:
     """Depth/count report for a pipeline circuit.
 
     Analytic depth: 2(max(n-2, 0)+(L-1)) for the bare staircase, plus
-    (n-1) for the CNOT fan-out when the reflection wrapper is present. n is
-    the full circuit width. An empty circuit reports all zeros.
+    (n-1) for the CNOT fan-out when the gates end with the reflection
+    wrapper's tail. n is the full circuit width. An empty circuit reports
+    all zeros.
     """
     if not is_int(num_layers) or num_layers < 1:
         raise CircuitError(f"num_layers must be an integer >= 1, got {num_layers!r}")
-    if not isinstance(symmetry, bool):
-        raise CircuitError(f"symmetry must be a bool, got {symmetry!r}")
     if not c.gates:
         return GateStats(0, 0, 0, 0, 0)
     n = c.n_qubits
     depth = 2 * (max(n - 2, 0) + (num_layers - 1))
-    if symmetry:
+    if _has_reflection_tail(c):
         depth += n - 1
     prices = _cnot_prices(c)
     return GateStats(

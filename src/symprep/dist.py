@@ -251,12 +251,14 @@ def _exact_normalize(w: np.ndarray, symmetric: bool) -> np.ndarray:
         rest = float(np.sum(np.delete(p, [j, n - 1 - j])))
         p[j] = p[n - 1 - j] = 0.5 * (1.0 - rest)
     else:
-        p[-1] = 1.0 - float(p[:-1].sum())
-        if p[-1] < 0:
-            # rounding can push the adjusted element barely negative
-            p[-1] = 0.0
-            p /= p.sum()
-            p[-1] = 1.0 - float(p[:-1].sum())
+        rest = float(p[:-1].sum())
+        if rest <= 1.0:
+            p[-1] = 1.0 - rest
+        else:
+            # rounding took the rest past 1, so the last entry (maybe a zero
+            # weight) cannot take the residual: the largest entry does
+            j = int(np.argmax(p))
+            p[j] = 1.0 - float(np.sum(np.delete(p, j)))
     return p
 
 

@@ -17,7 +17,7 @@ import csv
 import io
 import json
 from contextlib import contextmanager
-from dataclasses import asdict, dataclass, replace
+from dataclasses import asdict, dataclass, fields, replace
 
 import numpy as np
 
@@ -156,6 +156,12 @@ class RunResult:
     stack: DisentanglerStack
 
 
+# a run config document's keys are RunConfig's fields, its grid's are Grid's
+# but n_qubits (the run's); a key left out takes the field's default
+_RUN_KEYS = tuple(f.name for f in fields(RunConfig))
+_GRID_KEYS = tuple(f.name for f in fields(Grid) if f.name != "n_qubits")
+
+
 def _reject_unknown(d: dict, allowed, ctx: str) -> None:
     unknown = sorted(set(d) - set(allowed))
     if unknown:
@@ -194,14 +200,13 @@ def config_from_dict(doc: dict) -> RunConfig | SweepConfig:
             raise ConfigError(f"vary.{key} must be a list of integers, got {values!r}")
         return SweepConfig(base=base, vary_key=key, vary_values=tuple(values))
 
-    allowed = ("dist", "grid", "n_qubits", "method", "num_layers", "seed")
-    _reject_unknown(doc, allowed, "run config")
+    _reject_unknown(doc, _RUN_KEYS, "run config")
     if "dist" not in doc or "n_qubits" not in doc:
         raise ConfigError("run config needs at least 'dist' and 'n_qubits'")
     grid_doc = doc.get("grid", {})
     if not isinstance(grid_doc, dict):
         raise ConfigError("grid must be an object")
-    _reject_unknown(grid_doc, ("min", "max", "convention"), "grid")
+    _reject_unknown(grid_doc, _GRID_KEYS, "grid")
     if ("min" in grid_doc) != ("max" in grid_doc):
         raise ConfigError("grid needs both min and max")
 
@@ -216,18 +221,11 @@ def config_from_dict(doc: dict) -> RunConfig | SweepConfig:
             # five natural scale units either side of the center of symmetry
             c, unit = fam.center(spec), fam.scale(spec)
             gmin, gmax = c - 5.0 * unit, c + 5.0 * unit
-        grid = Grid(gmin, gmax, doc["n_qubits"], grid_doc.get("convention", "midpoint"))
+        opts = {k: v for k, v in grid_doc.items() if k not in ("min", "max")}
+        grid = Grid(gmin, gmax, doc["n_qubits"], **opts)
     except DistError as exc:
         raise ConfigError(str(exc)) from exc
-
-    return RunConfig(
-        dist=spec,
-        grid=grid,
-        n_qubits=doc["n_qubits"],
-        method=doc.get("method", "symmetry"),
-        num_layers=doc.get("num_layers", 1),
-        seed=doc.get("seed"),
-    )
+    return RunConfig(dist=spec, grid=grid, **{k: v for k, v in doc.items() if k not in ("dist", "grid")})
 
 
 def parse_config(path: str) -> RunConfig | SweepConfig:
@@ -249,18 +247,8 @@ def _config_echo(cfg: RunConfig) -> dict:
     for key in FAMILIES[cfg.dist.kind].params:
         v = getattr(cfg.dist, key)
         dist[key] = list(v) if isinstance(v, tuple) else v
-    return {
-        "dist": dist,
-        "grid": {
-            "min": cfg.grid.min,
-            "max": cfg.grid.max,
-            "convention": cfg.grid.convention,
-        },
-        "n_qubits": cfg.n_qubits,
-        "method": cfg.method,
-        "num_layers": cfg.num_layers,
-        "seed": cfg.seed,
-    }
+    grid = {k: getattr(cfg.grid, k) for k in _GRID_KEYS}
+    return {k: getattr(cfg, k) for k in _RUN_KEYS} | {"dist": dist, "grid": grid}
 
 
 @contextmanager
@@ -291,17 +279,16 @@ def encode(config: RunConfig) -> tuple[TargetDistribution, Mps]:
 
 def _verify(config: RunConfig, target: TargetDistribution, stack: DisentanglerStack) -> RunResult:
     # emit the circuit of a built stack, simulate it and score it
-    symmetry = config.method == "symmetry"
     with _stage("prep_circuit"):
         circ = prep_circuit(stack)
-    if symmetry:
+    if config.method == "symmetry":
         with _stage("add_reflection_wrapper"):
             circ = add_reflection_wrapper(circ)
     with _stage("simulate"):
         psi = simulate(circ)
     with _stage("metrics"):
         probs = psi * psi
-        stats = accounting(circ, num_layers=config.num_layers, symmetry=symmetry)
+        stats = accounting(circ, num_layers=config.num_layers)
         report = MetricsReport(
             kl_divergence=kl_divergence(target.p, probs),
             classical_fidelity=classical_fidelity(target.p, probs),
@@ -370,7 +357,7 @@ def _largest_point(config: SweepConfig):
         return None
     try:
         res = run_full(_point_config(config.base, config.vary_key, config.vary_values[-1]))
-    except (ConfigError, PipelineError, ValueError):
+    except (PipelineError, ValueError):
         return None
     return res.target, res.stack, res.report  # not the state or circuit
 
@@ -406,7 +393,7 @@ def sweep_full(config: SweepConfig):
                     rep = _verify(cfg, target, stack.prefix(cfg.num_layers)).report
             reports.append(rep)
             row.update(report_row(rep, cfg.num_layers))
-        except (ConfigError, PipelineError, ValueError) as exc:
+        except (PipelineError, ValueError) as exc:  # a ConfigError is a ValueError
             row["error"] = str(exc)
         rows.append(row)
     return reports, rows
@@ -428,8 +415,6 @@ def rows_to_csv(rows, columns=SWEEP_COLUMNS) -> str:
 
 
 def _csv_cell(v) -> str:
-    if v is None:
-        return ""
     if isinstance(v, float):
         return format(v, ".17g")
     return str(v)

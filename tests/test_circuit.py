@@ -167,22 +167,22 @@ def test_reflection_wrapper_needs_two_qubits():
 def test_accounting_depth_formulas():
     stack = half_stack(5, num_layers=1)
     c = add_reflection_wrapper(prep_circuit(stack))
-    stats5 = accounting(c, num_layers=1, symmetry=True)
+    stats5 = accounting(c, num_layers=1)
     assert stats5.cnot_depth_analytic == 10  # 2(n-2) + (n-1) at n=5
     assert stats5.two_qubit_gate_count == 8  # (n-1) chain gates + (n-1) fan-out
     assert stats5.total_gate_count == 9  # 4 chain + H + 4 fan-out
 
     # bare staircase formula without the wrapper
     dummy = Circuit(20, (GateOp("hadamard", (0,)),))
-    stats20 = accounting(dummy, num_layers=11, symmetry=False)
+    stats20 = accounting(dummy, num_layers=11)
     assert stats20.cnot_depth_analytic == 2 * ((20 - 2) + (11 - 1))
     assert stats20.cnot_depth_analytic == 56
 
     # the staircase term n-2 stops at 0 rather than going negative
-    one = accounting(Circuit(1, (GateOp("hadamard", (0,)),)), num_layers=1, symmetry=False)
+    one = accounting(Circuit(1, (GateOp("hadamard", (0,)),)), num_layers=1)
     assert one.cnot_depth_analytic == 0
 
-    empty = accounting(Circuit(5, ()), num_layers=1, symmetry=True)
+    empty = accounting(Circuit(5, ()), num_layers=1)
     assert (
         empty.cnot_depth_analytic
         == empty.two_qubit_gate_count
@@ -199,17 +199,33 @@ def test_accounting_refuses_bad_layer_counts(num_layers):
         accounting(ghz_circuit(), num_layers=num_layers)
 
 
-@pytest.mark.parametrize("symmetry", ["no", 1, None], ids=repr)
-def test_accounting_refuses_non_bool_symmetry(symmetry):
-    # "no" is not read as true: the wrapper's n-1 would be added to the depth
-    c = prep_circuit(half_stack(6))
-    assert accounting(c, 1, False).cnot_depth_analytic == 6
-    with pytest.raises(CircuitError, match="symmetry must be a bool"):
-        accounting(c, 1, symmetry)
+def _drop(c, i):
+    return Circuit(c.n_qubits, c.gates[:i] + c.gates[i + 1 :])
+
+
+def _swap(c, i, j):
+    g = list(c.gates)
+    g[i], g[j] = g[j], g[i]
+    return Circuit(c.n_qubits, tuple(g))
+
+
+def test_accounting_reads_the_wrapper_off_the_gates():
+    # the fan-out's n-1 is added exactly when the gates end with the wrapper's
+    # tail: H(0), then CNOT(0, j) for j = 1 .. n-1 in order, on n >= 3 wires
+    inner = prep_circuit(half_stack(6))
+    c = add_reflection_wrapper(inner)
+    assert accounting(c).cnot_depth_analytic == 2 * (6 - 2) + 5
+    assert accounting(inner).cnot_depth_analytic == 2 * (5 - 2)
+    bare = 2 * (6 - 2)
+    assert accounting(_drop(c, len(c.gates) - 3)).cnot_depth_analytic == bare  # one CNOT missing
+    assert accounting(_swap(c, -1, -2)).cnot_depth_analytic == bare  # fan-out out of order
+    assert accounting(_swap(c, -5, -6)).cnot_depth_analytic == bare  # H after the first CNOT
+    # the 2-qubit Bell circuit has the same gates, but no wrapper fits 2 wires
+    assert accounting(ghz_circuit()).cnot_depth_analytic == 0
 
 
 def test_accounting_counted_depth_ghz():
-    stats2 = accounting(ghz_circuit(), num_layers=1, symmetry=False)
+    stats2 = accounting(ghz_circuit(), num_layers=1)
     assert stats2.cnot_depth_counted == 1
     assert stats2.two_qubit_gate_count == 1
 
@@ -470,6 +486,9 @@ def test_simulate_cost_is_linear_in_the_state(monkeypatch):
         "float n_qubits",
         "bool matrix",
         "nested matrix",
+        "matrix entry not a number",
+        "gate not an object",
+        "format_version 2",
         "not an object",
     ],
 )
@@ -499,7 +518,16 @@ def test_import_malformed(case):
         doc["gates"].append({"kind": "unitary1", "qubits": [0], "matrix": [True, False, False, True]})
     elif case == "nested matrix":  # a flat list of d*d entries, as exported
         doc["gates"].append({"kind": "unitary1", "qubits": [0], "matrix": [[1, 0], [0, 1]]})
+    elif case == "matrix entry not a number":
+        doc["gates"].append({"kind": "unitary1", "qubits": [0], "matrix": ["one", "0", "0", "1"]})
+    elif case == "gate not an object":
+        doc["gates"][1] = ["cnot", 0, 1]
+    elif case == "format_version 2":
+        doc["format_version"] = 2
     else:
         doc = [doc]
-    with pytest.raises(CircuitError):
+    with pytest.raises(CircuitError) as err:
         import_circuit(json.dumps(doc))
+    if case in ("matrix entry not a number", "gate not an object"):
+        # a wrong type the gate checks cannot see is mapped, not raised raw
+        assert "malformed circuit document" in str(err.value)

@@ -119,6 +119,20 @@ def test_table_symmetric_zero_center_pair():
     assert float(t.p.sum()) == 1.0
 
 
+@pytest.mark.parametrize("spec, grid", [
+    (DistSpec("table", weights=(0.1, 0.3, 0.7, 0.2, 0.0, 0.0, 0.0, 0.0)), Grid(-1.0, 1.0, 3)),
+    (DistSpec("normal", mu=-0.4, sigma2=1e-3), Grid(-0.5, 0.5, 10)),
+], ids=["table-zero-tail", "normal-off-centre"])
+def test_asymmetric_residual_on_an_entry_that_absorbs_it(spec, grid):
+    # the weights but the last sum past 1 after rounding; the residual used
+    # to land on the last entry and leave it negative, refusing the density
+    t = sample_pdf(spec, grid)
+    assert np.all(t.p >= 0)
+    assert abs(float(t.p.sum()) - 1.0) <= 1e-12
+    w = np.array(spec.weights) if spec.kind == "table" else spec.pdf(grid.points())
+    assert np.max(np.abs(t.p - w / w.sum())) <= 1e-15
+
+
 def test_left_half_monotone_normal():
     t = sample_pdf(DistSpec("normal", mu=0.0, sigma2=0.01), Grid(-0.5, 0.5, 10))
     h = left_half(t)

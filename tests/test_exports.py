@@ -26,6 +26,22 @@ def test_exported_names_resolve(module):
     assert len(set(module.__all__)) == len(module.__all__)
 
 
+def test_package_surface_is_the_modules_all():
+    # every public name is declared once, in its module's __all__; the
+    # package star-imports each public module (not statevec, circuit.simulate's
+    # kernels) and lists their names in that order
+    names = [n for m in MODULES[1:] for n in m.__all__]
+    assert not sorted({n for n in names if names.count(n) > 1})
+    tree = ast.parse(pathlib.Path(symprep.__file__).read_text())
+    starred = [node.module for node in tree.body if isinstance(node, ast.ImportFrom)
+               and node.level == 1 and [a.name for a in node.names] == ["*"]]
+    assert sorted(starred) == sorted(m.__name__.removeprefix("symprep.") for m in MODULES[1:]
+                                     if m.__name__ != "symprep.statevec")
+    surfaced = [n for name in starred for n in importlib.import_module(f"symprep.{name}").__all__]
+    assert symprep.__all__ == ["__version__"] + surfaced
+    assert not hasattr(symprep, "widen")
+
+
 def test_no_allclose_in_src():
     # numerics.is_orthonormal is the one home of the orthogonality rule; an
     # allclose check would bring back a relative slack of 1e-5.

@@ -125,6 +125,7 @@ def test_config_validation_errors():
         {"dist": {"kind": "table", "path": "missing.csv", "weights": [1.0] * 64},
          "grid": {"min": 0.0, "max": 1.0}, "method": "baseline"},
         {"dist": 5},
+        {"grid": [-1.0, 1.0]},
         {"dist": {"kind": "normal", "mu": None}},  # null is not "unset"
         {"vary": {"layer_counts": [1.5, 2]}},
         {"vary": {"bond_dims": 5}},
@@ -140,6 +141,25 @@ def test_config_values_are_not_coerced(over, tmp_path, capsys):
         config_from_dict(doc)
     assert main(["run", "--config", write_config(tmp_path, doc)]) == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        ("[]", "config root must be an object"),
+        (json.dumps({"base": {"base": minimal_doc(), "vary": {"bond_dims": [2]}}, "vary": {"bond_dims": [2]}}),
+         "not another sweep"),
+        ("{not json", "not valid JSON"),
+    ],
+    ids=["root list", "sweep of a sweep", "not JSON"],
+)
+def test_config_files_refused(text, message, tmp_path, capsys):
+    path = tmp_path / "cfg.json"
+    path.write_text(text)
+    with pytest.raises(ConfigError, match=message):
+        parse_config(str(path))
+    assert main(["sweep", "--config", str(path)]) == 2
+    assert message in capsys.readouterr().err
 
 
 def test_chi_work_is_an_unknown_key(tmp_path, capsys):
@@ -536,6 +556,19 @@ def test_cli_sweep_csv(tmp_path, capsys):
     lines = out.read_text().strip().splitlines()
     assert len(lines) == 3
     assert lines[1].split(",")[0] == "bond_dims"
+
+
+def test_cli_sweep_json_equals_csv(tmp_path, capsys):
+    # the n=3 point fails (method symmetry needs 4 qubits): its row holds the error
+    doc = {"base": minimal_doc(), "vary": {"qubit_counts": [3, 4, 5]}}
+    cfg = write_config(tmp_path, doc, "sweep.json")
+    assert main(["sweep", "--config", cfg]) == 0
+    text = capsys.readouterr().out
+    assert main(["sweep", "--config", cfg, "--format", "json"]) == 0
+    rows = json.loads(capsys.readouterr().out)["rows"]
+    assert [list(r) for r in rows] == [SWEEP_COLUMNS] * 3
+    assert rows[0]["error"] and not rows[1]["error"]
+    assert rows_to_csv(rows) == text
 
 
 def test_cli_export_and_inspect(tmp_path, capsys):
