@@ -184,7 +184,7 @@ def _fanouts(gates) -> list:
 def simulate(c: Circuit) -> np.ndarray:
     """Exact dense application of the gates in order to |0...0>.
 
-    Each gate is one einsum on a view of the state, a run of consecutive
+    Each gate is one BLAS call on a view of the state, a run of consecutive
     CNOTs from one control (the wrapper's fan-out) one permutation with one
     copy of the state, and a qubit's axis has width 1 until a gate first
     touches it: a staircase layer on |0...0> costs O(2^n), gate q working on
@@ -196,13 +196,7 @@ def simulate(c: Circuit) -> np.ndarray:
         raise CircuitError(f"n={n} exceeds dense limit {DENSE_LIMIT}")
     psi = np.ones((1,) * n)
     for kind, qubits, matrix in _fanouts(c.gates):
-        qs = qubits
-        if kind == "unitary2" and psi.shape[qs[0]] == psi.shape[qs[1]] == 2:
-            # einsum's summation order turns on whether the view's mid and right
-            # blocks have length 1: widen the wires after each qubit so they match
-            # the flat vector's (a fresh qubit leaves two terms, summed alike)
-            qs = (qs[0] + 1, min(qs[1] + 1, n - 1))
-        psi = statevec.widen(psi, qs)
+        psi = statevec.widen(psi, qubits)
         if kind == "cnot":
             psi = statevec.apply_cnot(psi, *qubits)
         elif kind == "unitary2":

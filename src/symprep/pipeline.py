@@ -232,12 +232,14 @@ def parse_config(path: str) -> RunConfig | SweepConfig:
     """Load and validate a JSON config file; a missing or malformed file is
     a ConfigError."""
     try:
-        with open(path) as fh:
+        with open(path, encoding="utf-8") as fh:
             doc = json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config is not valid JSON: {exc}") from exc
+    except (OSError, UnicodeDecodeError) as exc:  # a directory, no permission, not UTF-8
+        raise ConfigError(f"cannot read config file {path}: {exc}") from exc
     return config_from_dict(doc)
 
 

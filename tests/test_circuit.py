@@ -273,8 +273,8 @@ def test_dense_vs_mps_simulator_agreement():
 
 
 # Reference kernels: moveaxis, einsum on the strided view, copy back. These
-# are the full-width kernels simulate ran before its view kernels, CNOT
-# permutation and width-1 axes, and the oracle those are held to bit for bit.
+# are the full-width kernels simulate ran before its BLAS kernels, CNOT
+# permutation and width-1 axes; the kernels are held to them within 1e-15.
 # They take and return n-axis states whose axes all have width 2.
 def ref_apply_1q(psi, g, q):
     t = np.moveaxis(np.einsum("ij,j...->i...", g, np.moveaxis(psi, q, 0)), 0, q)
@@ -293,11 +293,15 @@ def gate_matrix(g):
     return {"hadamard": statevec.HADAMARD, "cnot": CNOT}.get(g.kind, g.matrix)
 
 
-def ref_simulate(c):
+def wide_simulate(c):
+    # the statevec kernels one gate at a time on a full-width state
     psi = statevec.zero_state(c.n_qubits).reshape((2,) * c.n_qubits)
     for g in c.gates:
-        kernel = ref_apply_1q if len(g.qubits) == 1 else ref_apply_2q
-        psi = kernel(psi, gate_matrix(g), *g.qubits)
+        if g.kind == "cnot":
+            psi = statevec.apply_cnot(psi, *g.qubits)
+        else:
+            kernel = statevec.apply_1q if len(g.qubits) == 1 else statevec.apply_2q
+            psi = kernel(psi, gate_matrix(g), *g.qubits)
     return psi.reshape(-1)
 
 
@@ -362,23 +366,56 @@ def differential_cases():
 
 @pytest.mark.parametrize("c", differential_cases())
 def test_simulate_matches_reference_kernels(c):
+    # width-1 axes and merged CNOT runs leave the full-width kernels' bits
     psi = simulate(c)
-    assert psi.tobytes() == ref_simulate(c).tobytes()  # bit-identical, zeros' signs included
+    assert psi.tobytes() == wide_simulate(c).tobytes()  # bit-identical, zeros' signs included
     assert np.max(np.abs(psi - kron_simulate(c))) <= 1e-14
 
 
 def test_flat_kernels_match_reference():
+    # every wire pair on full-width states: qa > qb, wires apart, and the
+    # left (wire 0) and right (wire n-1) blocks of length 1
     rng = np.random.default_rng(17)
     for n in range(2, 9):
         psi = rng.standard_normal((2,) * n)
+        psi /= np.linalg.norm(psi)
         g4, g2 = (np.linalg.qr(rng.standard_normal((d, d)))[0] for d in (4, 2))
         for qa in range(n):
-            assert statevec.apply_1q(psi, g2, qa).tobytes() == ref_apply_1q(psi, g2, qa).tobytes()
+            assert np.max(np.abs(statevec.apply_1q(psi, g2, qa) - ref_apply_1q(psi, g2, qa))) <= 1e-15
             for qb in set(range(n)) - {qa}:  # qa > qb too: the higher bit on the lower wire
                 got = statevec.apply_2q(psi, g4, qa, qb)
-                assert got.tobytes() == ref_apply_2q(psi, g4, qa, qb).tobytes()
+                assert np.max(np.abs(got - ref_apply_2q(psi, g4, qa, qb))) <= 1e-15, (n, qa, qb)
                 cnot = statevec.apply_cnot(psi, qa, qb)
                 assert cnot.tobytes() == ref_apply_2q(psi, CNOT, qa, qb).tobytes()
+
+
+def test_kernels_ignore_width_1_axes():
+    # a gate on a state with untouched (width-1) axes, widened afterwards, is
+    # bit for bit the gate on the widened state, whatever blocks that leaves
+    rng = np.random.default_rng(29)
+    for _ in range(300):
+        n = int(rng.integers(2, 9))
+        qubits = tuple(int(q) for q in rng.choice(n, int(rng.integers(1, 3)), replace=False))
+        shape = tuple(2 if q in qubits or rng.random() < 0.5 else 1 for q in range(n))
+        psi = rng.standard_normal(shape)
+        g = np.linalg.qr(rng.standard_normal((2 ** len(qubits),) * 2))[0]
+        kernel = statevec.apply_1q if len(qubits) == 1 else statevec.apply_2q
+        got = statevec.widen(kernel(psi, g, *qubits), range(n))
+        assert got.tobytes() == kernel(statevec.widen(psi, range(n)), g, *qubits).tobytes(), (shape, qubits)
+
+
+def test_emitted_two_qubit_gates_act_on_adjacent_wires():
+    # so simulate never reaches apply_2q's copy for wires apart on the
+    # circuits the pipeline emits, with or without the wrapper
+    rng = np.random.default_rng(31)
+    for n in range(3, 9):
+        psi = rng.standard_normal(2**n)
+        stack = build_stack(mps_from_statevector(psi / np.linalg.norm(psi)), num_layers=3)
+        for layers in range(1, 4):
+            inner = prep_circuit(stack.prefix(layers))
+            for c in (inner, add_reflection_wrapper(inner)):
+                pairs = [g.qubits for g in c.gates if g.kind == "unitary2"]
+                assert pairs and all(qb == qa + 1 for qa, qb in pairs), (n, layers)
 
 
 def test_cnot_fan_out_is_its_cnots_one_at_a_time():
@@ -450,7 +487,7 @@ def test_kernels_refuse_flat_vectors():
 def test_simulate_cost_is_linear_in_the_state(monkeypatch):
     # On |0...0> gate q of a staircase layer sees only the qubits it and its
     # predecessors touched: 4, 8, ..., 2^n amplitudes, O(2^n) for the layer.
-    # The wrapper's CNOTs are permutations and never reach the einsum kernel.
+    # The wrapper's CNOTs are permutations and never reach apply_2q.
     n = 12
     full = build_stack(mps_from_statevector(np.sqrt(normal_target(n))), num_layers=1)
     wrapped = add_reflection_wrapper(prep_circuit(half_stack(n)))

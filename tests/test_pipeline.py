@@ -150,16 +150,25 @@ def test_config_values_are_not_coerced(over, tmp_path, capsys):
         (json.dumps({"base": {"base": minimal_doc(), "vary": {"bond_dims": [2]}}, "vary": {"bond_dims": [2]}}),
          "not another sweep"),
         ("{not json", "not valid JSON"),
+        (None, "cannot read config file"),
+        (b"\xff\xfe{}", "cannot read config file"),
     ],
-    ids=["root list", "sweep of a sweep", "not JSON"],
+    ids=["root list", "sweep of a sweep", "not JSON", "directory", "not UTF-8"],
 )
 def test_config_files_refused(text, message, tmp_path, capsys):
+    # every file fault is a config error (exit 2), not a runtime error
     path = tmp_path / "cfg.json"
-    path.write_text(text)
+    if text is None:
+        path.mkdir()
+    elif isinstance(text, bytes):
+        path.write_bytes(text)
+    else:
+        path.write_text(text)
     with pytest.raises(ConfigError, match=message):
         parse_config(str(path))
     assert main(["sweep", "--config", str(path)]) == 2
-    assert message in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and message in err
 
 
 def test_chi_work_is_an_unknown_key(tmp_path, capsys):

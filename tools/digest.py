@@ -1,4 +1,4 @@
-"""Print two SHA-256 per benchmark workload: a byte-level parity check.
+"""Print three SHA-256 per benchmark workload: a byte-level parity check.
 
     PYTHONPATH=src python3 tools/digest.py
 
@@ -19,6 +19,10 @@ The second hash, after `states+gates`, covers only the state bytes and the
 emitted gates of the same `run_full` calls, no report document or sweep
 row. A change that moves only the last bits of reported metrics changes
 the first hash and keeps the second.
+
+The third, after `gates`, covers only the emitted gates. A change that moves
+only the last bits of simulated states (a new dense kernel, say) changes
+the first two and keeps the third, which shows the circuits are unchanged.
 """
 
 from __future__ import annotations
@@ -38,35 +42,35 @@ import numpy as np  # noqa: E402
 SEEDS = (0, 1, 2)
 
 
-def _update_run(full, core, item: run.RunItem) -> None:
+def _update_run(full, core, gates, item: run.RunItem) -> None:
     res = item.call()
     full.update(repr(item.fingerprint(res)).encode())
     core.update(np.ascontiguousarray(res.state).tobytes())
     for g in res.circuit.gates:
-        for h in (full, core):
+        for h in (full, core, gates):
             h.update(repr((g.kind, g.qubits)).encode())
             if g.matrix is not None:
                 h.update(g.matrix.tobytes())
 
 
-def workload_digests(name: str) -> tuple[str, str]:
-    """(hash of reports, states and gates; hash of states and gates)."""
-    full, core = hashlib.sha256(), hashlib.sha256()
+def workload_digests(name: str) -> tuple[str, str, str]:
+    """(hash of reports, states and gates; of states and gates; of gates)."""
+    full, core, gates = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
     for seed in SEEDS:
         for item in run.make_items(name, seed):
             if isinstance(item, run.SweepItem):
                 full.update(repr(item.fingerprint(item.call())).encode())
                 for point in workloads.sweep_points(item.doc):
-                    _update_run(full, core, run.RunItem(point))
+                    _update_run(full, core, gates, run.RunItem(point))
             else:
-                _update_run(full, core, item)
-    return full.hexdigest(), core.hexdigest()
+                _update_run(full, core, gates, item)
+    return full.hexdigest(), core.hexdigest(), gates.hexdigest()
 
 
 def main() -> None:
     for name in workloads.POOLS:
-        full, core = workload_digests(name)
-        print(f"{name} {full} states+gates {core}", flush=True)
+        full, core, gates = workload_digests(name)
+        print(f"{name} {full} states+gates {core} gates {gates}", flush=True)
 
 
 if __name__ == "__main__":
