@@ -206,7 +206,7 @@ def simulate(c: Circuit) -> np.ndarray:
             psi = statevec.apply_1q(psi, m, *qubits)
     psi = statevec.widen(psi, range(n)).reshape(-1)
     nrm = float(np.linalg.norm(psi))
-    if abs(nrm - 1.0) > 1e-12:
+    if not abs(nrm - 1.0) <= 1e-12:
         raise CircuitError(f"simulation lost norm: {nrm:.15g}")
     return psi
 

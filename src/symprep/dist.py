@@ -232,7 +232,7 @@ class TargetDistribution:
             )
         if np.any(p < 0) or not np.all(np.isfinite(p)):
             raise DistError("probabilities must be finite and non-negative")
-        if abs(float(p.sum()) - 1.0) > 1e-12:
+        if not abs(float(p.sum()) - 1.0) <= 1e-12:
             raise DistError(f"probabilities sum to {p.sum():.17g}, not 1")
         object.__setattr__(self, "p", p)
 

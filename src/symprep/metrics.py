@@ -53,10 +53,12 @@ def _prob_vector(p, name: str) -> np.ndarray:
     v = np.asarray(p, dtype=float)
     if v.ndim != 1:
         raise MetricsError(f"{name} must be a vector")
-    if np.any(v < 0) or not np.all(np.isfinite(v)):
+    # two passes: the min fails on NaN, -inf and negatives, the sum on +inf
+    total = float(v.sum())
+    if not v.min(initial=0.0) >= 0 or (total == np.inf and not np.all(np.isfinite(v))):
         raise MetricsError(f"{name} must be finite and non-negative")
-    if abs(float(v.sum()) - 1.0) > 1e-9:
-        raise MetricsError(f"{name} sums to {v.sum():.12g}, not 1 within 1e-9")
+    if abs(total - 1.0) > 1e-9:
+        raise MetricsError(f"{name} sums to {total:.12g}, not 1 within 1e-9")
     return v
 
 
@@ -104,7 +106,7 @@ def _check_state(v, limit: int) -> tuple[np.ndarray, int]:
         raise MetricsError(f"length {v.size} is not a power of two >= 2")
     if n > limit:
         raise MetricsError(f"n={n} exceeds limit {limit} for this evaluation")
-    if abs(float(np.linalg.norm(v)) - 1.0) > 1e-10:
+    if not abs(float(np.linalg.norm(v)) - 1.0) <= 1e-10:  # NaN fails too
         raise MetricsError("statevector is not normalized within 1e-10")
     return v, n
 

@@ -5,7 +5,9 @@ with explicit size-1 boundary bonds. The canonical form used throughout is
 the one the gate extraction needs: contracting any site tensor with itself
 over (physical, right bond) gives the identity on the left bond, and the
 whole norm sits in the first tensor (Frobenius norm 1). It is produced by a
-truncating SVD sweep that processes sites from last to first.
+truncating sweep from the last site to the first that takes each tall
+unfolding's singular values and right vectors from the R factors of its row
+blocks, so the tall left factor is never formed.
 """
 
 from __future__ import annotations
@@ -36,6 +38,11 @@ DENSE_LIMIT = 24
 # truncate() keeps them so requested bond dims are met exactly: the layer
 # extraction reads its gate shapes off those bond dims.
 _RANK_CUTOFF = 1e-14
+
+# Taller unfoldings are cut to the stacked R factors of row blocks this tall
+# (one batched QR on cache-sized blocks; s and vt are kept). 512 timed
+# fastest, by about 5%, on the n=19 and n=20 encodes over 256 to 4096.
+_QR_BLOCK = 512
 
 FORMAT_VERSION = 1
 
@@ -115,8 +122,11 @@ def mps_from_statevector(v, chi_max: int | None = None) -> Mps:
     """Decompose a normalized real statevector into canonical form.
 
     Sweeps from the last site to the first, truncating each bond at chi_max;
-    the state is renormalized once at the end. The global sign gauge keeps
-    the amplitude at the input's largest-|entry| index on the input's sign.
+    the state is renormalized once at the end. An unfolding m taller than
+    _QR_BLOCK rows is replaced by the stacked R's of its blocks, which have
+    the same s and vt; the carry m @ vt[:k].T equals u[:, :k] * s[:k], so
+    no 2^n left factor is built. The global sign gauge keeps the amplitude
+    at the input's largest-|entry| index on the input's sign.
     """
     v = np.asarray(v, dtype=float).ravel()
     size = v.size
@@ -124,7 +134,7 @@ def mps_from_statevector(v, chi_max: int | None = None) -> Mps:
     if 2**n != size or n < 2:
         raise MpsError(f"length {size} is not a power of two >= 4")
     nrm = float(np.linalg.norm(v))
-    if abs(nrm - 1.0) > 1e-10:
+    if not abs(nrm - 1.0) <= 1e-10:  # NaN fails too
         raise MpsError(f"statevector norm is {nrm:.12g}, need 1 within 1e-10")
     if chi_max is not None:
         _check_count("chi_max", chi_max)
@@ -133,11 +143,13 @@ def mps_from_statevector(v, chi_max: int | None = None) -> Mps:
     m = v.reshape(2 ** (n - 1), 2)
     r_prev = 1
     for i in range(n - 1, 0, -1):
-        u, s, vt = svd(m)
+        r = m
+        if m.shape[0] > _QR_BLOCK:
+            r = np.linalg.qr(m.reshape(-1, _QR_BLOCK, 2 * r_prev), mode="r").reshape(-1, 2 * r_prev)
+        _, s, vt = svd(r)
         k = _kept(s, chi_max)
         tensors[i] = vt[:k].reshape(k, 2, r_prev).transpose(1, 0, 2)
-        carry = u[:, :k] * s[:k]
-        del u  # up to 2^n floats: free them before the next svd
+        carry = m @ vt[:k].T
         m = carry.reshape(carry.shape[0] // 2, 2 * k)
         r_prev = k
     first = m.reshape(2, 1, r_prev)

@@ -41,6 +41,17 @@ def half_stack(n_full, num_layers=1):
     return build_stack(m, num_layers=num_layers)
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_gateop_refuses_non_finite_matrices(bad):
+    # what simulate runs: a gate can carry no NaN or inf into the state, as
+    # a float array (not orthogonal) or as a nested list (not finite)
+    for kind, g in (("unitary1", np.eye(2)), ("unitary2", np.eye(4))):
+        g[0, 0] = bad
+        for m in (g, g.tolist()):
+            with pytest.raises(CircuitError, match="not orthogonal|must be finite numbers"):
+                GateOp(kind, tuple(range(g.shape[0] // 2)), m)
+
+
 def test_gateop_validation():
     with pytest.raises(CircuitError):
         GateOp("toffoli", (0, 1))

@@ -10,6 +10,7 @@ from symprep.dist import (
     DistError,
     DistSpec,
     Grid,
+    TargetDistribution,
     amplitudes,
     is_mirror_symmetric,
     left_half,
@@ -284,3 +285,10 @@ def test_student_t_pdf_finite_for_any_finite_nu():
         assert np.all(np.isfinite(p)) and np.all(p >= 0), nu
     huge = DistSpec("student_t", nu=1.7e308).pdf(x)
     assert np.allclose(huge, np.exp(-x * x / 2) / math.sqrt(2 * math.pi), rtol=1e-14, atol=0)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_target_refuses_non_finite_probabilities(bad):
+    for p in (np.array([0.5, bad, 0.25, 0.25]), np.full(4, bad)):
+        with pytest.raises(DistError, match="finite and non-negative"):
+            TargetDistribution(Grid(0.0, 1.0, 2), p)

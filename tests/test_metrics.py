@@ -232,3 +232,33 @@ def test_asymmetric_inputs_keep_the_full_forms():
             v = np.sqrt(q)
             v /= np.linalg.norm(v)
             assert abs(meyer_wallach_purity(v) - ref_meyer_wallach(v)) <= 1e-12
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+@pytest.mark.parametrize("fn", [meyer_wallach_purity, meyer_wallach_direct])
+def test_meyer_wallach_refuses_non_finite_states(fn, bad):
+    v = ghz(3)
+    v[2] = bad
+    for w in (v, np.full(8, bad)):
+        with pytest.raises(MetricsError, match="not normalized"):
+            fn(w)
+
+
+@pytest.mark.parametrize("case, match", [
+    ("nan", "must be finite and non-negative"),
+    ("+inf", "must be finite and non-negative"),
+    ("-inf", "must be finite and non-negative"),
+    ("negative", "must be finite and non-negative"),
+    ("sum", r"sums to 1\.1, not 1 within 1e-9"),
+])
+@pytest.mark.parametrize("fn", [kl_divergence, classical_fidelity])
+def test_probability_vectors_refused(fn, case, match):
+    good = np.full(4, 0.25)
+    bad = good.copy()
+    bad[1] = {"nan": np.nan, "+inf": np.inf, "-inf": -np.inf, "negative": -0.1, "sum": 0.35}[case]
+    if case == "negative":
+        bad[2] += 0.35  # keep the sum at 1, so only the sign is wrong
+    with pytest.raises(MetricsError, match="p " + match):
+        fn(bad, good)
+    with pytest.raises(MetricsError, match="q " + match):
+        fn(good, bad)

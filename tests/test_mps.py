@@ -3,7 +3,9 @@
 Oracle for truncation quality: an independent dense successive-SVD
 implementation kept inside this file, pinned to frozen constants.
 Reference code for truncate's sweep and the rank rule pins both bit for
-bit, on full-rank and on padded rank-deficient inputs.
+bit, on full-rank and on padded rank-deficient inputs. Reference code for
+mps_from_statevector's sweep, with the SVD of each whole unfolding and its
+u * s carry, checks the R-factor sweep within rounding.
 """
 
 import json
@@ -65,6 +67,28 @@ def reference_truncate(m, chi):
         tensors[i - 1] = np.einsum("slr,rk->slk", tensors[i - 1], u * s)
     tensors[0] = tensors[0] / float(np.linalg.norm(tensors[0]))
     return tensors, err
+
+
+def reference_from_statevector(v, chi_max=None):
+    # reference: the last-to-first sweep with the thin SVD of each whole
+    # unfolding and the carry u[:, :k] * s[:k]; returns (Mps, spectra)
+    n = v.size.bit_length() - 1
+    tensors, spectra = [None] * n, []
+    m, r_prev = v.reshape(2 ** (n - 1), 2), 1
+    for i in range(n - 1, 0, -1):
+        u, s, vt = svd(m)
+        spectra.append(s)
+        k = mps_module._kept(s, chi_max)
+        tensors[i] = vt[:k].reshape(k, 2, r_prev).transpose(1, 0, 2)
+        carry = u[:, :k] * s[:k]
+        m, r_prev = carry.reshape(carry.shape[0] // 2, 2 * k), k
+    first = m.reshape(2, 1, r_prev)
+    tensors[0] = first / np.linalg.norm(first)
+    top = int(np.argmax(np.abs(v)))
+    bits = [(top >> (n - 1 - j)) & 1 for j in range(n)]
+    if Mps(tensors).amplitude(bits) * v[top] < 0:
+        tensors[0] = -tensors[0]
+    return Mps(tensors, canonical="left"), spectra
 
 
 def reference_gate_rank(s, chi_max):
@@ -293,6 +317,63 @@ def test_truncate_svd_calls(monkeypatch):
         calls.clear()
         truncate(m, 2)
         assert len(calls) == 2 * (n - 1), n
+
+
+def from_statevector_cases():
+    # unfoldings below and above the QR block; full-rank random states stop
+    # at n=16 uncapped (at n=20 their bonds reach 1024 and cost seconds)
+    rng = np.random.default_rng(29)
+    for n in range(3, 21):
+        v = rng.standard_normal(2**n)
+        for chi in (None, 2, 4):
+            yield n, normal_amplitudes(n), chi
+            if chi is not None or n <= 16:
+                yield n, v / np.linalg.norm(v), chi
+
+
+def test_from_statevector_matches_reference(monkeypatch):
+    assert 2**20 > 2 * mps_module._QR_BLOCK  # both R-factor forms are met
+    spectra = []
+    real = mps_module.svd
+
+    def recording(a):
+        out = real(a)
+        spectra.append(out.s)
+        return out
+
+    monkeypatch.setattr(mps_module, "svd", recording)
+    for n, v, chi in from_statevector_cases():
+        spectra.clear()
+        out = mps_from_statevector(v, chi_max=chi)
+        ref, ref_spectra = reference_from_statevector(v, chi)
+        case = (n, chi)
+        assert len(spectra) == n - 1, case
+        assert out.bond_dims == ref.bond_dims, case
+        # a cut between close singular values turns rounding into a rotation
+        # of the kept vectors, by up to s0 / gap times (Wedin); random states
+        # under a cap meet gaps near 1e-3 * s0, and amp is 1 where no bond
+        # is cut
+        amp = max([1.0] + [
+            r[0] / (r[k - 1] - r[k]) for r in ref_spectra
+            for k in [mps_module._kept(r, chi)] if k < r.size
+        ])
+        for s, ref_s in zip(spectra, ref_spectra):
+            assert s.shape == ref_s.shape, case
+            assert np.max(np.abs(s - ref_s)) <= 1e-13 * ref_s[0] * amp, case
+        got, want = to_statevector(out), to_statevector(ref)
+        assert np.max(np.abs(got - want)) <= 1e-12 * amp, case
+        assert is_left_canonical(out), case
+        top = int(np.argmax(np.abs(v)))
+        assert got[top] * v[top] > 0, case  # the sign gauge
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_from_statevector_refuses_non_finite(bad):
+    v = normal_amplitudes(3)
+    v[5] = bad
+    for w in (v, np.full(8, bad)):
+        with pytest.raises(MpsError, match="norm"):
+            mps_from_statevector(w)
 
 
 def test_apply_identity_gate():

@@ -53,17 +53,25 @@ def _update_run(full, core, gates, item: run.RunItem) -> None:
                 h.update(g.matrix.tobytes())
 
 
+def requests(name: str):
+    """Every request of the workload's pools for SEEDS, in order; each sweep
+    is followed by a `run_full` RunItem of each of its points."""
+    for seed in SEEDS:
+        for item in run.make_items(name, seed):
+            yield item
+            if isinstance(item, run.SweepItem):
+                for point in workloads.sweep_points(item.doc):
+                    yield run.RunItem(point)
+
+
 def workload_digests(name: str) -> tuple[str, str, str]:
     """(hash of reports, states and gates; of states and gates; of gates)."""
     full, core, gates = hashlib.sha256(), hashlib.sha256(), hashlib.sha256()
-    for seed in SEEDS:
-        for item in run.make_items(name, seed):
-            if isinstance(item, run.SweepItem):
-                full.update(repr(item.fingerprint(item.call())).encode())
-                for point in workloads.sweep_points(item.doc):
-                    _update_run(full, core, gates, run.RunItem(point))
-            else:
-                _update_run(full, core, gates, item)
+    for item in requests(name):
+        if isinstance(item, run.SweepItem):
+            full.update(repr(item.fingerprint(item.call())).encode())
+        else:
+            _update_run(full, core, gates, item)
     return full.hexdigest(), core.hexdigest(), gates.hexdigest()
 
 
