@@ -13,7 +13,8 @@ Constrained gate columns are copied bit-exactly from the source tensors;
 free columns come from a deterministic orthogonal completion, the last of
 them negated when the determinant would otherwise be -1: every chain gate
 is in SO(4), the one gauge rule. Right bonds of dimension 1 are
-zero-padded to 2 so every chain gate is uniformly 4x4.
+zero-padded to 2, so a layer's chain is one (n-1, 4, 4) array, extracted
+and checked in batched calls.
 """
 
 from __future__ import annotations
@@ -44,12 +45,13 @@ class DisentanglerError(ValueError):
 class MpdLayer:
     """Gates for one staircase layer on an n-qubit chain.
 
-    chain: n-1 gates, 4x4; gate q acts on qubits (q, q+1) and its columns
-        for inputs |k 0> carry the slices of site tensor q at left bond k.
+    chain: one C-ordered (n-1, 4, 4) float array (any sequence of 4x4s
+        converts); gate q acts on qubits (q, q+1) and its columns for
+        inputs |k 0> carry the slices of site tensor q at left bond k.
     end: 2x2 on the last qubit, equal to the last site tensor.
     """
 
-    chain: tuple
+    chain: np.ndarray
     end: np.ndarray
 
     @property
@@ -57,12 +59,17 @@ class MpdLayer:
         return len(self.chain) + 1
 
     def __post_init__(self):
-        for g, d in [*[(g, 4) for g in self.chain], (self.end, 2)]:
-            g = np.asarray(g)
-            if g.shape != (d, d):
-                raise DisentanglerError(f"layer gate must be {d}x{d}, got {g.shape}")
-            if not is_orthonormal(g):
-                raise DisentanglerError("layer gate is not orthogonal within 1e-10")
+        try:
+            chain = np.ascontiguousarray(self.chain, dtype=float)
+        except ValueError as e:  # ragged or non-numeric gates
+            raise DisentanglerError(f"layer chain must be a (k, 4, 4) array: {e}") from None
+        if chain.ndim != 3 or chain.shape[1:] != (4, 4):
+            raise DisentanglerError(f"layer chain must be a (k, 4, 4) array, got shape {chain.shape}")
+        if np.shape(self.end) != (2, 2):
+            raise DisentanglerError(f"layer end gate must be 2x2, got {np.shape(self.end)}")
+        if not (is_orthonormal(chain) and is_orthonormal(self.end)):
+            raise DisentanglerError("layer gate is not orthogonal within 1e-10")
+        object.__setattr__(self, "chain", chain)
 
 
 @dataclass(frozen=True)
@@ -89,9 +96,8 @@ class DisentanglerStack:
     def __post_init__(self):
         if self.n_qubits < 3:
             raise DisentanglerError(f"need n_qubits >= 3, got {self.n_qubits}")
-        for layer in self.layers:
-            if layer.n_qubits != self.n_qubits:
-                raise DisentanglerError("layer width mismatch")
+        if any(layer.n_qubits != self.n_qubits for layer in self.layers):
+            raise DisentanglerError("layer width mismatch")
         if not -1e-12 <= self.residual_infidelity <= 1.0 + 1e-12:
             raise DisentanglerError(
                 f"residual_infidelity {self.residual_infidelity} outside [0, 1]"
@@ -119,18 +125,20 @@ class DisentanglerStack:
 _SLOTS = {1: [0, 1, 2, 3], 2: [0, 2, 1, 3]}
 
 
-def _chain_gate(t: np.ndarray) -> np.ndarray:
-    # Column k (input |k 0>) is the site tensor's slice at left bond k,
-    # vectorised over (physical, right bond zero-padded to 2): row index =
-    # physical*2 + bond.
-    _, l, r = t.shape
-    cols = np.zeros((2, 2, l))
-    cols[:, :r, :] = t.transpose(0, 2, 1)
-    g = np.empty((4, 4))  # scattered into, so the gate stays C-ordered
-    g[:, _SLOTS[l]] = complete_isometry(cols.reshape(4, l))
-    if np.linalg.det(g) < 0:  # the one gauge rule: SO(4) costs 2 CNOTs, det -1 costs 3
-        g[:, _SLOTS[l][-1]] *= -1.0
-    return g
+def _chain_gates(tensors) -> np.ndarray:
+    # Column k (input |k 0>) of gate q is site tensor q's slice at left bond
+    # k, vectorised over (physical, right bond zero-padded to 2): row index =
+    # physical*2 + bond. One completion per left bond size, one det.
+    cols = np.zeros((len(tensors), 2, 2, 2))  # (site, physical, right, left)
+    for q, t in enumerate(tensors):
+        cols[q, :, : t.shape[2], : t.shape[1]] = t.transpose(0, 2, 1)
+    chain = np.empty((len(tensors), 4, 4))  # scattered into, so it stays C-ordered
+    for l, slots in _SLOTS.items():
+        at = np.array([t.shape[1] == l for t in tensors])
+        chain[np.ix_(at, range(4), slots)] = complete_isometry(cols.reshape(-1, 4, 2)[at, :, :l])
+    # the one gauge rule: SO(4) costs 2 CNOTs, det -1 costs 3; every _SLOTS row ends in slot 3
+    chain[np.linalg.det(chain) < 0, :, 3] *= -1.0
+    return chain
 
 
 def build_layer(m: Mps) -> MpdLayer:
@@ -145,25 +153,21 @@ def build_layer(m: Mps) -> MpdLayer:
     if m.canonical != "left":
         raise DisentanglerError("build_layer needs a canonical-form MPS")
 
-    chain = tuple(_chain_gate(t) for t in m.tensors[:-1])
     tl = m.tensors[-1][:, :, 0]  # (2, l)
     end = complete_isometry(tl) if tl.shape[1] < 2 else tl.copy()
-    return MpdLayer(chain=chain, end=end)
+    return MpdLayer(chain=_chain_gates(m.tensors[:-1]), end=end)
 
 
 def _disentangle_mps(m: Mps, layer: MpdLayer, chi_work: int | None):
-    """Apply the layer's adjoint gates (end gate, then the chain descending)
-    to an MPS.
-
-    Returns (new Mps, discarded weight from recompression)."""
+    """Apply the layer's adjoint gates to an MPS, the end gate and then the
+    chain descending. Returns (new Mps, discarded weight from recompression)."""
     n = m.n_qubits
     if layer.n_qubits != n:
         raise DisentanglerError("layer width mismatch")
     # end gate adjoint on the last qubit: orthogonal 1q gates preserve the
     # canonical identities, so the tensor update is local
-    tensors = list(m.tensors)
-    tensors[-1] = np.einsum("ts,tlr->slr", layer.end, tensors[-1])
-    gates = [g.T for g in reversed(layer.chain)]
+    tensors = [*m.tensors[:-1], np.einsum("ts,tlr->slr", layer.end, m.tensors[-1])]
+    gates = layer.chain[::-1].transpose(0, 2, 1)
     return apply_gate_run(Mps(tensors, canonical="left"), gates, n - 1, chi_work)
 
 

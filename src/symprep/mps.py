@@ -76,12 +76,9 @@ class Mps:
                 raise MpsError(f"bond mismatch between sites {i} and {i + 1}")
             if not np.all(np.isfinite(t)):
                 raise MpsError(f"site {i} contains non-finite entries")
-        for i in range(n - 1):
-            cap = min(2 ** (i + 1), 2 ** (n - i - 1))
-            if tensors[i].shape[2] > cap:
-                raise MpsError(
-                    f"bond {i} has dim {tensors[i].shape[2]}, exceeds cap {cap}"
-                )
+            cap = min(2 ** (i + 1), 2 ** (n - i - 1))  # 1 at the last site
+            if t.shape[2] > cap:
+                raise MpsError(f"bond {i} has dim {t.shape[2]}, exceeds cap {cap}")
         self.tensors = tensors
         self.canonical = canonical
 
@@ -152,11 +149,8 @@ def mps_from_statevector(v, chi_max: int | None = None) -> Mps:
         carry = m @ vt[:k].T
         m = carry.reshape(carry.shape[0] // 2, 2 * k)
         r_prev = k
-    first = m.reshape(2, 1, r_prev)
-    fn = float(np.linalg.norm(first))
-    if fn <= 0:
-        raise MpsError("state truncated to zero")  # pragma: no cover
-    tensors[0] = first / fn
+    tensors[0] = m.reshape(2, 1, r_prev)
+    _renormalize_first(tensors)
 
     out = Mps(tensors, canonical="left")
     # sign gauge: the dominant amplitude must keep the input's sign even
@@ -207,13 +201,14 @@ def _sweep_right(tensors, upto: int, chi: int | None = None) -> float:
 
 
 def _sweep_left_exact(tensors, start: int) -> None:
-    # Restore canonical form from site `start` down to site 0 (which then
-    # absorbs the norm). In place.
+    # Restore canonical form from site `start` down to site 0, which then
+    # absorbs the norm, renormalized to 1. In place.
     for i in range(start, 0, -1):
         _, l, r = tensors[i].shape
         u, s, vt = svd(tensors[i].transpose(1, 0, 2).reshape(l, 2 * r))
         tensors[i] = vt.reshape(s.size, 2, r).transpose(1, 0, 2)
         tensors[i - 1] = np.einsum("slr,rk->slk", tensors[i - 1], u * s)
+    _renormalize_first(tensors)
 
 
 def _renormalize_first(tensors) -> None:
@@ -239,13 +234,12 @@ def truncate(m: Mps, chi: int):
     tensors = list(m.tensors)
     err = _sweep_right(tensors, len(tensors) - 1, chi)
     _sweep_left_exact(tensors, len(tensors) - 1)
-    _renormalize_first(tensors)
     return Mps(tensors, canonical="left"), err
 
 
 def apply_gate_run(m: Mps, gates, top: int, chi_max: int | None = None):
-    """Apply orthogonal 4x4 gates to the descending qubit pairs (top, top+1),
-    (top-1, top), ... in one pass; returns (new Mps, discarded weight).
+    """Apply orthogonal 4x4 gates (a (k, 4, 4) array) to the descending qubit
+    pairs (top, top+1), (top-1, top), ... in one pass; returns (new Mps, discarded weight).
 
     Sites are 1-based; the lower qubit is the more significant bit of each
     4x4 gate index. One exact sweep moves the norm center to site top; each
@@ -255,12 +249,14 @@ def apply_gate_run(m: Mps, gates, top: int, chi_max: int | None = None):
     discarded weight sums each gate's dropped squared singular values, the
     state being renormalized after each gate.
     """
-    gates = [np.asarray(g, dtype=float) for g in gates]
-    for g in gates:
-        if g.shape != (4, 4):
-            raise MpsError(f"gate must be 4x4, got {g.shape}")
-        if not is_orthonormal(g):
-            raise MpsError("gate is not orthogonal within 1e-10")
+    try:
+        gates = np.asarray(gates, dtype=float)
+    except ValueError as e:  # ragged or non-numeric gates
+        raise MpsError(f"gates must be a (k, 4, 4) array: {e}") from None
+    if gates.ndim != 3 or gates.shape[1:] != (4, 4):
+        raise MpsError(f"gates must be a (k, 4, 4) array, got shape {gates.shape}")
+    if not is_orthonormal(gates):
+        raise MpsError("gate is not orthogonal within 1e-10")
     _check_count("top", top)
     if chi_max is not None:
         _check_count("chi_max", chi_max)
@@ -285,7 +281,6 @@ def apply_gate_run(m: Mps, gates, top: int, chi_max: int | None = None):
         tensors[i] = (u * s).reshape(l, 2, k).transpose(1, 0, 2)
         tensors[i + 1] = vt.reshape(k, 2, r).transpose(1, 0, 2)
     _sweep_left_exact(tensors, bottom - 1)
-    _renormalize_first(tensors)
     return Mps(tensors, canonical="left"), err
 
 

@@ -111,20 +111,73 @@ def test_layer_gates_orthogonal():
     assert np.allclose(layer.end.T @ layer.end, np.eye(2), atol=1e-10)
 
 
-@pytest.mark.parametrize("case", ["non-orthogonal chain gate", "2x2 gate in chain", "4x4 end"])
+@pytest.mark.parametrize(
+    "case", ["non-orthogonal chain gate", "2x2 gate in chain", "2x2 chain", "2-d chain", "4x4 end"]
+)
 def test_layer_validation(case):
     rng = np.random.default_rng(37)
     layer = build_layer(mps_from_statevector(random_state(rng, 5), chi_max=2))
     MpdLayer(chain=layer.chain, end=layer.end)  # the extracted gates pass
-    skewed = layer.chain[1].copy()
-    skewed[:, 0] *= 2.0
+    as_tuple = MpdLayer(chain=tuple(layer.chain), end=layer.end)  # a sequence of 4x4s converts
+    assert isinstance(as_tuple.chain, np.ndarray) and as_tuple.chain.flags.c_contiguous
+    assert np.array_equal(as_tuple.chain, layer.chain)
+    skewed = layer.chain.copy()
+    skewed[1, :, 0] *= 2.0
     chain, end = {
-        "non-orthogonal chain gate": (layer.chain[:1] + (skewed,) + layer.chain[2:], layer.end),
-        "2x2 gate in chain": (layer.chain[:-1] + (layer.end,), layer.end),
+        "non-orthogonal chain gate": (skewed, layer.end),
+        "2x2 gate in chain": ((*layer.chain[:-1], layer.end), layer.end),  # ragged
+        "2x2 chain": (layer.chain[:, :2, :2], layer.end),
+        "2-d chain": (layer.chain[0], layer.end),
         "4x4 end": (layer.chain, layer.chain[-1]),
     }[case]
     with pytest.raises(DisentanglerError):
         MpdLayer(chain=chain, end=end)
+
+
+def _chain_gate_reference(t):
+    # One chain gate from one site tensor, as a per-site loop builds it: the
+    # slices at left bond k are the columns for inputs |k 0>, the completion
+    # fills the other slots in order, and a det -1 gate has its last free
+    # column negated.
+    _, l, r = t.shape
+    cols = np.zeros((2, 2, l))
+    cols[:, :r, :] = t.transpose(0, 2, 1)
+    slots = {1: [0, 1, 2, 3], 2: [0, 2, 1, 3]}[l]
+    g = np.empty((4, 4))
+    g[:, slots] = complete_isometry(cols.reshape(4, l))
+    if np.linalg.det(g) < 0:
+        g[:, slots[-1]] *= -1.0
+    return g
+
+
+def _differential_states(rng):
+    # Kronecker products put left bond 1 mid-chain; a product of one-qubit
+    # states has every bond 1; random states fill the chain with bond 2.
+    for n in range(3, 10):
+        yield random_state(rng, n)
+        for cut in range(1, n):
+            yield np.kron(random_state(rng, cut), random_state(rng, n - cut))
+        if n >= 5:
+            yield np.kron(np.kron(random_state(rng, 2), random_state(rng, n - 4)), random_state(rng, 2))
+        product = np.ones(1)
+        for _ in range(n):
+            product = np.kron(product, random_state(rng, 1))
+        yield product
+
+
+def test_batched_chain_matches_per_site_reference():
+    rng = np.random.default_rng(38)
+    left_bonds = set()
+    for v in _differential_states(rng):
+        m = mps_from_statevector(v, chi_max=2)
+        left_bonds.add(tuple(t.shape[1] for t in m.tensors[:-1]))
+        reference = np.stack([_chain_gate_reference(t) for t in m.tensors[:-1]])
+        chain = build_layer(m).chain
+        assert chain.flags.c_contiguous
+        assert np.array_equal(chain, reference)
+    # the states reach left bond 1 mid-chain, and a chain with every bond 1
+    assert any(1 in bonds[1:] and 2 in bonds for bonds in left_bonds)
+    assert any(set(bonds) == {1} for bonds in left_bonds)
 
 
 def test_chi2_exactness_random_states():

@@ -415,6 +415,13 @@ def test_apply_gate_validation():
     m = mps_from_statevector(ghz(4))
     with pytest.raises(MpsError):
         apply_gate_run(m, [np.eye(4) * 2.0], 1)[0]  # not orthogonal
+    run = np.stack([np.eye(4)[[1, 0, 3, 2]], np.eye(4), np.eye(4)[::-1]])
+    apply_gate_run(m, run, 3)  # a run of orthogonal gates passes
+    run[1, :, 2] *= 1.0 + 1e-6
+    with pytest.raises(MpsError):
+        apply_gate_run(m, run, 3)  # one skewed gate in the middle of the run
+    with pytest.raises(MpsError):
+        apply_gate_run(m, [np.eye(4), np.eye(2)], 2)  # ragged: a 2x2 in the run
     with pytest.raises(MpsError):
         apply_gate_run(m, [np.eye(4)], 0)[0]  # site out of range
     with pytest.raises(MpsError):

@@ -64,6 +64,14 @@ def test_complete_isometry_shapes():
             assert np.allclose(full.T @ full, np.eye(d), atol=1e-10)
             # supplied columns preserved bit-exactly
             assert np.array_equal(full[:, :k], q)
+    # a stack completes as its matrices do one by one, bit for bit
+    for d, k in shapes:
+        stack = np.stack([np.linalg.qr(rng.standard_normal((d, d)))[0][:, :k] for _ in range(7)])
+        full = complete_isometry(stack)
+        assert full.shape == (7, d, d)
+        assert np.array_equal(full, np.stack([complete_isometry(q) for q in stack]))
+    with pytest.raises(NumericsError):
+        complete_isometry(np.ones(4))  # 1-d
 
 
 def test_complete_isometry_rejects_bad_input():
