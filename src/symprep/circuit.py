@@ -140,9 +140,9 @@ def prep_circuit(stack: DisentanglerStack) -> Circuit:
     return Circuit(n_qubits=n, gates=tuple(gates))
 
 
-def _reflection_tail(n: int) -> tuple:
-    # the wrapper's last n gates on n wires: H on wire 0, then CNOT(0, j) for j = 1 .. n-1
-    return (GateOp("hadamard", (0,)), *(GateOp("cnot", (0, j)) for j in range(1, n)))
+def _reflection_tail(n: int) -> list:
+    # (kind, qubits) of the wrapper's last n gates on n wires: H on wire 0, then CNOT(0, j) for j = 1 .. n-1
+    return [("hadamard", (0,)), *(("cnot", (0, j)) for j in range(1, n))]
 
 
 def add_reflection_wrapper(c: Circuit) -> Circuit:
@@ -156,16 +156,14 @@ def add_reflection_wrapper(c: Circuit) -> Circuit:
         raise CircuitError(f"inner circuit needs >= 2 qubits, got {c.n_qubits}")
     n = c.n_qubits + 1
     gates = [GateOp(g.kind, tuple(q + 1 for q in g.qubits), g.matrix) for g in c.gates]
-    return Circuit(n_qubits=n, gates=(*gates, *_reflection_tail(n)))
+    return Circuit(n_qubits=n, gates=(*gates, *(GateOp(*g) for g in _reflection_tail(n))))
 
 
 def _has_reflection_tail(c: Circuit) -> bool:
     """True when c ends with the tail add_reflection_wrapper appends, which
-    needs n >= 3 wires. GateOps compare field by field, kind first: a gate
-    with a matrix differs from every tail gate in kind, so no matrix is
-    compared."""
+    needs n >= 3 wires. A tail gate has no matrix, so kind and wires say it."""
     n = c.n_qubits
-    return n >= 3 and c.gates[-n:] == _reflection_tail(n)
+    return n >= 3 and [(g.kind, g.qubits) for g in c.gates[-n:]] == _reflection_tail(n)
 
 
 def _fanouts(gates) -> list:

@@ -74,11 +74,12 @@ class Mps:
                 raise MpsError(f"site {i} has shape {t.shape}, need (2, l, r)")
             if i + 1 < n and t.shape[2] != tensors[i + 1].shape[1]:
                 raise MpsError(f"bond mismatch between sites {i} and {i + 1}")
-            if not np.all(np.isfinite(t)):
-                raise MpsError(f"site {i} contains non-finite entries")
             cap = min(2 ** (i + 1), 2 ** (n - i - 1))  # 1 at the last site
             if t.shape[2] > cap:
                 raise MpsError(f"bond {i} has dim {t.shape[2]}, exceeds cap {cap}")
+        if not np.isfinite(np.concatenate([t.ravel() for t in tensors])).all():  # one pass
+            bad = next(i for i, t in enumerate(tensors) if not np.isfinite(t).all())
+            raise MpsError(f"site {bad} contains non-finite entries")
         self.tensors = tensors
         self.canonical = canonical
 
@@ -94,13 +95,17 @@ class Mps:
         """Amplitude of one computational basis state, O(n * chi^2)."""
         if len(bits) != self.n_qubits:
             raise MpsError("bit string length mismatch")
-        v = self.tensors[0][bits[0], 0, :]
-        for t, b in zip(self.tensors[1:], bits[1:]):
-            v = v @ t[b]
-        return float(v[0])
+        return _amplitude(self.tensors, bits)
 
     def __repr__(self):
         return f"Mps(n={self.n_qubits}, bond_dims={self.bond_dims}, canonical={self.canonical!r})"
+
+
+def _amplitude(tensors, bits) -> float:
+    v = tensors[0][bits[0], 0, :]
+    for t, b in zip(tensors[1:], bits[1:]):
+        v = v @ t[b]
+    return float(v[0])
 
 
 def _check_count(name: str, v) -> None:
@@ -151,16 +156,12 @@ def mps_from_statevector(v, chi_max: int | None = None) -> Mps:
         r_prev = k
     tensors[0] = m.reshape(2, 1, r_prev)
     _renormalize_first(tensors)
-
-    out = Mps(tensors, canonical="left")
     # sign gauge: the dominant amplitude must keep the input's sign even
     # after heavy truncation
     top = int(np.argmax(np.abs(v)))
-    bits = [(top >> (n - 1 - j)) & 1 for j in range(n)]
-    if out.amplitude(bits) * v[top] < 0:
+    if _amplitude(tensors, [(top >> (n - 1 - j)) & 1 for j in range(n)]) * v[top] < 0:
         tensors[0] = -tensors[0]
-        out = Mps(tensors, canonical="left")
-    return out
+    return Mps(tensors, canonical="left")
 
 
 def to_statevector(m: Mps) -> np.ndarray:
@@ -223,13 +224,13 @@ def truncate(m: Mps, chi: int):
 
     Returns (truncated Mps in canonical form, accumulated discarded weight).
     Truncating to at least the current max bond dim returns the input
-    tensors unchanged with error 0.
+    itself with error 0.
     """
     _check_count("chi", chi)
     if m.canonical != "left":
         raise MpsError("truncate needs a canonical-form input")
     if chi >= max(m.bond_dims):
-        return Mps(m.tensors, canonical="left"), 0.0
+        return m, 0.0
 
     tensors = list(m.tensors)
     err = _sweep_right(tensors, len(tensors) - 1, chi)

@@ -49,7 +49,7 @@ def svd(a) -> SvdResult:
     m = np.asarray(a, dtype=float)
     if m.ndim != 2:
         raise NumericsError(f"expected a 2-d real matrix, got shape {m.shape}")
-    if not np.isfinite(m).all():
+    if not np.isfinite(m).all():  # first: LAPACK never returns on some ±inf input
         raise NumericsError("matrix contains non-finite entries")
     return SvdResult(*np.linalg.svd(m, full_matrices=False))
 
@@ -61,7 +61,8 @@ def is_orthonormal(a) -> bool:
     if not np.isfinite(a).all():
         return False
     gram = a.swapaxes(-1, -2) @ a
-    gram -= np.eye(a.shape[-1])
+    k = a.shape[-1]
+    gram.reshape(gram.shape[:-2] + (k * k,))[..., :: k + 1] -= 1.0  # the diagonal, in place
     return bool(np.abs(gram).max(initial=0.0) <= 1e-10)
 
 

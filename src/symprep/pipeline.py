@@ -6,9 +6,11 @@ the disentangler stack, emit the preparation circuit (plus reflection
 wrapper for the symmetry method), simulate densely, and score against the
 full target. A failure is a PipelineError that names its stage.
 
-A layer or bond sweep encodes once and builds one stack, for its largest
-point; every smaller point is verified on a prefix of that stack, which the
-sequential build makes bit-identical to the point's own stack.
+A layer or bond sweep encodes once, builds one stack and emits one circuit,
+for its largest point; every smaller point is verified on a prefix of that
+stack, which the sequential build makes bit-identical to the point's own
+stack, and on the matching tail of that circuit, so a sweep emits and
+checks its gates once.
 """
 
 from __future__ import annotations
@@ -279,13 +281,8 @@ def encode(config: RunConfig) -> tuple[TargetDistribution, Mps]:
     return target, m
 
 
-def _verify(config: RunConfig, target: TargetDistribution, stack: DisentanglerStack) -> RunResult:
-    # emit the circuit of a built stack, simulate it and score it
-    with _stage("prep_circuit"):
-        circ = prep_circuit(stack)
-    if config.method == "symmetry":
-        with _stage("add_reflection_wrapper"):
-            circ = add_reflection_wrapper(circ)
+def _verify(config: RunConfig, target: TargetDistribution, stack: DisentanglerStack, circ: Circuit) -> RunResult:
+    # simulate and score the circuit emitted for a built stack
     with _stage("simulate"):
         psi = simulate(circ)
     with _stage("metrics"):
@@ -322,7 +319,12 @@ def run_full(config: RunConfig) -> RunResult:
     target, m = encode(config)
     with _stage("build_stack"):
         stack = build_stack(m, config.num_layers)
-    return _verify(config, target, stack)
+    with _stage("prep_circuit"):
+        circ = prep_circuit(stack)
+    if config.method == "symmetry":
+        with _stage("add_reflection_wrapper"):
+            circ = add_reflection_wrapper(circ)
+    return _verify(config, target, stack, circ)
 
 
 def report_row(report: MetricsReport, num_layers: int) -> dict:
@@ -352,7 +354,7 @@ def _point_config(base: RunConfig, key: str, value: int) -> RunConfig:
 
 
 def _largest_point(config: SweepConfig):
-    """(target, stack, report) of a layer or bond sweep's largest point, run
+    """(target, stack, circuit, report) of a layer or bond sweep's largest point, run
     through run_full; None for a qubit sweep (each point encodes another
     state) or when that run fails."""
     if config.vary_key == "qubit_counts":
@@ -361,7 +363,7 @@ def _largest_point(config: SweepConfig):
         res = run_full(_point_config(config.base, config.vary_key, config.vary_values[-1]))
     except (PipelineError, ValueError):
         return None
-    return res.target, res.stack, res.report  # not the state or circuit
+    return res.target, res.stack, res.circuit, res.report  # not the state
 
 
 def sweep_full(config: SweepConfig):
@@ -373,8 +375,10 @@ def sweep_full(config: SweepConfig):
     A layer or bond sweep encodes once and builds one stack: its largest
     point runs through run_full, and every smaller point is verified on a
     prefix of that stack, which is bit for bit the stack run_full would
-    build for it. If that shared run fails, every point runs alone, so each
-    row carries the error run_full gives it.
+    build for it. Its circuit is the largest point's without the first
+    layers' gates: prep_circuit emits the last-built layer first, one gate
+    per stack wire, and the wrapper only appends. If that shared run fails,
+    every point runs alone, so each row carries the error run_full gives it.
     """
     shared = _largest_point(config)
     reports = []
@@ -388,11 +392,12 @@ def sweep_full(config: SweepConfig):
             if shared is None:
                 rep = run_full(cfg).report
             else:
-                target, stack, largest = shared
+                target, stack, circ, largest = shared
                 if cfg.num_layers == len(stack.layers):
                     rep = largest
                 else:
-                    rep = _verify(cfg, target, stack.prefix(cfg.num_layers)).report
+                    tail = Circuit(circ.n_qubits, circ.gates[(len(stack.layers) - cfg.num_layers) * stack.n_qubits :])
+                    rep = _verify(cfg, target, stack.prefix(cfg.num_layers), tail).report
             reports.append(rep)
             row.update(report_row(rep, cfg.num_layers))
         except (PipelineError, ValueError) as exc:  # a ConfigError is a ValueError

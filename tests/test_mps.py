@@ -206,8 +206,7 @@ def test_is_left_canonical_detects_scaling():
 def test_truncate_noop_and_ghz():
     m = mps_from_statevector(ghz(5))
     same, err = truncate(m, 2)
-    assert err == 0.0
-    assert all(np.array_equal(a, b) for a, b in zip(same.tensors, m.tensors))
+    assert err == 0.0 and same is m  # nothing to cut: the input itself
     chopped, err1 = truncate(m, 1)
     assert abs(err1 - 0.5) <= 1e-12  # one of two equal Schmidt weights dropped
     assert chopped.bond_dims == [1, 1, 1, 1]
@@ -374,6 +373,15 @@ def test_from_statevector_refuses_non_finite(bad):
     for w in (v, np.full(8, bad)):
         with pytest.raises(MpsError, match="norm"):
             mps_from_statevector(w)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_mps_names_the_non_finite_site(bad):
+    # the chain is tested in one pass; the failing site is found after
+    tensors = [t.copy() for t in mps_from_statevector(normal_amplitudes(5)).tensors]
+    tensors[2][1, -1, 0] = bad
+    with pytest.raises(MpsError, match="site 2 contains non-finite entries"):
+        Mps(tensors, canonical="left")
 
 
 def test_apply_identity_gate():

@@ -85,6 +85,15 @@ def test_complete_isometry_rejects_bad_input():
         svd(np.array([[np.nan, 0.0]]))
 
 
+@pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+def test_svd_refuses_non_finite(bad):
+    # refused before LAPACK: numpy 2.4's SVD never returns on this matrix with ±inf
+    a = np.zeros((4, 4))
+    a[0, 0] = bad
+    with pytest.raises(NumericsError, match="non-finite"):
+        svd(a)
+
+
 def test_complete_isometry_identity_passthrough():
     full = complete_isometry(np.eye(4)[:, :2])
     assert np.array_equal(full[:, :2], np.eye(4)[:, :2])

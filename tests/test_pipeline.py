@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from symprep import numerics, pipeline
-from symprep.circuit import export_circuit
+from symprep.circuit import add_reflection_wrapper, export_circuit, prep_circuit, simulate
 from symprep.cli import main
 from symprep.disentangler import DisentanglerError
 from symprep.pipeline import (
@@ -511,6 +511,29 @@ def test_layer_sweep_builds_one_stack(monkeypatch):
     calls.clear()
     run_full(config_from_dict(minimal_doc(n_qubits=9, num_layers=5)))
     assert swept == len(calls) > 0
+
+
+@pytest.mark.parametrize("method", ["symmetry", "baseline"])
+@pytest.mark.parametrize("vary", [{"layer_counts": [1, 2, 4]}, {"bond_dims": [2, 4, 16]}], ids=lambda v: next(iter(v)))
+def test_sweep_points_score_the_largest_circuits_tail(vary, method, monkeypatch):
+    # one prep_circuit per sweep: every smaller point simulates a tail of the
+    # largest point's circuit, gate for gate the circuit its own run emits
+    stacks, circuits = [], []
+    monkeypatch.setattr(pipeline, "prep_circuit", lambda stack: stacks.append(stack) or prep_circuit(stack))
+    monkeypatch.setattr(pipeline, "simulate", lambda c: circuits.append(c) or simulate(c))
+    sweep_full(config_from_dict({"base": minimal_doc(n_qubits=7, method=method), "vary": vary}))
+    assert len(stacks) == 1
+    (key, values), = vary.items()
+    layers = [v.bit_length() - 1 if key == "bond_dims" else v for v in values]
+    assert len(circuits) == len(layers)  # the largest point's run simulates first
+    for num_layers, circ in zip(layers[-1:] + layers[:-1], circuits):
+        want = prep_circuit(stacks[0].prefix(num_layers))
+        if method == "symmetry":
+            want = add_reflection_wrapper(want)
+        assert circ.n_qubits == want.n_qubits and len(circ.gates) == len(want.gates)
+        for g, h in zip(circ.gates, want.gates):
+            assert (g.kind, g.qubits) == (h.kind, h.qubits)
+            assert (g.matrix is h.matrix is None) or g.matrix.tobytes() == h.matrix.tobytes()
 
 
 def test_run_result_carries_its_stack():
