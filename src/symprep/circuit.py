@@ -166,43 +166,33 @@ def _has_reflection_tail(c: Circuit) -> bool:
     return n >= 3 and [(g.kind, g.qubits) for g in c.gates[-n:]] == _reflection_tail(n)
 
 
-def _fanouts(gates) -> list:
-    # (kind, qubits, matrix) per gate, with each run of consecutive CNOTs on one
-    # control and distinct targets merged into one ("cnot", (control, *targets))
-    ops = []
-    for g in gates:
-        run = ops[-1][1] if ops and ops[-1][0] == "cnot" else ()
-        if g.kind == "cnot" and run[:1] == g.qubits[:1] and g.qubits[1] not in run:
-            ops[-1] = ("cnot", run + g.qubits[1:], None)
-        else:
-            ops.append((g.kind, g.qubits, g.matrix))
-    return ops
-
-
 def simulate(c: Circuit) -> np.ndarray:
     """Exact dense application of the gates in order to |0...0>.
 
-    Each gate is one BLAS call on a view of the state, a run of consecutive
-    CNOTs from one control (the wrapper's fan-out) one permutation with one
-    copy of the state, and a qubit's axis has width 1 until a gate first
-    touches it: a staircase layer on |0...0> costs O(2^n), gate q working on
-    2^(q+2) amplitudes. The amplitudes equal the kernels' on full-width
-    states, one gate at a time.
+    Each gate is one BLAS call on a view of the state, and a qubit's axis
+    has width 1 until a gate first touches it: a staircase layer on |0...0>
+    costs O(2^n), gate q working on 2^(q+2) amplitudes. The wrapper's
+    fan-out, found as `accounting` finds it, is one permutation with one
+    copy of the state; every other CNOT runs alone. The amplitudes equal
+    the kernels' on full-width states, one gate at a time.
     """
     n = c.n_qubits
     if n > DENSE_LIMIT:
         raise CircuitError(f"n={n} exceeds dense limit {DENSE_LIMIT}")
+    tail = n - 1 if _has_reflection_tail(c) else 0  # the fan-out's CNOTs
     psi = np.ones((1,) * n)
-    for kind, qubits, matrix in _fanouts(c.gates):
-        psi = statevec.widen(psi, qubits)
-        if kind == "cnot":
-            psi = statevec.apply_cnot(psi, *qubits)
-        elif kind == "unitary2":
-            psi = statevec.apply_2q(psi, matrix, *qubits)
+    for g in c.gates[: len(c.gates) - tail]:
+        psi = statevec.widen(psi, g.qubits)
+        if g.kind == "cnot":
+            psi = statevec.apply_cnot(psi, *g.qubits)
+        elif g.kind == "unitary2":
+            psi = statevec.apply_2q(psi, g.matrix, *g.qubits)
         else:
-            m = statevec.HADAMARD if kind == "hadamard" else matrix
-            psi = statevec.apply_1q(psi, m, *qubits)
-    psi = statevec.widen(psi, range(n)).reshape(-1)
+            psi = statevec.apply_1q(psi, statevec.HADAMARD if g.kind == "hadamard" else g.matrix, *g.qubits)
+    psi = statevec.widen(psi, range(n))
+    if tail:
+        psi = statevec.apply_cnot(psi, 0, *range(1, n))
+    psi = psi.reshape(-1)
     nrm = float(np.linalg.norm(psi))
     if not abs(nrm - 1.0) <= 1e-12:
         raise CircuitError(f"simulation lost norm: {nrm:.15g}")
@@ -313,13 +303,13 @@ def export_circuit(c: Circuit, format: str = "json") -> str:
 
 def import_circuit(text: str) -> Circuit:
     """Inverse of the json export; a malformed document is a CircuitError."""
-    doc = json.loads(text)
-    if not isinstance(doc, dict):
-        raise CircuitError("circuit document must be a JSON object")
-    if doc.get("format_version") != FORMAT_VERSION:
-        raise CircuitError(f"unsupported format_version {doc.get('format_version')!r}")
-    gates = []
     try:
+        doc = json.loads(text)
+        if not isinstance(doc, dict):
+            raise CircuitError("circuit document must be a JSON object")
+        if doc.get("format_version") != FORMAT_VERSION:
+            raise CircuitError(f"unsupported format_version {doc.get('format_version')!r}")
+        gates = []
         for entry in doc["gates"]:
             matrix = None
             if "matrix" in entry:  # a flat list of export strings (17 significant digits) or numbers
@@ -335,6 +325,6 @@ def import_circuit(text: str) -> Circuit:
         raise CircuitError(f"circuit document lacks key {exc}") from exc
     except CircuitError:
         raise
-    except (TypeError, ValueError, OverflowError) as exc:  # wrong type, size or range
+    except (TypeError, ValueError, OverflowError) as exc:  # invalid JSON, or a wrong type, size or range
         raise CircuitError(f"malformed circuit document: {exc}") from exc
     return Circuit(n_qubits=n_qubits, gates=tuple(gates))

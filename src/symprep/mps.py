@@ -67,16 +67,16 @@ class Mps:
         n = len(tensors)
         if n < 2:
             raise MpsError(f"need at least 2 sites, got {n}")
-        if tensors[0].shape[1] != 1 or tensors[-1].shape[2] != 1:
-            raise MpsError("boundary bonds must have dimension 1")
         for i, t in enumerate(tensors):
             if t.ndim != 3 or t.shape[0] != 2:
                 raise MpsError(f"site {i} has shape {t.shape}, need (2, l, r)")
-            if i + 1 < n and t.shape[2] != tensors[i + 1].shape[1]:
-                raise MpsError(f"bond mismatch between sites {i} and {i + 1}")
+            if i and t.shape[1] != tensors[i - 1].shape[2]:
+                raise MpsError(f"bond mismatch between sites {i - 1} and {i}")
             cap = min(2 ** (i + 1), 2 ** (n - i - 1))  # 1 at the last site
             if t.shape[2] > cap:
                 raise MpsError(f"bond {i} has dim {t.shape[2]}, exceeds cap {cap}")
+        if tensors[0].shape[1] != 1 or tensors[-1].shape[2] != 1:
+            raise MpsError("boundary bonds must have dimension 1")
         if not np.isfinite(np.concatenate([t.ravel() for t in tensors])).all():  # one pass
             bad = next(i for i, t in enumerate(tensors) if not np.isfinite(t).all())
             raise MpsError(f"site {bad} contains non-finite entries")
@@ -92,9 +92,10 @@ class Mps:
         return [t.shape[2] for t in self.tensors[:-1]]
 
     def amplitude(self, bits) -> float:
-        """Amplitude of one computational basis state, O(n * chi^2)."""
-        if len(bits) != self.n_qubits:
-            raise MpsError("bit string length mismatch")
+        """Amplitude of the basis state given as n bits, each the integer 0
+        or 1, O(n * chi^2)."""
+        if len(bits) != self.n_qubits or not all(is_int(b) and b in (0, 1) for b in bits):
+            raise MpsError(f"need {self.n_qubits} bits, each the integer 0 or 1, got {bits!r}")
         return _amplitude(self.tensors, bits)
 
     def __repr__(self):

@@ -9,8 +9,9 @@ whose bits do not depend on the block lengths (`tests/test_circuit.py` checks
 this): width-1 axes leave the full-width state's amplitudes. A gate on wires
 apart, never one `prep_circuit` emits, first copies the wide qubits between
 them out of the way. `apply_cnot` is an exact permutation, one copy of the
-state with the control=1 slice written with every target axis reversed, so a
-CNOT fan-out from one control costs one copy however many targets it has.
+state with the control=1 slice written with every target axis reversed, so
+the reflection wrapper's fan-out, which `simulate` finds as `accounting`
+does, costs one copy however many targets it has; every other CNOT runs alone.
 """
 
 from __future__ import annotations

@@ -354,7 +354,9 @@ def named_circuits(rng):
 
     h = GateOp("hadamard", (1,))
     cx = [GateOp("cnot", qs) for qs in ((1, 3), (4, 0), (3, 1))]
-    # runs from one control: a repeated target or a new control ends a run
+    def tail(*targets):
+        return (GateOp("hadamard", (0,)), *(GateOp("cnot", (0, t)) for t in targets))
+
     fan = [GateOp("cnot", qs) for qs in ((2, 0), (2, 4), (2, 3), (2, 4), (2, 1), (4, 2), (4, 0))]
     return {
         "empty": Circuit(5, ()),
@@ -366,6 +368,13 @@ def named_circuits(rng):
         "staircase": Circuit(6, (*(u(q, q + 1) for q in range(5)), u(4, 5), u(0, 1))),
         "cnot-fan-out-runs": Circuit(5, (u(0, 1), u(2, 3), h, *fan, u(3, 4), fan[0], fan[1])),
         "fan-out-on-untouched": Circuit(5, (u(1), fan[1], fan[2], fan[4])),
+        # the wrapper's tail, so one fan-out, with wires 1 and 5 untouched before it
+        "wrapper-tail-on-untouched": Circuit(6, (u(2, 3), u(4), u(3, 4), *tail(1, 2, 3, 4, 5))),
+        "wrapper-tail-n3": Circuit(3, (u(1, 2), *tail(1, 2))),
+        # near misses, run one CNOT at a time
+        "tail-cnots-out-of-order": Circuit(6, (u(2, 3), *tail(1, 3, 2, 4, 5))),
+        "tail-target-missing": Circuit(6, (u(2, 3), u(4, 5), *tail(1, 2, 4, 5))),
+        "tail-pattern-n2": Circuit(2, (u(1), *tail(1))),
     }
 
 
@@ -377,10 +386,34 @@ def differential_cases():
 
 @pytest.mark.parametrize("c", differential_cases())
 def test_simulate_matches_reference_kernels(c):
-    # width-1 axes and merged CNOT runs leave the full-width kernels' bits
+    # width-1 axes and the wrapper's one-permutation fan-out leave the
+    # full-width kernels' bits
     psi = simulate(c)
     assert psi.tobytes() == wide_simulate(c).tobytes()  # bit-identical, zeros' signs included
     assert np.max(np.abs(psi - kron_simulate(c))) <= 1e-14
+
+
+@pytest.mark.parametrize(
+    "name", ["wrapper-tail-on-untouched", "wrapper-tail-n3", "tail-cnots-out-of-order", "tail-target-missing", "cnot-fan-out-runs"]
+)
+def test_only_the_wrapper_tail_is_one_permutation(name, monkeypatch):
+    # the fan-out is one apply_cnot call only when the circuit ends with the
+    # wrapper's whole tail; every other CNOT is a call of its own
+    c = named_circuits(np.random.default_rng(7))[name]
+    calls = []
+    real = statevec.apply_cnot
+
+    def recording(psi, control, *targets):
+        calls.append((control, *targets))
+        return real(psi, control, *targets)
+
+    monkeypatch.setattr(statevec, "apply_cnot", recording)
+    simulate(c)
+    cnots = [g.qubits for g in c.gates if g.kind == "cnot"]
+    n = c.n_qubits
+    if name.startswith("wrapper-tail"):
+        cnots[1 - n :] = [tuple(range(n))]
+    assert calls == cnots
 
 
 def test_flat_kernels_match_reference():
@@ -538,6 +571,7 @@ def test_simulate_cost_is_linear_in_the_state(monkeypatch):
         "gate not an object",
         "format_version 2",
         "not an object",
+        "invalid JSON",
     ],
 )
 def test_import_malformed(case):
@@ -572,10 +606,10 @@ def test_import_malformed(case):
         doc["gates"][1] = ["cnot", 0, 1]
     elif case == "format_version 2":
         doc["format_version"] = 2
-    else:
+    elif case == "not an object":
         doc = [doc]
     with pytest.raises(CircuitError) as err:
-        import_circuit(json.dumps(doc))
-    if case in ("matrix entry not a number", "gate not an object"):
+        import_circuit("{" if case == "invalid JSON" else json.dumps(doc))
+    if case in ("matrix entry not a number", "gate not an object", "invalid JSON"):
         # a wrong type the gate checks cannot see is mapped, not raised raw
         assert "malformed circuit document" in str(err.value)

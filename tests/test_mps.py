@@ -384,6 +384,30 @@ def test_mps_names_the_non_finite_site(bad):
         Mps(tensors, canonical="left")
 
 
+@pytest.mark.parametrize(
+    "tensors",
+    [
+        pytest.param([np.zeros(4), np.zeros(4)], id="sites not 3-d"),
+        pytest.param([np.ones((2, 1, 1)), np.ones((2, 1))], id="last site not 3-d"),
+        pytest.param([np.ones((2, 1, 2)), np.ones((2, 1, 1))], id="bond mismatch"),
+        pytest.param([np.ones((2, 2, 1)), np.ones((2, 1, 1))], id="left boundary bond 2"),
+        pytest.param([np.ones((2, 1, 1))], id="one site"),
+    ],
+)
+def test_mps_validation(tensors):
+    # each site's shape is checked before any bond is read
+    with pytest.raises(MpsError):
+        Mps(tensors)
+
+
+@pytest.mark.parametrize("bits", [[0, 0, -1], [0, 0, 2], [0, 0, True], [0, 0, 1.0], [0, "1", 0], [0, 0]])
+def test_amplitude_refuses_anything_but_bits(bits):
+    m = mps_from_statevector(ghz(3))
+    assert abs(m.amplitude([1, 1, 1]) - 2**-0.5) <= 1e-12
+    with pytest.raises(MpsError, match="each the integer 0 or 1"):
+        m.amplitude(bits)
+
+
 def test_apply_identity_gate():
     v = normal_amplitudes(6)
     m = mps_from_statevector(v)
