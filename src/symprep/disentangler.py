@@ -19,7 +19,7 @@ and checked in batched calls.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -74,49 +74,52 @@ class MpdLayer:
 
 @dataclass(frozen=True)
 class DisentanglerStack:
-    """Layers in build order; layer 1 comes from the coarsest approximation.
+    """Layers in build order, layer 1 from the coarsest approximation, with
+    one history entry per layer recorded as the build applied it. The
+    stack's figures are read off these: its width off the first layer, its
+    residual and discarded weight off the histories' last entries.
 
-    residual_infidelity: 1 - |<0...0| layers applied in order |psi>|^2
-    residual_history: residual after each layer during the build
+    residual_history: 1 - |<0...0| layers 1..k applied in order |psi>|^2
+        after each layer k
     truncation_history: discarded weight accumulated by working-precision
         recompression during the build, after each layer
     """
 
     layers: tuple
-    n_qubits: int
-    residual_infidelity: float
-    residual_history: tuple = field(default=())
-    truncation_history: tuple = field(default=())
+    residual_history: tuple
+    truncation_history: tuple
+
+    @property
+    def n_qubits(self) -> int:
+        return self.layers[0].n_qubits
+
+    @property
+    def residual_infidelity(self) -> float:
+        """Residual after the whole stack."""
+        return self.residual_history[-1]
 
     @property
     def truncation_error(self) -> float:
         """Discarded weight accumulated over the whole build."""
-        return self.truncation_history[-1] if self.truncation_history else 0.0
+        return self.truncation_history[-1]
 
     def __post_init__(self):
+        k = len(self.layers)
+        if not k or (len(self.residual_history), len(self.truncation_history)) != (k, k):
+            raise DisentanglerError("a stack needs at least one layer and one residual and truncation entry per layer")
         if self.n_qubits < 3:
             raise DisentanglerError(f"need n_qubits >= 3, got {self.n_qubits}")
         if any(layer.n_qubits != self.n_qubits for layer in self.layers):
             raise DisentanglerError("layer width mismatch")
-        if not -1e-12 <= self.residual_infidelity <= 1.0 + 1e-12:
-            raise DisentanglerError(
-                f"residual_infidelity {self.residual_infidelity} outside [0, 1]"
-            )
+        if not all(-1e-12 <= r <= 1.0 + 1e-12 for r in self.residual_history):  # NaN fails too
+            raise DisentanglerError(f"residual history {self.residual_history} leaves [0, 1]")
 
     def prefix(self, k: int) -> DisentanglerStack:
         """The stack of the first k layers. The build is sequential, so for
         a built stack this is, bit for bit, build_stack of k layers."""
         if not is_int(k) or not 1 <= k <= len(self.layers):
             raise DisentanglerError(f"prefix length must be an integer in 1..{len(self.layers)}, got {k!r}")
-        if not len(self.residual_history) == len(self.truncation_history) == len(self.layers):
-            raise DisentanglerError("prefix needs the per-layer residual and truncation histories")
-        return DisentanglerStack(
-            layers=self.layers[:k],
-            n_qubits=self.n_qubits,
-            residual_infidelity=self.residual_history[k - 1],
-            residual_history=self.residual_history[:k],
-            truncation_history=self.truncation_history[:k],
-        )
+        return DisentanglerStack(self.layers[:k], self.residual_history[:k], self.truncation_history[:k])
 
 
 # Gate input slot of each column of the completed isometry, by left bond:
@@ -161,14 +164,11 @@ def build_layer(m: Mps) -> MpdLayer:
 def _disentangle_mps(m: Mps, layer: MpdLayer, chi_work: int | None):
     """Apply the layer's adjoint gates to an MPS, the end gate and then the
     chain descending. Returns (new Mps, discarded weight from recompression)."""
-    n = m.n_qubits
-    if layer.n_qubits != n:
-        raise DisentanglerError("layer width mismatch")
     # end gate adjoint on the last qubit: orthogonal 1q gates preserve the
     # canonical identities, so the tensor update is local
     tensors = [*m.tensors[:-1], np.einsum("ts,tlr->slr", layer.end, m.tensors[-1])]
     gates = layer.chain[::-1].transpose(0, 2, 1)
-    return apply_gate_run(Mps(tensors, canonical="left"), gates, n - 1, chi_work)
+    return apply_gate_run(Mps(tensors, canonical="left"), gates, m.n_qubits - 1, chi_work)
 
 
 def build_stack(m: Mps, num_layers: int) -> DisentanglerStack:
@@ -200,10 +200,4 @@ def build_stack(m: Mps, num_layers: int) -> DisentanglerStack:
         amp = state.amplitude([0] * m.n_qubits)
         history.append(max(0.0, 1.0 - amp * amp))
 
-    return DisentanglerStack(
-        layers=tuple(layers),
-        n_qubits=m.n_qubits,
-        residual_infidelity=history[-1],
-        residual_history=tuple(history),
-        truncation_history=tuple(trunc_history),
-    )
+    return DisentanglerStack(tuple(layers), tuple(history), tuple(trunc_history))

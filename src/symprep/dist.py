@@ -126,8 +126,7 @@ def _normal_pdf(s, x):
 
 def _lorentzian_pdf(s, x):
     y = (x - s.x0) / s.gamma
-    with np.errstate(over="ignore"):
-        return 1.0 / math.pi / (1.0 + y * y) / s.gamma
+    return 1.0 / math.pi / (1.0 + y * y) / s.gamma
 
 
 def _student_t_pdf(s, x):
@@ -197,7 +196,10 @@ class DistSpec:
         fam = FAMILIES[self.kind]
         if fam.pdf is None:
             raise DistError("table specs have no analytic pdf")
-        return fam.pdf(self, x)
+        # far tails of a narrow density overflow to inf and land on 0, and a
+        # peak past the float range is inf, which sample_pdf refuses
+        with np.errstate(over="ignore"):
+            return fam.pdf(self, x)
 
 
 def is_mirror_symmetric(spec: DistSpec, grid: Grid) -> bool:

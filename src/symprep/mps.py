@@ -73,10 +73,10 @@ class Mps:
             if i and t.shape[1] != tensors[i - 1].shape[2]:
                 raise MpsError(f"bond mismatch between sites {i - 1} and {i}")
             cap = min(2 ** (i + 1), 2 ** (n - i - 1))  # 1 at the last site
-            if t.shape[2] > cap:
-                raise MpsError(f"bond {i} has dim {t.shape[2]}, exceeds cap {cap}")
-        if tensors[0].shape[1] != 1 or tensors[-1].shape[2] != 1:
-            raise MpsError("boundary bonds must have dimension 1")
+            if not 1 <= t.shape[2] <= cap:
+                raise MpsError(f"bond {i} has dim {t.shape[2]}, need 1..{cap}")
+        if tensors[0].shape[1] != 1:  # the last site's right bond has cap 1
+            raise MpsError("the left boundary bond must have dimension 1")
         if not np.isfinite(np.concatenate([t.ravel() for t in tensors])).all():  # one pass
             bad = next(i for i, t in enumerate(tensors) if not np.isfinite(t).all())
             raise MpsError(f"site {bad} contains non-finite entries")

@@ -70,14 +70,12 @@ def apply_1q(psi: np.ndarray, g: np.ndarray, q: int) -> np.ndarray:
 
 
 def apply_2q(psi: np.ndarray, g: np.ndarray, qa: int, qb: int) -> np.ndarray:
-    """Apply a 4x4 gate to qubits (qa, qb); qa indexes the gate's higher bit."""
-    if qa == qb:
-        raise ValueError("two-qubit gate needs distinct qubits")
-    lo, hi = min(qa, qb), max(qa, qb)
-    if qa > qb:  # the gate's higher bit is the state's lower one: swap its bits
-        g = g.reshape(2, 2, 2, 2).transpose(1, 0, 3, 2).reshape(4, 4)
-    left, right = _blocks(psi, lo, hi)
-    if hi == lo + 1:
+    """Apply a 4x4 gate to qubits qa < qb; qa indexes the gate's higher bit.
+    The wires come ascending, as `circuit.GateOp` orders a unitary2's."""
+    if not qa < qb:
+        raise ValueError(f"two-qubit gate wires must be ascending, got ({qa}, {qb})")
+    left, right = _blocks(psi, qa, qb)
+    if qb == qa + 1:
         return _matmul(g, psi.reshape(left, 4, right)).reshape(psi.shape)
     # wires apart: copy the wide qubits between them out of the way and back
     v = psi.reshape(left, 2, -1, 2, right).transpose(0, 2, 1, 3, 4)

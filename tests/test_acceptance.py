@@ -24,7 +24,6 @@ import functools
 import numpy as np
 
 import symprep as sp
-from symprep.disentangler import DisentanglerStack
 from symprep.statevec import zero_state
 
 
@@ -57,8 +56,7 @@ def test_criterion_01_exact_chi2_disentangling():
             v = rng.standard_normal(2**n)
             v /= np.linalg.norm(v)
             m = sp.mps_from_statevector(v, chi_max=2)
-            layer = sp.build_layer(m)
-            stack = DisentanglerStack(layers=(layer,), n_qubits=n, residual_infidelity=0.0)
+            stack = sp.build_stack(m, 1)  # truncate(m, 2) is m, so its one layer is build_layer(m)
             worst = max(worst, sp.residual(m, stack))
             count += 1
     assert count == 100

@@ -19,7 +19,7 @@ from symprep.circuit import (
     simulate,
 )
 from symprep.disentangler import build_stack
-from symprep.mps import apply_gate_run, mps_from_statevector, to_statevector
+from symprep.mps import DENSE_LIMIT, apply_gate_run, mps_from_statevector, to_statevector
 
 
 def ghz_circuit():
@@ -59,6 +59,8 @@ def test_gateop_validation():
         GateOp("cnot", (1, 1))
     with pytest.raises(CircuitError):
         GateOp("hadamard", (0, 1))
+    with pytest.raises(CircuitError, match="hadamard takes no matrix"):
+        GateOp("hadamard", (0,), np.eye(2))
     with pytest.raises(CircuitError):
         GateOp("unitary2", (2, 1), np.eye(4))  # wires must be ordered
     with pytest.raises(CircuitError):
@@ -73,6 +75,8 @@ def test_gateop_validation():
         GateOp("hadamard", (True,))
     with pytest.raises(CircuitError):
         Circuit(2.5, ())
+    with pytest.raises(CircuitError, match="gates must be GateOp instances"):
+        Circuit(2, (("cnot", (0, 1)),))
     for entries in ([[True, False], [False, True]], [["1", "0"], ["0", "1"]]):
         with pytest.raises(CircuitError, match="entries must be finite numbers"):
             GateOp("unitary1", (0,), entries)  # never read as the identity
@@ -85,6 +89,12 @@ def test_simulate_empty_and_ghz():
     expect = np.zeros(4)
     expect[0] = expect[3] = 1.0 / np.sqrt(2.0)
     assert np.allclose(psi, expect, atol=1e-12)
+
+
+def test_simulate_refuses_past_the_dense_limit():
+    # refused before the 2^n state is allocated
+    with pytest.raises(CircuitError, match=f"n={DENSE_LIMIT + 1} exceeds dense limit {DENSE_LIMIT}"):
+        simulate(Circuit(DENSE_LIMIT + 1, ()))
 
 
 def test_simulate_refuses_lost_norm():
@@ -417,8 +427,8 @@ def test_only_the_wrapper_tail_is_one_permutation(name, monkeypatch):
 
 
 def test_flat_kernels_match_reference():
-    # every wire pair on full-width states: qa > qb, wires apart, and the
-    # left (wire 0) and right (wire n-1) blocks of length 1
+    # every wire pair on full-width states: wires apart, and the left (wire
+    # 0) and right (wire n-1) blocks of length 1; qa > qb for apply_cnot
     rng = np.random.default_rng(17)
     for n in range(2, 9):
         psi = rng.standard_normal((2,) * n)
@@ -426,11 +436,19 @@ def test_flat_kernels_match_reference():
         g4, g2 = (np.linalg.qr(rng.standard_normal((d, d)))[0] for d in (4, 2))
         for qa in range(n):
             assert np.max(np.abs(statevec.apply_1q(psi, g2, qa) - ref_apply_1q(psi, g2, qa))) <= 1e-15
-            for qb in set(range(n)) - {qa}:  # qa > qb too: the higher bit on the lower wire
-                got = statevec.apply_2q(psi, g4, qa, qb)
-                assert np.max(np.abs(got - ref_apply_2q(psi, g4, qa, qb))) <= 1e-15, (n, qa, qb)
+            for qb in set(range(n)) - {qa}:
+                if qa < qb:  # the wire order GateOp gives a unitary2
+                    got = statevec.apply_2q(psi, g4, qa, qb)
+                    assert np.max(np.abs(got - ref_apply_2q(psi, g4, qa, qb))) <= 1e-15, (n, qa, qb)
                 cnot = statevec.apply_cnot(psi, qa, qb)
                 assert cnot.tobytes() == ref_apply_2q(psi, CNOT, qa, qb).tobytes()
+
+
+@pytest.mark.parametrize("qa, qb", [(1, 0), (2, 0), (1, 1)])
+def test_apply_2q_takes_ascending_wires_only(qa, qb):
+    psi = statevec.widen(np.ones((1, 1, 1)), range(3))
+    with pytest.raises(ValueError, match="wires must be ascending"):
+        statevec.apply_2q(psi, np.eye(4), qa, qb)
 
 
 def test_kernels_ignore_width_1_axes():
@@ -439,7 +457,7 @@ def test_kernels_ignore_width_1_axes():
     rng = np.random.default_rng(29)
     for _ in range(300):
         n = int(rng.integers(2, 9))
-        qubits = tuple(int(q) for q in rng.choice(n, int(rng.integers(1, 3)), replace=False))
+        qubits = tuple(sorted(int(q) for q in rng.choice(n, int(rng.integers(1, 3)), replace=False)))
         shape = tuple(2 if q in qubits or rng.random() < 0.5 else 1 for q in range(n))
         psi = rng.standard_normal(shape)
         g = np.linalg.qr(rng.standard_normal((2 ** len(qubits),) * 2))[0]

@@ -1,5 +1,7 @@
 """Layer extraction, stacking, and the exact chi=2 disentangling theorem."""
 
+import dataclasses
+
 import numpy as np
 import pytest
 from scipy import stats
@@ -55,8 +57,13 @@ def disentangle_dense(psi, layer):
 
 
 def single_layer_stack(m):
+    # for a chi <= 2 canonical m, truncate(m, 2) is m itself, so the one
+    # layer is build_layer(m) bit for bit
+    stack = build_stack(m, 1)
     layer = build_layer(m)
-    return DisentanglerStack(layers=(layer,), n_qubits=m.n_qubits, residual_infidelity=0.0)
+    assert stack.layers[0].chain.tobytes() == layer.chain.tobytes()
+    assert stack.layers[0].end.tobytes() == layer.end.tobytes()
+    return stack
 
 
 def test_layer_on_zero_state_is_identity_at_zero():
@@ -203,6 +210,8 @@ def test_build_layer_validation():
     flagged = Mps(junk.tensors, canonical="left")
     with pytest.raises(ValueError):
         build_layer(flagged)  # flagged canonical, but the tensors are not
+    with pytest.raises(DisentanglerError, match="needs n >= 3"):
+        build_layer(mps_from_statevector(ghz(2)))
 
 
 def test_build_stack_single_layer_chi2():
@@ -276,11 +285,43 @@ def test_prefix_is_the_shorter_build():
     assert cut  # some source is recompressed, so the truncation sums are tested
 
 
-def test_prefix_needs_histories():
-    layer = build_layer(mps_from_statevector(ghz(4)))
-    stack = DisentanglerStack(layers=(layer, layer), n_qubits=4, residual_infidelity=0.0)
-    with pytest.raises(DisentanglerError, match="histories"):
-        stack.prefix(1)
+def test_stack_figures_are_its_histories():
+    stack = build_stack(mps_from_statevector(half_normal_amplitudes()), 3)
+    assert [f.name for f in dataclasses.fields(stack)] == ["layers", "residual_history", "truncation_history"]
+    assert stack.n_qubits == stack.layers[0].n_qubits == 9
+    assert stack.residual_infidelity == stack.residual_history[-1]
+    assert stack.truncation_error == stack.truncation_history[-1]
+
+
+@pytest.mark.parametrize("case, match", [
+    ("empty", "at least one layer"),
+    ("short residual history", "one residual and truncation entry per layer"),
+    ("short truncation history", "one residual and truncation entry per layer"),
+    ("long histories", "one residual and truncation entry per layer"),
+    ("2 qubits", "need n_qubits >= 3"),
+    ("width mismatch", "layer width mismatch"),
+    ("residual above 1", r"leaves \[0, 1\]"),
+    ("negative residual", r"leaves \[0, 1\]"),
+    ("NaN residual", r"leaves \[0, 1\]"),
+])
+def test_stack_refuses_a_contradictory_record(case, match):
+    stack = build_stack(mps_from_statevector(ghz(4)), 2)
+    layers, res, trunc = stack.layers, stack.residual_history, stack.truncation_history
+    narrow = MpdLayer(chain=np.eye(4)[None], end=np.eye(2))  # 2 qubits
+    wide = build_layer(mps_from_statevector(ghz(5)))
+    args = {
+        "empty": ((), (), ()),
+        "short residual history": (layers, res[:1], trunc),
+        "short truncation history": (layers, res, trunc[:1]),
+        "long histories": (layers, (*res, 0.0), (*trunc, 0.0)),
+        "2 qubits": ((narrow,), (0.0,), (0.0,)),
+        "width mismatch": ((layers[0], wide), res, trunc),
+        "residual above 1": (layers, (res[0], 1.0 + 1e-9), trunc),
+        "negative residual": (layers, (-1e-9, res[1]), trunc),
+        "NaN residual": (layers, (res[0], float("nan")), trunc),
+    }[case]
+    with pytest.raises(DisentanglerError, match=match):
+        DisentanglerStack(*args)
 
 
 @pytest.mark.parametrize("num_layers", [True, 2.5, "2"], ids=repr)
@@ -301,12 +342,6 @@ def test_default_chi_work_covers_the_input_bond(monkeypatch):
         monkeypatch.setattr(disentangler, "_CHI_WORK_CAP", cap)
         histories.append(build_stack(m, num_layers=2).residual_history)
     assert histories[0] == histories[1]
-
-
-def test_residual_empty_stack():
-    stack = DisentanglerStack(layers=(), n_qubits=4, residual_infidelity=0.0)
-    m = mps_from_statevector(statevec.zero_state(4))
-    assert residual(m, stack) == 0.0
 
 
 def test_residual_qubit_mismatch():

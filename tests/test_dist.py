@@ -199,6 +199,39 @@ def test_spec_validation():
         DistSpec("table")
     with pytest.raises(DistError):  # the sum must be finite
         DistSpec("table", weights=(1e308, 1e308))
+    with pytest.raises(DistError, match="normal has no parameter 'nu'"):
+        DistSpec("normal", nu=3.0)
+    with pytest.raises(DistError, match="table specs have no analytic pdf"):
+        DistSpec("table", weights=(1.0, 1.0)).pdf(np.zeros(2))
+
+
+def test_target_validation():
+    grid = Grid(0.0, 1.0, 2)
+    with pytest.raises(DistError, match=r"p has shape \(3,\), grid needs \(4,\)"):
+        TargetDistribution(grid, np.full(3, 1 / 3))
+    with pytest.raises(DistError, match="not 1"):
+        TargetDistribution(grid, np.full(4, 0.25 + 1e-12))
+
+
+def test_left_half_needs_three_qubits():
+    t = sample_pdf(DistSpec("table", weights=(1.0, 1.0, 1.0, 1.0)), Grid(0.0, 1.0, 2))
+    with pytest.raises(DistError, match="left_half needs n_qubits >= 3, got 2"):
+        left_half(t)
+
+
+@pytest.mark.parametrize("spec, grid, match", [
+    pytest.param(DistSpec("lorentzian", gamma=1e-310), Grid(-1.0, 1.0, 4),
+                 "weights are zero on every grid point", id="lorentzian tails overflow in the divide"),
+    pytest.param(DistSpec("normal", sigma2=1e-300), Grid(-1e5, 1e5, 4),
+                 "weights are zero on every grid point", id="normal tails overflow in the square"),
+    pytest.param(DistSpec("lorentzian", x0=0.0, gamma=5e-324), Grid(0.0, 1.0, 3, "endpoint"),
+                 "must be finite and non-negative", id="lorentzian peak past the float range"),
+])
+def test_overflowing_densities_are_refused_without_a_warning(spec, grid, match):
+    # the overflow is the density's own arithmetic (tails to 0, a peak to
+    # inf); no RuntimeWarning escapes, and sample_pdf refuses the weights
+    with pytest.raises(DistError, match=match):
+        sample_pdf(spec, grid)
 
 
 # scipy.stats evaluates each family with the same operations in the same order
@@ -280,8 +313,7 @@ def test_student_t_pdf_finite_for_any_finite_nu():
     # no gamma value overflows: the density tends to the normal one
     x = np.linspace(-3.0, 3.0, 7)
     for nu in (5e-324, 1e-300, 1e305, 1.7e308):
-        with np.errstate(over="ignore"):  # x*x/nu overflows at 5e-324: the density is 0 there
-            p = DistSpec("student_t", nu=nu).pdf(x)
+        p = DistSpec("student_t", nu=nu).pdf(x)  # x*x/nu overflows at 5e-324, quietly: the density is 0 there
         assert np.all(np.isfinite(p)) and np.all(p >= 0), nu
     huge = DistSpec("student_t", nu=1.7e308).pdf(x)
     assert np.allclose(huge, np.exp(-x * x / 2) / math.sqrt(2 * math.pi), rtol=1e-14, atol=0)

@@ -250,14 +250,17 @@ def test_meyer_wallach_refuses_non_finite_states(fn, bad):
     ("-inf", "must be finite and non-negative"),
     ("negative", "must be finite and non-negative"),
     ("sum", r"sums to 1\.1, not 1 within 1e-9"),
+    ("2-d", "must be a vector"),
 ])
 @pytest.mark.parametrize("fn", [kl_divergence, classical_fidelity])
 def test_probability_vectors_refused(fn, case, match):
     good = np.full(4, 0.25)
     bad = good.copy()
-    bad[1] = {"nan": np.nan, "+inf": np.inf, "-inf": -np.inf, "negative": -0.1, "sum": 0.35}[case]
+    bad[1] = {"nan": np.nan, "+inf": np.inf, "-inf": -np.inf, "negative": -0.1, "sum": 0.35, "2-d": 0.25}[case]
     if case == "negative":
         bad[2] += 0.35  # keep the sum at 1, so only the sign is wrong
+    if case == "2-d":
+        bad = bad.reshape(2, 2)  # the same entries, summing to 1, as a matrix
     with pytest.raises(MetricsError, match="p " + match):
         fn(bad, good)
     with pytest.raises(MetricsError, match="q " + match):

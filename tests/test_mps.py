@@ -18,6 +18,7 @@ from symprep import mps as mps_module
 from symprep import statevec
 from symprep.numerics import complete_isometry, svd
 from symprep.mps import (
+    DENSE_LIMIT,
     Mps,
     MpsError,
     apply_gate_run,
@@ -392,12 +393,20 @@ def test_mps_names_the_non_finite_site(bad):
         pytest.param([np.ones((2, 1, 2)), np.ones((2, 1, 1))], id="bond mismatch"),
         pytest.param([np.ones((2, 2, 1)), np.ones((2, 1, 1))], id="left boundary bond 2"),
         pytest.param([np.ones((2, 1, 1))], id="one site"),
+        pytest.param([np.ones((2, 1, 0)), np.ones((2, 0, 1))], id="zero-width bond"),
+        pytest.param([np.ones((2, 1, 4)), np.ones((2, 4, 1))], id="bond over its cap"),
+        pytest.param([np.ones((2, 1, 2)), np.ones((2, 2, 2))], id="right boundary bond 2"),
     ],
 )
 def test_mps_validation(tensors):
     # each site's shape is checked before any bond is read
     with pytest.raises(MpsError):
         Mps(tensors)
+
+
+def test_mps_refuses_unknown_canonical_flag():
+    with pytest.raises(MpsError, match="canonical must be 'left' or 'none'"):
+        Mps(mps_from_statevector(ghz(3)).tensors, canonical="right")
 
 
 @pytest.mark.parametrize("bits", [[0, 0, -1], [0, 0, 2], [0, 0, True], [0, 0, 1.0], [0, "1", 0], [0, 0]])
@@ -458,6 +467,23 @@ def test_apply_gate_validation():
         apply_gate_run(m, [np.eye(4)], 0)[0]  # site out of range
     with pytest.raises(MpsError):
         apply_gate_run(m, [np.eye(4)], 4)[0]
+    with pytest.raises(MpsError, match=r"\(k, 4, 4\) array, got shape \(2, 2, 2\)"):
+        apply_gate_run(m, np.stack([np.eye(2), np.eye(2)]), 2)
+
+
+def test_non_canonical_inputs_are_refused():
+    m = Mps(mps_from_statevector(ghz(4)).tensors)  # flagged 'none'
+    with pytest.raises(MpsError, match="truncate needs a canonical-form input"):
+        truncate(m, 1)
+    with pytest.raises(MpsError, match="gate application needs a canonical-form input"):
+        apply_gate_run(m, [np.eye(4)], 1)
+
+
+def test_to_statevector_refuses_past_the_dense_limit():
+    # a product chain of 25 sites is cheap to build; the refusal comes before any contraction
+    m = Mps([np.array([1.0, 0.0]).reshape(2, 1, 1)] * (DENSE_LIMIT + 1), canonical="left")
+    with pytest.raises(MpsError, match=f"n={DENSE_LIMIT + 1} exceeds dense limit {DENSE_LIMIT}"):
+        to_statevector(m)
 
 
 def test_from_statevector_validation():

@@ -94,6 +94,12 @@ def test_svd_refuses_non_finite(bad):
         svd(a)
 
 
+@pytest.mark.parametrize("shape", [(4,), (2, 2, 2)])
+def test_svd_refuses_anything_but_a_matrix(shape):
+    with pytest.raises(NumericsError, match=r"expected a 2-d real matrix, got shape"):
+        svd(np.ones(shape))
+
+
 def test_complete_isometry_identity_passthrough():
     full = complete_isometry(np.eye(4)[:, :2])
     assert np.array_equal(full[:, :2], np.eye(4)[:, :2])
