@@ -171,10 +171,12 @@ def simulate(c: Circuit) -> np.ndarray:
 
     Each gate is one BLAS call on a view of the state, and a qubit's axis
     has width 1 until a gate first touches it: a staircase layer on |0...0>
-    costs O(2^n), gate q working on 2^(q+2) amplitudes. The wrapper's
-    fan-out, found as `accounting` finds it, is one permutation with one
-    copy of the state; every other CNOT runs alone. The amplitudes equal
-    the kernels' on full-width states, one gate at a time.
+    costs O(2^n), gate q reading at most 2^(q+1) amplitudes, its lower wire
+    still fresh. Only a CNOT needs its wires widened first; the other
+    kernels take a fresh wire as it is. The wrapper's fan-out, found as `accounting`
+    finds it, is one permutation with one copy of the state; every other
+    CNOT runs alone. The amplitudes equal the kernels' on full-width states,
+    one gate at a time.
     """
     n = c.n_qubits
     if n > DENSE_LIMIT:
@@ -182,9 +184,8 @@ def simulate(c: Circuit) -> np.ndarray:
     tail = n - 1 if _has_reflection_tail(c) else 0  # the fan-out's CNOTs
     psi = np.ones((1,) * n)
     for g in c.gates[: len(c.gates) - tail]:
-        psi = statevec.widen(psi, g.qubits)
         if g.kind == "cnot":
-            psi = statevec.apply_cnot(psi, *g.qubits)
+            psi = statevec.apply_cnot(statevec.widen(psi, g.qubits), *g.qubits)
         elif g.kind == "unitary2":
             psi = statevec.apply_2q(psi, g.matrix, *g.qubits)
         else:

@@ -70,12 +70,26 @@ class Grid:
         return 0.5 * (self.min + self.max)
 
     def points(self, count: int | None = None) -> np.ndarray:
-        """The first `count` sample points x_k, all 2^n_qubits by default;
-        each x_k is the same float whatever the count."""
-        k = np.arange(self.size if count is None else count, dtype=float)
+        """The first `count` sample points x_k, an integer 0 <= count <=
+        2^n_qubits, all of them by default; each x_k is the same float
+        whatever the count. One array is allocated and the formula above
+        runs on it in place, left to right: (k + 1/2), times (max - min),
+        over 2^n, plus min (midpoint), or k times (max - min), over 2^n - 1,
+        plus min (endpoint)."""
+        if count is None:
+            count = self.size
+        elif not (is_int(count) and 0 <= count <= self.size):
+            raise DistError(f"a grid of {self.size} points has no first {count!r}")
+        x = np.arange(count, dtype=float)
         if self.convention == "midpoint":
-            return self.min + (k + 0.5) * (self.max - self.min) / self.size
-        return self.min + k * (self.max - self.min) / (self.size - 1)
+            x += 0.5
+            x *= self.max - self.min
+            x /= self.size
+        else:
+            x *= self.max - self.min
+            x /= self.size - 1
+        x += self.min
+        return x
 
 
 @dataclass(frozen=True)
@@ -117,20 +131,41 @@ def _t_log_peak(nu: float) -> float:
 
 # Closed forms in the operation order of the tests' reference densities: the
 # normal and Lorentzian values are bit-identical to theirs, Student-t's agree
-# to ~1e-15 relative (tests/test_dist.py).
+# to ~1e-15 relative (tests/test_dist.py). Each allocates its result once and
+# works on it in place; the comments give the out-of-place order they keep.
 def _normal_pdf(s, x):
+    # exp(-((x - mu) / sd)**2 / 2) / sqrt(2 pi) / sd
     sd = math.sqrt(s.sigma2)
-    y = (x - s.mu) / sd
-    return np.exp(-y**2 / 2.0) / math.sqrt(2 * math.pi) / sd
+    y = x - s.mu
+    y /= sd
+    y *= y
+    y *= -0.5  # -(y*y) / 2, exactly: both are the one rounding of -y*y/2
+    np.exp(y, out=y)
+    y /= math.sqrt(2 * math.pi)
+    y /= sd
+    return y
 
 
 def _lorentzian_pdf(s, x):
-    y = (x - s.x0) / s.gamma
-    return 1.0 / math.pi / (1.0 + y * y) / s.gamma
+    # 1 / pi / (1 + ((x - x0) / gamma)**2) / gamma
+    y = x - s.x0
+    y /= s.gamma
+    y *= y
+    y += 1.0
+    np.divide(1.0 / math.pi, y, out=y)
+    y /= s.gamma
+    return y
 
 
 def _student_t_pdf(s, x):
-    return np.exp(_t_log_peak(s.nu) - (s.nu + 1) / 2 * np.log1p(x * x / s.nu))
+    # exp(log_peak - (nu + 1) / 2 * log1p(x * x / nu))
+    y = x * x
+    y /= s.nu
+    np.log1p(y, out=y)
+    y *= (s.nu + 1) / 2
+    np.subtract(_t_log_peak(s.nu), y, out=y)
+    np.exp(y, out=y)
+    return y
 
 
 FAMILIES = {
@@ -193,6 +228,8 @@ class DistSpec:
             raise DistError("table weights must be non-negative with a positive finite sum")
 
     def pdf(self, x: np.ndarray) -> np.ndarray:
+        """The density at each point of the float array x, as a new array;
+        x is left as it is."""
         fam = FAMILIES[self.kind]
         if fam.pdf is None:
             raise DistError("table specs have no analytic pdf")
@@ -232,26 +269,49 @@ class TargetDistribution:
             raise DistError(
                 f"p has shape {p.shape}, grid needs ({self.grid.size},)"
             )
-        if np.any(p < 0) or not np.all(np.isfinite(p)):
+        # two passes: the min fails on NaN, -inf and negatives, the sum on +inf
+        total = float(p.sum())
+        if not p.min() >= 0 or (total == math.inf and not np.all(np.isfinite(p))):
             raise DistError("probabilities must be finite and non-negative")
-        if not abs(float(p.sum()) - 1.0) <= 1e-12:
-            raise DistError(f"probabilities sum to {p.sum():.17g}, not 1")
+        if not abs(total - 1.0) <= 1e-12:
+            raise DistError(f"probabilities sum to {total:.17g}, not 1")
         object.__setattr__(self, "p", p)
 
 
-def _exact_normalize(w: np.ndarray, symmetric: bool) -> np.ndarray:
-    total = float(w.sum())
+def _sum_without(p: np.ndarray, idx: list) -> float:
+    # float(np.sum(np.delete(p, idx))) for ascending idx, without the copy: the
+    # kept entries slide left over the removed ones into one contiguous run,
+    # summed in np.delete's order, and slide back (a 1-d slice assignment
+    # copies overlapping entries as memmove does, with no temporary)
+    saved = p[idx]
+    ends = [*idx, p.size]
+    for i in range(len(idx)):
+        p[ends[i] - i : ends[i + 1] - i - 1] = p[ends[i] + 1 : ends[i + 1]]
+    total = float(p[: p.size - len(idx)].sum())
+    for i in reversed(range(len(idx))):
+        p[ends[i] + 1 : ends[i + 1]] = p[ends[i] - i : ends[i + 1] - i - 1]
+    p[idx] = saved
+    return total
+
+
+def _exact_normalize(p: np.ndarray, symmetric: bool) -> np.ndarray:
+    """The weights p divided in place by their sum, then one residual written
+    so that the float sum is 1 bit-exactly; returns p itself. The rest of the
+    sum is taken over the other entries in index order, as one contiguous
+    run, with no copy of p."""
+    total = float(p.sum())
     if total <= 0 or not np.isfinite(total):
         raise DistError("weights must have a positive finite sum")
-    p = w / total
+    p /= total
     n = p.size
     if symmetric:
         # Residual split over the largest mirrored pair (of equals, the one
         # nearest the center) keeps both the sum and the mirror symmetry
         # p[k] == p[n-1-k] bit-exact, and cannot push a zero pair negative.
-        j = n // 2 - 1 - int(np.argmax(p[n // 2 - 1 :: -1]))
-        rest = float(np.sum(np.delete(p, [j, n - 1 - j])))
-        p[j] = p[n - 1 - j] = 0.5 * (1.0 - rest)
+        # The right half is the left half reversed, bit for bit, and is
+        # contiguous, so argmax reads it without a copy.
+        j = n // 2 - 1 - int(np.argmax(p[n // 2 :]))
+        p[j] = p[n - 1 - j] = 0.5 * (1.0 - _sum_without(p, [j, n - 1 - j]))
     else:
         rest = float(p[:-1].sum())
         if rest <= 1.0:
@@ -260,7 +320,7 @@ def _exact_normalize(w: np.ndarray, symmetric: bool) -> np.ndarray:
             # rounding took the rest past 1, so the last entry (maybe a zero
             # weight) cannot take the residual: the largest entry does
             j = int(np.argmax(p))
-            p[j] = 1.0 - float(np.sum(np.delete(p, j)))
+            p[j] = 1.0 - _sum_without(p, [j])
     return p
 
 
@@ -268,22 +328,28 @@ def sample_pdf(spec: DistSpec, grid: Grid) -> TargetDistribution:
     """Evaluate the spec's density on the grid and normalize to sum 1.
 
     Symmetric analytic specs centered on the grid center are evaluated once
-    per mirrored pair and copied, so p[k] == p[2^n-1-k] holds bit-exactly.
-    Table weights are normalized as given.
+    per mirrored pair, checked on that half, and copied into the one 2^n
+    array, so p[k] == p[2^n-1-k] holds bit-exactly. Table weights are
+    normalized as given.
     """
     check_fits(spec, grid)
     n = grid.size
     sym = is_mirror_symmetric(spec, grid)
     if spec.kind == "table":
-        w = np.array(spec.weights)
+        w = f = np.array(spec.weights)
     elif sym:
-        f_left = spec.pdf(grid.points(n // 2))
-        w = np.concatenate([f_left, f_left[::-1]])
+        f = spec.pdf(grid.points(n // 2))
+        w = np.empty(n)
+        w[: n // 2] = f
+        w[n // 2 :] = f[::-1]
     else:
-        w = spec.pdf(grid.points())
-    if not np.all(np.isfinite(w)) or np.any(w < 0):
+        w = f = spec.pdf(grid.points())
+    # two passes over the evaluated weights f: the min fails on NaN, -inf
+    # and negatives, the max on +inf
+    top = f.max()
+    if not (f.min() >= 0 and top < math.inf):
         raise DistError(f"{spec.kind} weights on the grid must be finite and non-negative")
-    if not np.any(w > 0):
+    if not top > 0:
         raise DistError(f"{spec.kind} weights are zero on every grid point")
     return TargetDistribution(grid, _exact_normalize(w, sym))
 
@@ -297,7 +363,7 @@ def left_half(t: TargetDistribution) -> TargetDistribution:
         raise DistError(f"left_half needs n_qubits >= 3, got {n}")
     half = t.grid.size // 2
     w = t.p[:half].copy()
-    if not np.any(w > 0):
+    if not w.max() > 0:
         raise DistError("left half of the distribution is zero everywhere")
     g = t.grid
     top = g.center if g.convention == "midpoint" else g.min + (half - 1) * (g.max - g.min) / (g.size - 1)
@@ -308,5 +374,5 @@ def left_half(t: TargetDistribution) -> TargetDistribution:
 def amplitudes(t: TargetDistribution) -> np.ndarray:
     """Real non-negative amplitude vector a with a_k = sqrt(p_k), unit norm."""
     a = np.sqrt(t.p)
-    nrm = float(np.linalg.norm(a))
-    return a / nrm
+    a /= float(np.linalg.norm(a))
+    return a

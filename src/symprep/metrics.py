@@ -85,17 +85,23 @@ def _prob_pair(p, q) -> tuple[np.ndarray, np.ndarray, float]:
 def kl_divergence(p, q) -> float:
     """sum over k with p_k > 0 of p_k * ln(p_k / q_k), natural log."""
     pv, qv, w = _prob_pair(p, q)
-    if pv.min() > 0:
-        return w * float(np.sum(pv * np.log(pv / np.maximum(qv, _KL_CLAMP))))
-    mask = pv > 0
-    qc = np.maximum(qv[mask], _KL_CLAMP)
-    return w * float(np.sum(pv[mask] * np.log(pv[mask] / qc)))
+    if pv.min() <= 0:
+        mask = pv > 0
+        pv, qv = pv[mask], qv[mask]
+    # sum(p * log(p / max(q, clamp))) through one buffer, in that order
+    t = np.maximum(qv, _KL_CLAMP)
+    np.divide(pv, t, out=t)
+    np.log(t, out=t)
+    t *= pv
+    return w * float(np.sum(t))
 
 
 def classical_fidelity(p, q) -> float:
     """Squared Bhattacharyya overlap (sum sqrt(p_k q_k))^2, clamped to [0,1]."""
     pv, qv, w = _prob_pair(p, q)
-    f = float((w * np.sum(np.sqrt(pv * qv))) ** 2)
+    t = pv * qv
+    np.sqrt(t, out=t)
+    f = float((w * np.sum(t)) ** 2)
     return min(1.0, max(0.0, f))
 
 

@@ -6,12 +6,16 @@ two-qubit gates the first listed wire is the higher-significance bit of the
 untouched qubit's axis may have width 1 (`widen` appends its zero |1> slice).
 A gate is one BLAS call on a (left, d, right) view of the state, d = 2 or 4,
 whose bits do not depend on the block lengths (`tests/test_circuit.py` checks
-this): width-1 axes leave the full-width state's amplitudes. A gate on wires
-apart, never one `prep_circuit` emits, first copies the wide qubits between
-them out of the way. `apply_cnot` is an exact permutation, one copy of the
-state with the control=1 slice written with every target axis reversed, so
-the reflection wrapper's fan-out, which `simulate` finds as `accounting`
-does, costs one copy however many targets it has; every other CNOT runs alone.
+this): width-1 axes leave the full-width state's amplitudes. A gate wire of
+width 1 holds only |0>, so the kernel multiplies by the gate's columns with
+that bit 0 alone and returns the wire at width 2, the bits of the gate on the
+widened state; `simulate` widens only before a CNOT and once at the end. A
+gate on wires apart, never one `prep_circuit` emits, first copies the qubits
+between them out of the way. `apply_cnot` is an exact permutation, one copy
+of the state with the control=1 slice written with every target axis
+reversed, so the reflection wrapper's fan-out, which `simulate` finds as
+`accounting` does, costs one copy however many targets it has; every other
+CNOT runs alone.
 """
 
 from __future__ import annotations
@@ -39,48 +43,82 @@ def widen(psi: np.ndarray, qubits) -> np.ndarray:
     return psi
 
 
-def _need_wide(psi: np.ndarray, qubits) -> None:
+def _need_wide(psi: np.ndarray, qubits, widths=(2,)) -> None:
     s = psi.shape
-    if len(s) <= max(qubits) or any(s[q] != 2 for q in qubits):
-        raise ValueError(f"qubits {sorted(set(qubits))} need axes of width 2, the state's shape is {s}")
+    if len(s) <= max(qubits) or any(s[q] not in widths for q in qubits):
+        need = " or ".join(map(str, sorted(widths, reverse=True)))
+        raise ValueError(f"qubits {sorted(set(qubits))} need axes of width {need}, the state's shape is {s}")
 
 
 def _blocks(psi: np.ndarray, lo: int, hi: int) -> tuple[int, int]:
-    # the lengths of the state's left and right blocks around wires lo..hi
-    _need_wide(psi, (lo, hi))
+    # the lengths of the state's left and right blocks around wires lo..hi,
+    # whose own axes may have width 1 (a fresh wire) or 2
+    _need_wide(psi, (lo, hi), (1, 2))
     s = psi.shape
     return 1 << s[:lo].count(2), 1 << s[hi + 1 :].count(2)
 
 
+# the gate columns whose index has every fresh (width-1) wire's bit 0, keyed
+# by the gate wires' widths, higher-significance wire first
+_LIVE = {(1,): slice(0, 1), (2,): slice(None), (1, 1): slice(0, 1), (1, 2): slice(0, 2),
+         (2, 1): slice(None, None, 2), (2, 2): slice(None)}
+# a right block shorter than _SHORT, with at least _ROWS left rows, runs as
+# one GEMM against the gate expanded over the block, not as np.matmul's loop
+# of one small GEMM per left row (n=14, wires (11, 12): 78 -> 16 us); below
+# _ROWS rows the loop is cheaper than expanding the gate
+_SHORT, _ROWS = 8, 256
+_EYES = {r: np.eye(r) for r in (2, 4)}
+
+
 def _matmul(g: np.ndarray, view: np.ndarray) -> np.ndarray:
-    # g on axis 1 of a (left, d, right) array; right == 1 is one GEMM, not a
-    # matmul looping over left. numpy runs a lone row as a GEMV, which sums in
-    # another order than GEMM, so it is doubled: the bits ignore block lengths.
-    # g.T in C order keeps one GEMM variant, so no other BLAS code is paged in
+    # g (dout, d) on axis 1 of a (left, d, right) array, giving (left, dout,
+    # right). A right block of 1 is the (left, d) rows times g^T, a short one
+    # the (left, d * right) rows times kron(g, I_right)^T, whose zeros add
+    # nothing to a sum. numpy runs a lone row as a GEMV, which sums in another
+    # order than GEMM, so it is doubled: the bits ignore block lengths. The
+    # right factor is C-ordered, so one GEMM variant runs and no other BLAS
+    # code is paged in.
     left, d, right = view.shape
-    if right > 1:
-        return np.matmul(g, view)
-    rows = view.reshape(left, d) if left > 1 else np.tile(view.reshape(1, d), (2, 1))
-    return (rows @ np.ascontiguousarray(g.T))[:left]
+    if right == 1:
+        g = np.ascontiguousarray(g.T)
+    elif right >= _SHORT or left < _ROWS:
+        return np.matmul(np.ascontiguousarray(g), view)
+    else:
+        g = (g.T[:, None, :, None] * _EYES[right][None, :, None, :]).reshape(d * right, -1)
+    rows = view.reshape(left, -1) if left > 1 else np.tile(view.reshape(1, -1), (2, 1))
+    return (rows @ g)[:left].reshape(left, -1, right)
+
+
+def _wide_shape(psi: np.ndarray, qubits) -> tuple:
+    s = list(psi.shape)
+    for q in qubits:
+        s[q] = 2
+    return tuple(s)
 
 
 def apply_1q(psi: np.ndarray, g: np.ndarray, q: int) -> np.ndarray:
     left, right = _blocks(psi, q, q)
-    return _matmul(g, psi.reshape(left, 2, right)).reshape(psi.shape)
+    w = psi.shape[q]
+    return _matmul(g[:, _LIVE[(w,)]], psi.reshape(left, w, right)).reshape(_wide_shape(psi, (q,)))
 
 
 def apply_2q(psi: np.ndarray, g: np.ndarray, qa: int, qb: int) -> np.ndarray:
     """Apply a 4x4 gate to qubits qa < qb; qa indexes the gate's higher bit.
-    The wires come ascending, as `circuit.GateOp` orders a unitary2's."""
+    The wires come ascending, as `circuit.GateOp` orders a unitary2's. Either
+    wire may be fresh (width 1); both come back at width 2."""
     if not qa < qb:
         raise ValueError(f"two-qubit gate wires must be ascending, got ({qa}, {qb})")
     left, right = _blocks(psi, qa, qb)
+    wa, wb = psi.shape[qa], psi.shape[qb]
+    g = g[:, _LIVE[wa, wb]]
+    shape = _wide_shape(psi, (qa, qb))
     if qb == qa + 1:
-        return _matmul(g, psi.reshape(left, 4, right)).reshape(psi.shape)
+        return _matmul(g, psi.reshape(left, wa * wb, right)).reshape(shape)
     # wires apart: copy the wide qubits between them out of the way and back
-    v = psi.reshape(left, 2, -1, 2, right).transpose(0, 2, 1, 3, 4)
-    t = _matmul(g, np.ascontiguousarray(v).reshape(-1, 4, right))
-    return np.ascontiguousarray(t.reshape(v.shape).transpose(0, 2, 1, 3, 4)).reshape(psi.shape)
+    v = psi.reshape(left, wa, -1, wb, right).transpose(0, 2, 1, 3, 4)
+    t = _matmul(g, np.ascontiguousarray(v).reshape(-1, wa * wb, right))
+    t = t.reshape(left, -1, 2, 2, right).transpose(0, 2, 1, 3, 4)
+    return np.ascontiguousarray(t).reshape(shape)
 
 
 def apply_cnot(psi: np.ndarray, control: int, *targets: int) -> np.ndarray:

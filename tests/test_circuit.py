@@ -466,6 +466,52 @@ def test_kernels_ignore_width_1_axes():
         assert got.tobytes() == kernel(statevec.widen(psi, range(n)), g, *qubits).tobytes(), (shape, qubits)
 
 
+@pytest.mark.parametrize("pattern", ["upper fresh", "lower fresh", "both fresh", "1q fresh"])
+def test_fresh_gate_wires_match_the_widened_state(pattern):
+    # a fresh (width-1) gate wire holds only |0>: the kernel multiplies by the
+    # gate's columns with that bit 0 and returns the wire at width 2, bit for
+    # bit the gate on the widened state; adjacent wires and wires apart, with
+    # n up to 12 so short right blocks take the expanded-gate GEMM
+    rng = np.random.default_rng(31)
+    for _ in range(150):
+        n = int(rng.integers(2, 13))
+        if pattern == "1q fresh":
+            qubits, fresh = (int(rng.integers(n)),), {0}
+        else:
+            apart = n > 2 and rng.random() < 0.3
+            qa = int(rng.integers(n - 2 if apart else n - 1))
+            qubits = (qa, int(rng.integers(qa + 2, n)) if apart else qa + 1)
+            fresh = {"upper fresh": {0}, "lower fresh": {1}, "both fresh": {0, 1}}[pattern]
+        all_wide = rng.random() < 0.5  # the other wires; long left blocks need many wide ones
+        shape = [2 if all_wide else int(rng.integers(1, 3)) for _ in range(n)]
+        for i, q in enumerate(qubits):
+            shape[q] = 1 if i in fresh else 2
+        psi = rng.standard_normal(shape)
+        g = np.linalg.qr(rng.standard_normal((2 ** len(qubits),) * 2))[0]
+        kernel = statevec.apply_1q if len(qubits) == 1 else statevec.apply_2q
+        got = kernel(psi, g, *qubits)
+        want = kernel(statevec.widen(psi, qubits), g, *qubits)
+        assert got.shape == want.shape and all(got.shape[q] == 2 for q in qubits), (shape, qubits)
+        assert got.tobytes() == want.tobytes(), (shape, qubits)
+
+
+@pytest.mark.parametrize("d", [2, 4])
+def test_short_right_blocks_match_matmul(d):
+    # a right block of 2 or 4 runs as one GEMM with the gate expanded over
+    # the block; its bits are np.matmul's loop of one GEMM per left row
+    rng = np.random.default_rng(37)
+    g = np.linalg.qr(rng.standard_normal((d, d)))[0]
+    for n in (6, 12, 14):
+        psi = rng.standard_normal((2,) * n)
+        for q in range(n - d // 2):
+            right = 2 ** (n - q - d // 2)
+            if right == 1:
+                continue  # np.matmul runs a lone column as a GEMV, in another order
+            want = np.matmul(g, psi.reshape(2**q, d, right)).reshape(psi.shape)
+            got = statevec.apply_1q(psi, g, q) if d == 2 else statevec.apply_2q(psi, g, q, q + 1)
+            assert got.tobytes() == want.tobytes(), (n, q)
+
+
 def test_emitted_two_qubit_gates_act_on_adjacent_wires():
     # so simulate never reaches apply_2q's copy for wires apart on the
     # circuits the pipeline emits, with or without the wrapper
@@ -547,9 +593,11 @@ def test_kernels_refuse_flat_vectors():
 
 
 def test_simulate_cost_is_linear_in_the_state(monkeypatch):
-    # On |0...0> gate q of a staircase layer sees only the qubits it and its
-    # predecessors touched: 4, 8, ..., 2^n amplitudes, O(2^n) for the layer.
-    # The wrapper's CNOTs are permutations and never reach apply_2q.
+    # On |0...0> gate q of a staircase layer sees only the qubits its
+    # predecessors touched, its lower wire still fresh: 1, 4, 8, ..., 2^(n-1)
+    # amplitudes in, twice that out, O(2^n) for the layer. The end gate then
+    # sees all 2^n. The wrapper's CNOTs are permutations and never reach
+    # apply_2q.
     n = 12
     full = build_stack(mps_from_statevector(np.sqrt(normal_target(n))), num_layers=1)
     wrapped = add_reflection_wrapper(prep_circuit(half_stack(n)))
@@ -563,7 +611,7 @@ def test_simulate_cost_is_linear_in_the_state(monkeypatch):
 
     monkeypatch.setattr(statevec, "apply_2q", recording)
     simulate(prep_circuit(full))
-    assert sizes == [2 ** (q + 2) for q in range(n - 1)] + [2**n]
+    assert sizes == [1] + [2 ** (q + 1) for q in range(1, n - 1)] + [2**n]
     sizes.clear()
     simulate(wrapped)
     assert len(sizes) == sum(g.kind == "unitary2" for g in wrapped.gates) == n - 1

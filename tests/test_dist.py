@@ -33,6 +33,27 @@ def test_grid_first_points_are_the_full_grids_bit_for_bit(convention):
         assert g.points(count).tobytes() == g.points()[:count].tobytes()
 
 
+@pytest.mark.parametrize("convention", ["midpoint", "endpoint"])
+@pytest.mark.parametrize("n", [2, 3, 10, 20])
+def test_grid_points_keep_the_out_of_place_formula(convention, n):
+    # the in-place evaluation rounds as the formula written out of place
+    g = Grid(-2.0, 3.0, n, convention)
+    k = np.arange(g.size, dtype=float)
+    if convention == "midpoint":
+        want = g.min + (k + 0.5) * (g.max - g.min) / g.size
+    else:
+        want = g.min + k * (g.max - g.min) / (g.size - 1)
+    assert g.points().tobytes() == want.tobytes()
+
+
+@pytest.mark.parametrize("count", [-1, 9, 100, 2.0, True, "3"])
+def test_grid_points_refuse_a_count_past_the_grid(count):
+    # a count outside 0..2^n, or not an integer, is refused, never
+    # extrapolated past max (points(100)[-1] would be 23.875)
+    with pytest.raises(DistError, match="has no first"):
+        Grid(-1.0, 1.0, 3).points(count)
+
+
 def test_grid_mirror_pairing_both_conventions():
     for conv in ("midpoint", "endpoint"):
         g = Grid(-2.0, 3.0, 5, conv)
@@ -134,6 +155,38 @@ def test_asymmetric_residual_on_an_entry_that_absorbs_it(spec, grid):
     assert np.max(np.abs(t.p - w / w.sum())) <= 1e-15
 
 
+def _normalize_with_copies(w, symmetric):
+    # the out-of-place reference: a divided copy, the residual's rest summed
+    # over an np.delete copy
+    p = w / w.sum()
+    n = p.size
+    if symmetric:
+        j = n // 2 - 1 - int(np.argmax(p[n // 2 - 1 :: -1]))
+        p[j] = p[n - 1 - j] = 0.5 * (1.0 - float(np.sum(np.delete(p, [j, n - 1 - j]))))
+    elif float(p[:-1].sum()) <= 1.0:
+        p[-1] = 1.0 - float(p[:-1].sum())
+    else:
+        j = int(np.argmax(p))
+        p[j] = 1.0 - float(np.sum(np.delete(p, j)))
+    return p
+
+
+def test_in_place_normalisation_keeps_the_copying_bits():
+    # mirrored and plain tables of 4 to 4096 weights, with ties and zeros,
+    # plus the table whose residual lands on its largest entry
+    rng = np.random.default_rng(43)
+    tables = [(0.1, 0.3, 0.7, 0.2, 0.0, 0.0, 0.0, 0.0)]
+    for n in (2, 3, 5, 9, 12):
+        for _ in range(6):
+            half = rng.random(2 ** (n - 1)) * (rng.random(2 ** (n - 1)) < 0.8)
+            half[int(rng.integers(half.size))] = half.max()  # a tie for the largest
+            tables += [tuple(np.concatenate([half, half[::-1]])), tuple(rng.random(2**n))]
+    for w in tables:
+        spec, grid = DistSpec("table", weights=w), Grid(0.0, 1.0, len(w).bit_length() - 1)
+        want = _normalize_with_copies(np.array(w), is_mirror_symmetric(spec, grid))
+        assert sample_pdf(spec, grid).p.tobytes() == want.tobytes()
+
+
 def test_left_half_monotone_normal():
     t = sample_pdf(DistSpec("normal", mu=0.0, sigma2=0.01), Grid(-0.5, 0.5, 10))
     h = left_half(t)
@@ -184,6 +237,18 @@ def test_amplitudes():
     a2 = amplitudes(t2)
     assert abs(np.linalg.norm(a2) - 1.0) <= 1e-12
     assert np.all(a2 >= 0)
+
+
+@pytest.mark.parametrize("spec", [
+    DistSpec("normal", mu=0.1, sigma2=0.04), DistSpec("lorentzian", x0=-0.2, gamma=0.3), DistSpec("student_t", nu=3.0),
+], ids=lambda s: s.kind)
+def test_pdf_leaves_its_argument_unchanged(spec):
+    # each family works in place on its own result array, never on x
+    x = Grid(-1.0, 1.0, 6).points()
+    before = x.copy()
+    y = spec.pdf(x)
+    assert x.tobytes() == before.tobytes()
+    assert y is not x and not np.shares_memory(x, y)
 
 
 def test_spec_validation():

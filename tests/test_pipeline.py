@@ -2,6 +2,7 @@
 
 import json
 import sys
+import tracemalloc
 from dataclasses import fields
 
 import numpy as np
@@ -27,7 +28,7 @@ from symprep.pipeline import (
     sweep,
     sweep_full,
 )
-from symprep.dist import FAMILIES, DistError, DistSpec, Grid
+from symprep.dist import FAMILIES, DistError, DistSpec, Grid, sample_pdf
 
 
 def write_config(tmp_path, doc, name="cfg.json"):
@@ -697,3 +698,26 @@ def test_cli_writes_outputs_atomically(tmp_path, capsys, monkeypatch):
     monkeypatch.chdir(empty)
     run_full(config_from_dict(minimal_doc()))
     assert list(empty.iterdir()) == []
+
+
+# Peak traced allocations (tracemalloc, which numpy reports its arrays to) at
+# n=20, with 2 MiB of slack over the measured peaks. The state is 8 MiB and
+# the half 4 MiB, so a change that brings back one more 2^n or 2^(n-1)
+# temporary fails. Measured: sample_pdf 12.0 MiB (the 2^n target and the
+# half's pdf), run_full 32.2 MiB baseline and 28.1 MiB symmetry.
+WIDE_PEAK_MIB = {"sample_pdf": 14.0, "baseline": 34.2, "symmetry": 30.1}
+
+
+@pytest.mark.parametrize("stage", ["sample_pdf", "baseline", "symmetry"])
+def test_wide_run_peak_memory(stage):
+    spec, grid = DistSpec("normal", mu=0.0, sigma2=0.01), Grid(-0.5, 0.5, 20)
+    tracemalloc.start()
+    try:
+        if stage == "sample_pdf":
+            sample_pdf(spec, grid)
+        else:
+            run_full(RunConfig(dist=spec, grid=grid, n_qubits=20, method=stage))
+        peak = tracemalloc.get_traced_memory()[1] / 2**20
+    finally:
+        tracemalloc.stop()
+    assert peak <= WIDE_PEAK_MIB[stage], f"{stage} peaked at {peak:.2f} MiB"
