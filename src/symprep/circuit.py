@@ -173,23 +173,32 @@ def simulate(c: Circuit) -> np.ndarray:
     has width 1 until a gate first touches it: a staircase layer on |0...0>
     costs O(2^n), gate q reading at most 2^(q+1) amplitudes, its lower wire
     still fresh. Only a CNOT needs its wires widened first; the other
-    kernels take a fresh wire as it is. The wrapper's fan-out, found as `accounting`
-    finds it, is one permutation with one copy of the state; every other
-    CNOT runs alone. The amplitudes equal the kernels' on full-width states,
-    one gate at a time.
+    kernels take a fresh wire as it is, and write into one of two 2^n
+    buffers allocated once, so the heap sees the same two blocks whatever
+    the circuit. The wrapper's fan-out, found as `accounting` finds it, is
+    one permutation with one copy of the state; every other CNOT runs
+    alone. The amplitudes equal the kernels' on full-width states, one gate
+    at a time.
     """
     n = c.n_qubits
     if n > DENSE_LIMIT:
         raise CircuitError(f"n={n} exceeds dense limit {DENSE_LIMIT}")
     tail = n - 1 if _has_reflection_tail(c) else 0  # the fan-out's CNOTs
     psi = np.ones((1,) * n)
+    # the gate kernels write into the front of spare[0], never the buffer
+    # holding psi; the one spare left over is freed before the fan-out
+    # copies the state
+    spare = [np.empty(2**n), np.empty(2**n)]
     for g in c.gates[: len(c.gates) - tail]:
         if g.kind == "cnot":
             psi = statevec.apply_cnot(statevec.widen(psi, g.qubits), *g.qubits)
-        elif g.kind == "unitary2":
-            psi = statevec.apply_2q(psi, g.matrix, *g.qubits)
+            continue
+        if g.kind == "unitary2":
+            psi = statevec.apply_2q(psi, g.matrix, *g.qubits, out=spare[0])
         else:
-            psi = statevec.apply_1q(psi, statevec.HADAMARD if g.kind == "hadamard" else g.matrix, *g.qubits)
+            psi = statevec.apply_1q(psi, statevec.HADAMARD if g.kind == "hadamard" else g.matrix, *g.qubits, out=spare[0])
+        spare.reverse()
+    del spare
     psi = statevec.widen(psi, range(n))
     if tail:
         psi = statevec.apply_cnot(psi, 0, *range(1, n))

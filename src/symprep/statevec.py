@@ -9,7 +9,10 @@ whose bits do not depend on the block lengths (`tests/test_circuit.py` checks
 this): width-1 axes leave the full-width state's amplitudes. A gate wire of
 width 1 holds only |0>, so the kernel multiplies by the gate's columns with
 that bit 0 alone and returns the wire at width 2, the bits of the gate on the
-widened state; `simulate` widens only before a CNOT and once at the end. A
+widened state; `simulate` widens only before a CNOT and once at the end.
+`apply_1q` and `apply_2q` can write their result into the front of a given
+flat buffer (`out`), with the same bits: `simulate` alternates two 2^n
+buffers, so a growing state allocates no new array per gate. A
 gate on wires apart, never one `prep_circuit` emits, first copies the qubits
 between them out of the way. `apply_cnot` is an exact permutation, one copy
 of the state with the control=1 slice written with every target axis
@@ -70,23 +73,30 @@ _SHORT, _ROWS = 8, 256
 _EYES = {r: np.eye(r) for r in (2, 4)}
 
 
-def _matmul(g: np.ndarray, view: np.ndarray) -> np.ndarray:
+def _matmul(g: np.ndarray, view: np.ndarray, out=None) -> np.ndarray:
     # g (dout, d) on axis 1 of a (left, d, right) array, giving (left, dout,
-    # right). A right block of 1 is the (left, d) rows times g^T, a short one
-    # the (left, d * right) rows times kron(g, I_right)^T, whose zeros add
-    # nothing to a sum. numpy runs a lone row as a GEMV, which sums in another
-    # order than GEMM, so it is doubled: the bits ignore block lengths. The
-    # right factor is C-ordered, so one GEMM variant runs and no other BLAS
-    # code is paged in.
+    # right), written to the front of out when given. A right block of 1 is
+    # the (left, d) rows times g^T, a short one the (left, d * right) rows
+    # times kron(g, I_right)^T, whose zeros add nothing to a sum. numpy runs
+    # a lone row as a GEMV, which sums in another order than GEMM, so it is
+    # doubled: the bits ignore block lengths. The right factor is C-ordered,
+    # so one GEMM variant runs and no other BLAS code is paged in.
     left, d, right = view.shape
+    res = None if out is None else out[: left * len(g) * right].reshape(left, -1, right)
     if right == 1:
         g = np.ascontiguousarray(g.T)
     elif right >= _SHORT or left < _ROWS:
-        return np.matmul(np.ascontiguousarray(g), view)
+        return np.matmul(np.ascontiguousarray(g), view, out=res)
     else:
         g = (g.T[:, None, :, None] * _EYES[right][None, :, None, :]).reshape(d * right, -1)
-    rows = view.reshape(left, -1) if left > 1 else np.tile(view.reshape(1, -1), (2, 1))
-    return (rows @ g)[:left].reshape(left, -1, right)
+    if left > 1:
+        rows = np.matmul(view.reshape(left, -1), g, out=None if res is None else res.reshape(left, -1))
+        return rows.reshape(left, -1, right)
+    rows = (np.tile(view.reshape(1, -1), (2, 1)) @ g)[:1].reshape(1, -1, right)
+    if res is None:
+        return rows
+    res[...] = rows
+    return res
 
 
 def _wide_shape(psi: np.ndarray, qubits) -> tuple:
@@ -96,16 +106,21 @@ def _wide_shape(psi: np.ndarray, qubits) -> tuple:
     return tuple(s)
 
 
-def apply_1q(psi: np.ndarray, g: np.ndarray, q: int) -> np.ndarray:
+def apply_1q(psi: np.ndarray, g: np.ndarray, q: int, out=None) -> np.ndarray:
+    """Apply a 2x2 gate to qubit q, which may be fresh (width 1) and comes
+    back at width 2. The result is a new array, or the front of the flat
+    float buffer out, which must not overlap psi."""
     left, right = _blocks(psi, q, q)
     w = psi.shape[q]
-    return _matmul(g[:, _LIVE[(w,)]], psi.reshape(left, w, right)).reshape(_wide_shape(psi, (q,)))
+    return _matmul(g[:, _LIVE[(w,)]], psi.reshape(left, w, right), out).reshape(_wide_shape(psi, (q,)))
 
 
-def apply_2q(psi: np.ndarray, g: np.ndarray, qa: int, qb: int) -> np.ndarray:
+def apply_2q(psi: np.ndarray, g: np.ndarray, qa: int, qb: int, out=None) -> np.ndarray:
     """Apply a 4x4 gate to qubits qa < qb; qa indexes the gate's higher bit.
     The wires come ascending, as `circuit.GateOp` orders a unitary2's. Either
-    wire may be fresh (width 1); both come back at width 2."""
+    wire may be fresh (width 1); both come back at width 2. The result is a
+    new array, or the front of the flat float buffer out, which must not
+    overlap psi."""
     if not qa < qb:
         raise ValueError(f"two-qubit gate wires must be ascending, got ({qa}, {qb})")
     left, right = _blocks(psi, qa, qb)
@@ -113,12 +128,16 @@ def apply_2q(psi: np.ndarray, g: np.ndarray, qa: int, qb: int) -> np.ndarray:
     g = g[:, _LIVE[wa, wb]]
     shape = _wide_shape(psi, (qa, qb))
     if qb == qa + 1:
-        return _matmul(g, psi.reshape(left, wa * wb, right)).reshape(shape)
+        return _matmul(g, psi.reshape(left, wa * wb, right), out).reshape(shape)
     # wires apart: copy the wide qubits between them out of the way and back
     v = psi.reshape(left, wa, -1, wb, right).transpose(0, 2, 1, 3, 4)
     t = _matmul(g, np.ascontiguousarray(v).reshape(-1, wa * wb, right))
     t = t.reshape(left, -1, 2, 2, right).transpose(0, 2, 1, 3, 4)
-    return np.ascontiguousarray(t).reshape(shape)
+    if out is None:
+        return np.ascontiguousarray(t).reshape(shape)
+    res = out[: t.size].reshape(t.shape)
+    res[...] = t
+    return res.reshape(shape)
 
 
 def apply_cnot(psi: np.ndarray, control: int, *targets: int) -> np.ndarray:

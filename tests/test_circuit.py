@@ -495,6 +495,32 @@ def test_fresh_gate_wires_match_the_widened_state(pattern):
         assert got.tobytes() == want.tobytes(), (shape, qubits)
 
 
+def test_kernels_write_into_a_buffer_bit_for_bit():
+    # with out given, the result is the front of that flat buffer, with the
+    # bits of a fresh result and the rest of the buffer untouched; every
+    # _matmul branch: right blocks of 1, short and long, lone left rows,
+    # fresh wires and wires apart
+    rng = np.random.default_rng(41)
+    for _ in range(200):
+        n = int(rng.integers(2, 13))
+        apart = n > 2 and rng.random() < 0.3
+        if rng.random() < 0.3:
+            qubits = (int(rng.integers(n)),)
+        else:
+            qa = int(rng.integers(n - 2 if apart else n - 1))
+            qubits = (qa, int(rng.integers(qa + 2, n)) if apart else qa + 1)
+        shape = tuple(int(rng.integers(1, 3)) if q in qubits or rng.random() < 0.3 else 2 for q in range(n))
+        psi = rng.standard_normal(shape)
+        g = np.linalg.qr(rng.standard_normal((2 ** len(qubits),) * 2))[0]
+        kernel = statevec.apply_1q if len(qubits) == 1 else statevec.apply_2q
+        want = kernel(psi, g, *qubits)
+        buf = np.full(2**n + 3, np.pi)
+        got = kernel(psi, g, *qubits, out=buf)
+        assert np.shares_memory(got, buf) and got.shape == want.shape, (shape, qubits)
+        assert got.tobytes() == want.tobytes(), (shape, qubits)
+        assert np.all(buf[want.size :] == np.pi), (shape, qubits)
+
+
 @pytest.mark.parametrize("d", [2, 4])
 def test_short_right_blocks_match_matmul(d):
     # a right block of 2 or 4 runs as one GEMM with the gate expanded over
@@ -604,10 +630,10 @@ def test_simulate_cost_is_linear_in_the_state(monkeypatch):
     sizes = []
     real = statevec.apply_2q
 
-    def recording(psi, g, qa, qb):
+    def recording(psi, g, qa, qb, out=None):
         sizes.append(psi.size)
         assert not np.array_equal(g, CNOT)
-        return real(psi, g, qa, qb)
+        return real(psi, g, qa, qb, out)
 
     monkeypatch.setattr(statevec, "apply_2q", recording)
     simulate(prep_circuit(full))
