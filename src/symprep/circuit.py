@@ -1,6 +1,6 @@
 """Circuit intermediate representation, reflection wrapper, dense simulator,
 depth/count accounting, and export. `simulate` is the library's one dense
-interpreter: `residual` checks a stack by running the circuit it emits.
+interpreter.
 
 Qubit 0 (the top wire, and the reflection qubit when the wrapper is used) is
 the most significant bit of the basis index, which makes the mirror map
@@ -21,7 +21,7 @@ import numpy as np
 
 from . import statevec
 from .disentangler import DisentanglerStack
-from .mps import DENSE_LIMIT, Mps, to_statevector
+from .mps import DENSE_LIMIT
 from .numerics import is_finite_number, is_int, is_orthonormal
 
 __all__ = [
@@ -32,7 +32,6 @@ __all__ = [
     "prep_circuit",
     "add_reflection_wrapper",
     "simulate",
-    "residual",
     "accounting",
     "export_circuit",
     "import_circuit",
@@ -161,9 +160,9 @@ def add_reflection_wrapper(c: Circuit) -> Circuit:
 
 def _has_reflection_tail(c: Circuit) -> bool:
     """True when c ends with the tail add_reflection_wrapper appends, which
-    needs n >= 3 wires. A tail gate has no matrix, so kind and wires say it."""
+    needs n >= 3 wires and n gates. A tail gate has no matrix, so kind and wires say it."""
     n = c.n_qubits
-    return n >= 3 and [(g.kind, g.qubits) for g in c.gates[-n:]] == _reflection_tail(n)
+    return 3 <= n <= len(c.gates) and [(g.kind, g.qubits) for g in c.gates[-n:]] == _reflection_tail(n)
 
 
 def simulate(c: Circuit) -> np.ndarray:
@@ -209,15 +208,6 @@ def simulate(c: Circuit) -> np.ndarray:
     return psi
 
 
-def residual(m: Mps, stack: DisentanglerStack) -> float:
-    """1 - <psi|prepared>^2 for the state psi of m and the state the emitted
-    circuit prep_circuit(stack) prepares from |0...0>, computed densely."""
-    if m.n_qubits != stack.n_qubits:
-        raise CircuitError("qubit count mismatch between state and stack")
-    overlap = float(to_statevector(m) @ simulate(prep_circuit(stack)))
-    return max(0.0, 1.0 - overlap**2)
-
-
 # realignment singular-value ratio at or below which a 4x4 gate is a product gate
 _PRODUCT_TOL = 1e-9
 
@@ -240,14 +230,15 @@ def _cnot_prices(c: Circuit) -> list:
 
 def _counted_cnot_depth(c: Circuit, prices: list) -> int:
     # greedy layering; a priced gate occupies that many sequential CNOT slots
-    # on its qubits, a free gate takes no time
-    clock = [0] * c.n_qubits
+    # on its qubits, a free gate takes no time; the clock holds only the
+    # wires a priced gate touches, so the cost follows the gates, not n
+    clock = {}
     for g, p in zip(c.gates, prices):
         if p:
-            t = max(clock[q] for q in g.qubits) + p
+            t = max(clock.get(q, 0) for q in g.qubits) + p
             for q in g.qubits:
                 clock[q] = t
-    return max(clock, default=0)
+    return max(clock.values(), default=0)
 
 
 def accounting(c: Circuit, num_layers: int = 1) -> GateStats:

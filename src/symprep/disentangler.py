@@ -7,7 +7,7 @@ end gate first and then the chain gates' adjoints descending the chain, a
 layer maps its source state exactly to |0...0>. Stacking layers extends the
 construction to higher bond dimension: each layer is extracted from the
 chi=2 truncation of the current state, applied, and the residual state fed
-to the next layer, all on the MPS (`circuit.residual` is the dense check).
+to the next layer, all on the MPS.
 
 Constrained gate columns are copied bit-exactly from the source tensors;
 free columns come from a deterministic orthogonal completion, the last of

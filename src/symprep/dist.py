@@ -58,6 +58,12 @@ class Grid:
         object.__setattr__(self, "max", float(self.max))
         if not is_int(self.n_qubits) or self.n_qubits < 2:
             raise DistError(f"grid needs an integer n_qubits >= 2, got {self.n_qubits!r}")
+        try:  # points() forms (k + 1/2)(max - min), up to (max - min) 2^n, before it divides by 2^n
+            wide = math.ldexp(self.max - self.min, self.n_qubits)
+        except OverflowError:
+            wide = math.inf
+        if not is_finite_number(wide):
+            raise DistError(f"grid span {self.max - self.min!r} times 2^n_qubits is past the float range")
         if self.convention not in ("midpoint", "endpoint"):
             raise DistError(f"unknown grid convention {self.convention!r}")
 

@@ -12,13 +12,11 @@ the one value rules.
 from __future__ import annotations
 
 import sys
-from typing import NamedTuple
 
 import numpy as np
 
 __all__ = [
     "NumericsError",
-    "SvdResult",
     "svd",
     "complete_isometry",
     "is_orthonormal",
@@ -31,27 +29,20 @@ class NumericsError(ValueError):
     """Raised on invalid inputs to the numeric kernels."""
 
 
-class SvdResult(NamedTuple):
-    """u: (m, k) with orthonormal columns; s: (k,) non-negative,
-    non-increasing; vt: (k, n) with orthonormal rows."""
-
-    u: np.ndarray
-    s: np.ndarray
-    vt: np.ndarray
-
-
-def svd(a) -> SvdResult:
-    """Thin SVD of a finite 2-d real matrix.
+def svd(a) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Thin SVD (u, s, vt) of a finite 2-d real matrix: u (m, k) with
+    orthonormal columns, s (k,) non-negative and non-increasing, vt (k, n)
+    with orthonormal rows.
 
     Reconstruction u @ diag(s) @ vt equals the input within 1e-12 of its
-    norm; s is non-increasing.
+    norm.
     """
     m = np.asarray(a, dtype=float)
     if m.ndim != 2:
         raise NumericsError(f"expected a 2-d real matrix, got shape {m.shape}")
     if not np.isfinite(m).all():  # first: LAPACK never returns on some ±inf input
         raise NumericsError("matrix contains non-finite entries")
-    return SvdResult(*np.linalg.svd(m, full_matrices=False))
+    return np.linalg.svd(m, full_matrices=False)
 
 
 def is_orthonormal(a) -> bool:

@@ -24,7 +24,7 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from . import __version__
-from .circuit import Circuit, accounting, add_reflection_wrapper, prep_circuit, simulate
+from .circuit import Circuit, GateStats, accounting, add_reflection_wrapper, prep_circuit, simulate
 from .disentangler import DisentanglerStack, build_stack
 from .dist import (
     FAMILIES,
@@ -38,7 +38,7 @@ from .dist import (
     left_half,
     sample_pdf,
 )
-from .metrics import MetricsReport, classical_fidelity, kl_divergence, meyer_wallach_purity
+from .metrics import classical_fidelity, kl_divergence, meyer_wallach_purity
 from .mps import DENSE_LIMIT, Mps, mps_from_statevector
 from .numerics import is_int
 
@@ -47,6 +47,7 @@ __all__ = [
     "PipelineError",
     "RunConfig",
     "SweepConfig",
+    "MetricsReport",
     "RunResult",
     "parse_config",
     "config_from_dict",
@@ -146,6 +147,16 @@ class SweepConfig:
                         "(each maps to num_layers = log2(chi))"
                     )
         object.__setattr__(self, "vary_values", vals)
+
+
+@dataclass(frozen=True)
+class MetricsReport:
+    kl_divergence: float
+    classical_fidelity: float
+    meyer_wallach_q: float
+    truncation_error: float
+    residual_infidelity: float
+    gate_stats: GateStats
 
 
 @dataclass(frozen=True)

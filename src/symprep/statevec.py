@@ -25,16 +25,9 @@ from __future__ import annotations
 
 import numpy as np
 
-__all__ = ["zero_state", "widen", "apply_1q", "apply_2q", "apply_cnot", "HADAMARD"]
+__all__ = ["widen", "apply_1q", "apply_2q", "apply_cnot", "HADAMARD"]
 
 HADAMARD = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
-
-
-def zero_state(n: int) -> np.ndarray:
-    """|0...0> as a flat 2^n vector, the input layout of `mps_from_statevector`."""
-    v = np.zeros(2**n)
-    v[0] = 1.0
-    return v
 
 
 def widen(psi: np.ndarray, qubits) -> np.ndarray:

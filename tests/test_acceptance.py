@@ -24,7 +24,8 @@ import functools
 import numpy as np
 
 import symprep as sp
-from symprep.statevec import zero_state
+
+from oracles import meyer_wallach_direct, residual, zero_state
 
 
 def _line(num: int, ok: bool, detail: str) -> bool:
@@ -57,7 +58,7 @@ def test_criterion_01_exact_chi2_disentangling():
             v /= np.linalg.norm(v)
             m = sp.mps_from_statevector(v, chi_max=2)
             stack = sp.build_stack(m, 1)  # truncate(m, 2) is m, so its one layer is build_layer(m)
-            worst = max(worst, sp.residual(m, stack))
+            worst = max(worst, residual(m, stack))
             count += 1
     assert count == 100
     ok = worst <= 1e-10
@@ -145,8 +146,8 @@ def test_criterion_07_entanglement_reference_values():
         assert np.array_equal(a, a[::-1])  # the mirror bound needs |u| = |w|
         u, w = np.split(a, 2)
         mirror_bound = (2.0 / 10) * (0.5 - 2.0 * float(u @ w) ** 2)
-        qf = sp.meyer_wallach_direct(a)
-        qh = sp.meyer_wallach_direct(sp.amplitudes(sp.left_half(full)))
+        qf = meyer_wallach_direct(a)
+        qh = meyer_wallach_direct(sp.amplitudes(sp.left_half(full)))
         gap = abs(qf - _meyer_wallach_rdm(a))
         checks += [gap <= 1e-10, qf >= mirror_bound, qh <= qf / 10.0]
         parts.append(
@@ -240,8 +241,8 @@ def test_criterion_10_property_suites():
     worst = 0.0
     for _ in range(50):
         a = rng.standard_normal((6, 5))
-        res = sp.svd(a)
-        worst = max(worst, float(np.max(np.abs(res.u @ np.diag(res.s) @ res.vt - a))))
+        u, s, vt = sp.svd(a)
+        worst = max(worst, float(np.max(np.abs(u @ np.diag(s) @ vt - a))))
         q = np.linalg.qr(rng.standard_normal((4, 4)))[0][:, :2]
         full = sp.complete_isometry(q)
         worst = max(worst, float(np.max(np.abs(full.T @ full - np.eye(4)))))
@@ -283,7 +284,7 @@ def test_criterion_10_property_suites():
         q = sp.meyer_wallach_purity(v)
         ok_kq &= -1e-10 <= q <= 1.0 + 1e-10
         if n <= 10:
-            worst_gap = max(worst_gap, abs(q - sp.meyer_wallach_direct(v)))
+            worst_gap = max(worst_gap, abs(q - meyer_wallach_direct(v)))
     checks.append(("KL >= 0 and Q in [0,1]", ok_kq))
     checks.append(("entanglement direct vs purity", worst_gap <= 1e-10))
 

@@ -1,6 +1,7 @@
 """Circuit IR, reflection wrapper, dense simulation, accounting, export."""
 
 import json
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -11,6 +12,7 @@ from symprep.circuit import (
     Circuit,
     CircuitError,
     GateOp,
+    GateStats,
     accounting,
     add_reflection_wrapper,
     export_circuit,
@@ -20,6 +22,8 @@ from symprep.circuit import (
 )
 from symprep.disentangler import build_stack
 from symprep.mps import DENSE_LIMIT, apply_gate_run, mps_from_statevector, to_statevector
+
+from oracles import zero_state
 
 
 def ghz_circuit():
@@ -84,7 +88,7 @@ def test_gateop_validation():
 
 def test_simulate_empty_and_ghz():
     empty = Circuit(3, ())
-    assert np.array_equal(simulate(empty), statevec.zero_state(3))
+    assert np.array_equal(simulate(empty), zero_state(3))
     psi = simulate(ghz_circuit())
     expect = np.zeros(4)
     expect[0] = expect[3] = 1.0 / np.sqrt(2.0)
@@ -109,7 +113,7 @@ def test_simulate_refuses_lost_norm():
 
 
 def test_prep_circuit_identity_on_zero():
-    m = mps_from_statevector(statevec.zero_state(4))
+    m = mps_from_statevector(zero_state(4))
     stack = build_stack(m, num_layers=1)
     psi = simulate(prep_circuit(stack))
     assert abs(abs(psi[0]) - 1.0) <= 1e-12
@@ -213,6 +217,19 @@ def test_accounting_depth_formulas():
     )
 
 
+def test_accounting_cost_follows_the_gates_not_the_width():
+    # one CNOT on a million wires: no n-entry wrapper tail and no n-entry depth clock
+    c = Circuit(10**6, (GateOp("cnot", (0, 1)),))
+    tracemalloc.start()
+    try:
+        stats = accounting(c)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2**20, peak
+    assert stats == GateStats(2 * (10**6 - 2), 1, 1, 1, 1)
+
+
 @pytest.mark.parametrize("num_layers", [2.9, -3, 0, True, "2"], ids=repr)
 def test_accounting_refuses_bad_layer_counts(num_layers):
     # neither truncated (2.9 -> 2) nor clamped (-3 -> 1)
@@ -287,7 +304,7 @@ def test_dense_vs_mps_simulator_agreement():
             gates.append(GateOp("unitary2", (q, q + 1), g))
         c = Circuit(n, tuple(gates))
         dense = simulate(c)
-        m = mps_from_statevector(statevec.zero_state(n))
+        m = mps_from_statevector(zero_state(n))
         for g in gates:
             m = apply_gate_run(m, [g.matrix], g.qubits[0] + 1)[0]
         assert np.max(np.abs(to_statevector(m) - dense)) <= 1e-10, f"n={n}"
@@ -316,7 +333,7 @@ def gate_matrix(g):
 
 def wide_simulate(c):
     # the statevec kernels one gate at a time on a full-width state
-    psi = statevec.zero_state(c.n_qubits).reshape((2,) * c.n_qubits)
+    psi = zero_state(c.n_qubits).reshape((2,) * c.n_qubits)
     for g in c.gates:
         if g.kind == "cnot":
             psi = statevec.apply_cnot(psi, *g.qubits)
@@ -330,7 +347,7 @@ def kron_simulate(c):
     # each gate as a full 2^n x 2^n matrix: kron with the identity on the
     # other wires, then the wires transposed into place
     n = c.n_qubits
-    psi = statevec.zero_state(n)
+    psi = zero_state(n)
     for g in c.gates:
         order = [*g.qubits, *(q for q in range(n) if q not in g.qubits)]
         full = np.kron(gate_matrix(g), np.eye(2 ** (n - len(g.qubits))))

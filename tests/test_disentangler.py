@@ -8,7 +8,7 @@ from scipy import stats
 
 from symprep import disentangler, statevec
 from symprep import mps as mps_module
-from symprep.circuit import CircuitError, residual
+from symprep.circuit import CircuitError
 from symprep.disentangler import (
     DisentanglerError,
     DisentanglerStack,
@@ -26,6 +26,8 @@ from symprep.mps import (
 )
 from symprep.numerics import complete_isometry
 from symprep.pipeline import config_from_dict, encode
+
+from oracles import residual, zero_state
 
 
 def random_state(rng, n):
@@ -67,9 +69,9 @@ def single_layer_stack(m):
 
 
 def test_layer_on_zero_state_is_identity_at_zero():
-    m = mps_from_statevector(statevec.zero_state(5))
+    m = mps_from_statevector(zero_state(5))
     layer = build_layer(m)
-    psi = disentangle_dense(statevec.zero_state(5), layer)
+    psi = disentangle_dense(zero_state(5), layer)
     assert abs(abs(psi[0]) - 1.0) <= 1e-12
 
 

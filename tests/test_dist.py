@@ -73,6 +73,25 @@ def test_grid_validation():
             Grid(lo, hi, 4)
 
 
+@pytest.mark.parametrize("convention", ["midpoint", "endpoint"])
+@pytest.mark.parametrize("lo, hi, n", [
+    pytest.param(0.0, 1e305, 12, id="1e305-wide"),  # 2,298 of the midpoints were inf
+    pytest.param(-1e308, 1e308, 4, id="inf-wide"),  # max - min is inf already
+    pytest.param(0.0, 1.0, 1024, id="2^1024-points"),  # past the float range
+    pytest.param(0.0, 1.0, 10**100, id="2^googol-points"),  # no OverflowError, no 2^n formed
+])
+def test_grid_refuses_a_span_its_points_cannot_represent(convention, lo, hi, n):
+    # points() forms (k + 1/2)(max - min) before it divides by 2^n
+    with pytest.raises(DistError, match="past the float range"):
+        Grid(lo, hi, n, convention)
+
+
+@pytest.mark.parametrize("convention", ["midpoint", "endpoint"])
+def test_grid_keeps_a_span_its_points_represent(convention):
+    assert np.isfinite(Grid(0.0, 1e300, 12, convention).points()).all()
+    assert Grid(0.0, 1.0, 1023, convention).size == 2**1023  # 2^1023 is still a float
+
+
 def test_sample_pdf_normal_symmetric_bit_exact():
     spec, grid = DistSpec("normal", mu=0.0, sigma2=0.01), Grid(-0.5, 0.5, 10)
     assert is_mirror_symmetric(spec, grid)

@@ -42,6 +42,22 @@ def test_package_surface_is_the_modules_all():
     assert not hasattr(symprep, "widen")
 
 
+def test_test_oracles_live_with_the_tests():
+    # only the tests call these, so they live in tests/oracles.py (SvdResult is gone)
+    for mod, name in [("metrics", "meyer_wallach_direct"), ("circuit", "residual"),
+                      ("numerics", "SvdResult"), ("statevec", "zero_state")]:
+        module = importlib.import_module(f"symprep.{mod}")
+        assert not hasattr(module, name) and not hasattr(symprep, name), f"{mod}.{name}"
+
+
+def test_metrics_and_circuit_import_only_what_they_run():
+    # the scoring functions need no circuit type, and circuit needs only
+    # the dense bound from mps
+    src = pathlib.Path(symprep.__file__).parent
+    assert not [n for mod, n in _symprep_imports(src / "metrics.py") if mod == "circuit"]
+    assert [(mod, n) for mod, n in _symprep_imports(src / "circuit.py") if mod == "mps"] == [("mps", "DENSE_LIMIT")]
+
+
 def test_no_allclose_in_src():
     # numerics.is_orthonormal is the one home of the orthogonality rule; an
     # allclose check would bring back a relative slack of 1e-5.

@@ -5,13 +5,15 @@ import math
 import numpy as np
 import pytest
 
+from symprep import metrics
 from symprep.metrics import (
     MetricsError,
     classical_fidelity,
     kl_divergence,
-    meyer_wallach_direct,
     meyer_wallach_purity,
 )
+
+from oracles import meyer_wallach_direct
 
 
 def random_state(rng, n):
@@ -232,6 +234,21 @@ def test_asymmetric_inputs_keep_the_full_forms():
             v = np.sqrt(q)
             v /= np.linalg.norm(v)
             assert abs(meyer_wallach_purity(v) - ref_meyer_wallach(v)) <= 1e-12
+
+
+def test_an_asymmetric_q_skips_the_targets_symmetry_test(monkeypatch):
+    # a baseline run scores an exactly symmetric target against a state that
+    # is not: q is tested first, and p's full compare pass is never run
+    rng = np.random.default_rng(59)
+    p = mirrored(rng.random(2**9), np.sum)
+    q = rng.random(2**10)
+    q /= q.sum()
+    tested = []
+    real = metrics._mirror_half
+    monkeypatch.setattr(metrics, "_mirror_half", lambda v: tested.append(v) or real(v))
+    assert kl_divergence(p, q) == ref_kl(p, q)
+    assert classical_fidelity(p, q) == ref_fidelity(p, q)
+    assert len(tested) == 2 and all(v.tobytes() == q.tobytes() for v in tested)
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])

@@ -30,6 +30,7 @@ from symprep.mps import (
 )
 
 from mps_json import mps_from_json
+from oracles import zero_state
 
 # frozen oracle value: chi=2 truncation KL of the n=10 normal(0, 0.01)
 # state on [-0.5, 0.5] (midpoint grid), computed by dense_truncate below
@@ -140,9 +141,9 @@ def ghz(n):
 
 
 def test_product_state_bond_dims():
-    m = mps_from_statevector(statevec.zero_state(5))
+    m = mps_from_statevector(zero_state(5))
     assert m.bond_dims == [1, 1, 1, 1]
-    assert np.allclose(to_statevector(m), statevec.zero_state(5), atol=1e-14)
+    assert np.allclose(to_statevector(m), zero_state(5), atol=1e-14)
 
 
 def test_ghz_bond_dims_and_roundtrip():
@@ -338,7 +339,7 @@ def test_from_statevector_matches_reference(monkeypatch):
 
     def recording(a):
         out = real(a)
-        spectra.append(out.s)
+        spectra.append(out[1])
         return out
 
     monkeypatch.setattr(mps_module, "svd", recording)

@@ -32,13 +32,13 @@ def test_svd_reconstruction_and_order():
     for _ in range(50):
         m, n = rng.integers(1, 9, size=2)
         a = rng.standard_normal((m, n))
-        res = svd(a)
-        rec = res.u @ np.diag(res.s) @ res.vt
+        u, s, vt = svd(a)
+        rec = u @ np.diag(s) @ vt
         assert np.allclose(rec, a, atol=1e-12 * max(1.0, np.abs(a).max()))
-        assert np.all(np.diff(res.s) <= 1e-14)  # non-increasing
-        k = res.s.size
-        assert np.allclose(res.u.T @ res.u, np.eye(k), atol=1e-12)
-        assert np.allclose(res.vt @ res.vt.T, np.eye(k), atol=1e-12)
+        assert np.all(np.diff(s) <= 1e-14)  # non-increasing
+        k = s.size
+        assert np.allclose(u.T @ u, np.eye(k), atol=1e-12)
+        assert np.allclose(vt @ vt.T, np.eye(k), atol=1e-12)
 
 
 def test_svd_sign_convention_deterministic():
@@ -46,10 +46,10 @@ def test_svd_sign_convention_deterministic():
     rng = np.random.default_rng(12)
     for _ in range(30):
         a = rng.standard_normal((6, 4))
-        r1 = svd(a)
-        r2 = svd(a.copy())
-        assert np.array_equal(r1.u, r2.u)
-        assert np.array_equal(r1.vt, r2.vt)
+        u1, _, vt1 = svd(a)
+        u2, _, vt2 = svd(a.copy())
+        assert np.array_equal(u1, u2)
+        assert np.array_equal(vt1, vt2)
 
 
 def test_complete_isometry_shapes():

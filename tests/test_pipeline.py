@@ -172,6 +172,16 @@ def test_config_files_refused(text, message, tmp_path, capsys):
     assert err.startswith("config error:") and message in err
 
 
+def test_grid_past_the_float_range_is_a_config_error(tmp_path, capsys):
+    # refused by Grid while the config is read (exit 2), not in stage
+    # sample_pdf (exit 1)
+    doc = minimal_doc(grid={"min": -1e308, "max": 1e308}, n_qubits=4)
+    with pytest.raises(ConfigError, match="past the float range"):
+        config_from_dict(doc)
+    assert main(["run", "--config", write_config(tmp_path, doc)]) == 2
+    assert "config error" in capsys.readouterr().err
+
+
 def test_chi_work_is_an_unknown_key(tmp_path, capsys):
     # the working bond is derived inside build_stack, not configured
     doc = minimal_doc(chi_work=2)
