@@ -48,9 +48,8 @@ class CircuitError(ValueError):
 
 @dataclass(frozen=True)
 class GateOp:
-    """One gate: hadamard(q), cnot(control, target), unitary1(q, 2x2) or
-    unitary2(q_low, q_high, 4x4). For unitary2 the first (lower-numbered)
-    wire is the higher-significance bit of the matrix index."""
+    """One gate: hadamard(q), cnot(control, target), unitary1(q, 2x2) or unitary2(q_low, q_high,
+    4x4), whose first wire is the matrix index's higher bit; its `Circuit` checks orthogonality."""
 
     kind: str
     qubits: tuple
@@ -82,15 +81,13 @@ class GateOp:
                     raise CircuitError(f"{self.kind} matrix entries must be finite numbers: {self.matrix!r}")
             if m.shape != (d, d):
                 raise CircuitError(f"{self.kind} needs a {d}x{d} matrix, got {m.shape}")
-            m = np.asarray(m, dtype=float)
-            if not is_orthonormal(m):
-                raise CircuitError(f"{self.kind} matrix is not orthogonal within 1e-10")
-            object.__setattr__(self, "matrix", m)
+            object.__setattr__(self, "matrix", np.asarray(m, dtype=float))  # a view of float input
 
 
 @dataclass(frozen=True)
 class Circuit:
-    """Immutable gate list on n_qubits wires, applied in list order."""
+    """Immutable gate list on n_qubits wires, applied in list order: wires in
+    range, matrices orthogonal (one batched check per size, naming the first bad gate)."""
 
     n_qubits: int
     gates: tuple
@@ -104,6 +101,11 @@ class Circuit:
                 raise CircuitError("gates must be GateOp instances")
             if any(not 0 <= q < self.n_qubits for q in g.qubits):
                 raise CircuitError(f"gate {g.kind} addresses qubit out of range {g.qubits}")
+        for kind in ("unitary1", "unitary2"):  # one batched check per matrix size
+            idx = [i for i, g in enumerate(self.gates) if g.kind == kind]
+            if idx and not is_orthonormal(np.stack([self.gates[i].matrix for i in idx])):
+                bad = next(i for i in idx if not is_orthonormal(self.gates[i].matrix))
+                raise CircuitError(f"gate {bad} ({kind}) matrix is not orthogonal within 1e-10")
 
 
 @dataclass(frozen=True)
@@ -184,9 +186,8 @@ def simulate(c: Circuit) -> np.ndarray:
         raise CircuitError(f"n={n} exceeds dense limit {DENSE_LIMIT}")
     tail = n - 1 if _has_reflection_tail(c) else 0  # the fan-out's CNOTs
     psi = np.ones((1,) * n)
-    # the gate kernels write into the front of spare[0], never the buffer
-    # holding psi; the one spare left over is freed before the fan-out
-    # copies the state
+    # the kernels write into the front of spare[0], never psi's buffer; the
+    # spare left over is freed before the fan-out copies the state
     spare = [np.empty(2**n), np.empty(2**n)]
     for g in c.gates[: len(c.gates) - tail]:
         if g.kind == "cnot":

@@ -14,8 +14,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .mps import DENSE_LIMIT
-
 __all__ = [
     "MetricsError",
     "kl_divergence",
@@ -112,8 +110,6 @@ def meyer_wallach_purity(v) -> float:
     n = int(v.size).bit_length() - 1
     if 2**n != v.size or n < 1:
         raise MetricsError(f"length {v.size} is not a power of two >= 2")
-    if n > DENSE_LIMIT:
-        raise MetricsError(f"n={n} exceeds limit {DENSE_LIMIT} for this evaluation")
     if not abs(float(np.linalg.norm(v)) - 1.0) <= 1e-10:  # NaN fails too
         raise MetricsError("statevector is not normalized within 1e-10")
     b = _mirror_half(v)

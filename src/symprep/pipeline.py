@@ -18,6 +18,7 @@ from __future__ import annotations
 import csv
 import io
 import json
+import sys
 from contextlib import contextmanager
 from dataclasses import asdict, dataclass, fields, replace
 
@@ -191,6 +192,16 @@ def _dist_from_dict(d: dict) -> DistSpec:
     return DistSpec(d["kind"], **params)
 
 
+def _refuse_long_ints(node, where: str = "") -> None:
+    # an int past str()'s digit limit is named by its key, never printed; 10^d has over 3d bits
+    limit = sys.get_int_max_str_digits()
+    for k, v in node.items() if isinstance(node, dict) else enumerate(node):
+        if isinstance(v, (dict, list)):
+            _refuse_long_ints(v, f"{where}{k}.")
+        elif is_int(v) and limit and v.bit_length() > 3 * limit and abs(v) >= 10**limit:
+            raise ConfigError(f"{where}{k} is an integer of more than {limit} digits")
+
+
 def config_from_dict(doc: dict) -> RunConfig | SweepConfig:
     """Validate a parsed config document: a run config, or a sweep config
     ({"base": run config, "vary": ...}). The document describes the
@@ -198,6 +209,7 @@ def config_from_dict(doc: dict) -> RunConfig | SweepConfig:
     keys are rejected and values are not coerced."""
     if not isinstance(doc, dict):
         raise ConfigError("config root must be an object")
+    _refuse_long_ints(doc)  # before any message formats a value
     if "vary" in doc:
         _reject_unknown(doc, ("base", "vary"), "sweep config")
         if not isinstance(doc.get("base"), dict):  # checked here: the root error would misname it
@@ -249,10 +261,10 @@ def parse_config(path: str) -> RunConfig | SweepConfig:
             doc = json.load(fh)
     except FileNotFoundError as exc:
         raise ConfigError(f"config file not found: {path}") from exc
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"config is not valid JSON: {exc}") from exc
     except (OSError, UnicodeDecodeError) as exc:  # a directory, no permission, not UTF-8
         raise ConfigError(f"cannot read config file {path}: {exc}") from exc
+    except ValueError as exc:  # a JSONDecodeError, or an integer past Python's digit limit
+        raise ConfigError(f"config is not valid JSON: {exc}") from exc
     return config_from_dict(doc)
 
 

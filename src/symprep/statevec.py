@@ -4,6 +4,8 @@ Qubit 0 is the most significant bit of the basis index throughout. For
 two-qubit gates the first listed wire is the higher-significance bit of the
 4x4 gate index. A state is an n-axis array, one axis per qubit, in which an
 untouched qubit's axis may have width 1 (`widen` appends its zero |1> slice).
+The kernels check no wire or shape: `simulate` passes n-axis states and the
+gates of a checked `Circuit` (in-range, distinct wires, a unitary2's ascending).
 A gate is one BLAS call on a (left, d, right) view of the state, d = 2 or 4,
 whose bits do not depend on the block lengths (`tests/test_circuit.py` checks
 this): width-1 axes leave the full-width state's amplitudes. A gate wire of
@@ -12,13 +14,12 @@ that bit 0 alone and returns the wire at width 2, the bits of the gate on the
 widened state; `simulate` widens only before a CNOT and once at the end.
 `apply_1q` and `apply_2q` can write their result into the front of a given
 flat buffer (`out`), with the same bits: `simulate` alternates two 2^n
-buffers, so a growing state allocates no new array per gate. A
-gate on wires apart, never one `prep_circuit` emits, first copies the qubits
-between them out of the way. `apply_cnot` is an exact permutation, one copy
-of the state with the control=1 slice written with every target axis
-reversed, so the reflection wrapper's fan-out, which `simulate` finds as
-`accounting` does, costs one copy however many targets it has; every other
-CNOT runs alone.
+buffers, so a growing state allocates no new array per gate. A gate on wires
+apart, never one `prep_circuit` emits, first copies the qubits between them
+out of the way. `apply_cnot` is an exact permutation, one copy of the state
+with the control=1 slice written with every target axis reversed, so the
+reflection wrapper's fan-out, which `simulate` finds as `accounting` does,
+costs one copy however many targets it has; every other CNOT runs alone.
 """
 
 from __future__ import annotations
@@ -39,19 +40,10 @@ def widen(psi: np.ndarray, qubits) -> np.ndarray:
     return psi
 
 
-def _need_wide(psi: np.ndarray, qubits, widths=(2,)) -> None:
-    s = psi.shape
-    if len(s) <= max(qubits) or any(s[q] not in widths for q in qubits):
-        need = " or ".join(map(str, sorted(widths, reverse=True)))
-        raise ValueError(f"qubits {sorted(set(qubits))} need axes of width {need}, the state's shape is {s}")
-
-
 def _blocks(psi: np.ndarray, lo: int, hi: int) -> tuple[int, int]:
     # the lengths of the state's left and right blocks around wires lo..hi,
     # whose own axes may have width 1 (a fresh wire) or 2
-    _need_wide(psi, (lo, hi), (1, 2))
-    s = psi.shape
-    return 1 << s[:lo].count(2), 1 << s[hi + 1 :].count(2)
+    return 1 << psi.shape[:lo].count(2), 1 << psi.shape[hi + 1 :].count(2)
 
 
 # the gate columns whose index has every fresh (width-1) wire's bit 0, keyed
@@ -114,8 +106,6 @@ def apply_2q(psi: np.ndarray, g: np.ndarray, qa: int, qb: int, out=None) -> np.n
     wire may be fresh (width 1); both come back at width 2. The result is a
     new array, or the front of the flat float buffer out, which must not
     overlap psi."""
-    if not qa < qb:
-        raise ValueError(f"two-qubit gate wires must be ascending, got ({qa}, {qb})")
     left, right = _blocks(psi, qa, qb)
     wa, wb = psi.shape[qa], psi.shape[qb]
     g = g[:, _LIVE[wa, wb]]
@@ -134,12 +124,9 @@ def apply_2q(psi: np.ndarray, g: np.ndarray, qa: int, qb: int, out=None) -> np.n
 
 
 def apply_cnot(psi: np.ndarray, control: int, *targets: int) -> np.ndarray:
-    """CNOT(control, t) for each of the distinct targets t, as one exact
-    permutation of the amplitudes: the control=1 slice with every target axis
-    reversed."""
-    if not targets or control in targets or len(set(targets)) != len(targets):
-        raise ValueError(f"a CNOT fan-out needs distinct targets other than its control, got {control}, {targets}")
-    _need_wide(psi, (control, *targets))
+    """CNOT(control, t) for each of the distinct targets t (at least one,
+    none the control, every wire at width 2), as one exact permutation of
+    the amplitudes: the control=1 slice with every target axis reversed."""
     src = [slice(None)] * psi.ndim
     for t in targets:
         src[t] = slice(None, None, -1)

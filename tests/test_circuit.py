@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
-from symprep import statevec
+from symprep import circuit, statevec
 from symprep.circuit import (
     Circuit,
     CircuitError,
@@ -22,6 +22,7 @@ from symprep.circuit import (
 )
 from symprep.disentangler import build_stack
 from symprep.mps import DENSE_LIMIT, apply_gate_run, mps_from_statevector, to_statevector
+from symprep.pipeline import config_from_dict, run_full
 
 from oracles import zero_state
 
@@ -48,12 +49,44 @@ def half_stack(n_full, num_layers=1):
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_gateop_refuses_non_finite_matrices(bad):
     # what simulate runs: a gate can carry no NaN or inf into the state, as
-    # a float array (not orthogonal) or as a nested list (not finite)
+    # a float array (its Circuit finds it not orthogonal) or as a nested
+    # list (GateOp finds it not finite)
     for kind, g in (("unitary1", np.eye(2)), ("unitary2", np.eye(4))):
         g[0, 0] = bad
-        for m in (g, g.tolist()):
-            with pytest.raises(CircuitError, match="not orthogonal|must be finite numbers"):
-                GateOp(kind, tuple(range(g.shape[0] // 2)), m)
+        qubits = tuple(range(g.shape[0] // 2))
+        with pytest.raises(CircuitError, match="not orthogonal"):
+            Circuit(2, (GateOp(kind, qubits, g),))
+        with pytest.raises(CircuitError, match="must be finite numbers"):
+            GateOp(kind, qubits, g.tolist())
+
+
+def test_circuit_checks_its_matrices_in_one_call_per_size(monkeypatch):
+    # the orthogonality rule lives in Circuit: one batched is_orthonormal
+    # call per matrix size present, and a failure names the first bad gate
+    calls = []
+    real = circuit.is_orthonormal
+
+    def counting(a):
+        calls.append(np.shape(a))
+        return real(a)
+
+    monkeypatch.setattr(circuit, "is_orthonormal", counting)
+    inner = prep_circuit(half_stack(8, num_layers=3))
+    assert calls == [(len(inner.gates), 4, 4)]
+    calls.clear()
+    wrapped = add_reflection_wrapper(inner)
+    assert calls == [(len(inner.gates), 4, 4)] and len(wrapped.gates) == len(inner.gates) + 8
+    rng = np.random.default_rng(3)
+    gates = [random_gate(rng, "unitary1", (0,)), random_gate(rng, "unitary2", (1, 2)),
+             GateOp("hadamard", (2,)), random_gate(rng, "unitary1", (2,)), GateOp("cnot", (2, 0))]
+    calls.clear()
+    Circuit(3, gates)
+    assert calls == [(2, 2, 2), (1, 4, 4)]
+    for i in range(len(gates)):
+        kind = "unitary1" if i % 2 else "unitary2"
+        bad = GateOp(kind, (0,) if kind == "unitary1" else (0, 1), np.eye(2 if kind == "unitary1" else 4) * 1.5)
+        with pytest.raises(CircuitError, match=rf"^gate {i} \({kind}\) matrix is not orthogonal within 1e-10$"):
+            Circuit(3, [*gates[:i], bad, *gates[i + 1 :]])
 
 
 def test_gateop_validation():
@@ -68,7 +101,7 @@ def test_gateop_validation():
     with pytest.raises(CircuitError):
         GateOp("unitary2", (2, 1), np.eye(4))  # wires must be ordered
     with pytest.raises(CircuitError):
-        GateOp("unitary2", (0, 1), np.eye(4) * 1.5)  # not orthogonal
+        Circuit(2, (GateOp("unitary2", (0, 1), np.eye(4) * 1.5),))  # not orthogonal
     with pytest.raises(CircuitError):
         GateOp("unitary1", (0,), np.eye(4))  # wrong shape
     with pytest.raises(CircuitError):
@@ -420,6 +453,53 @@ def test_simulate_matches_reference_kernels(c):
     assert np.max(np.abs(psi - kron_simulate(c))) <= 1e-14
 
 
+def check_kernel_contract(monkeypatch, n):
+    # wrap the kernels simulate calls and assert, on every call, what they
+    # do not check themselves; returns the list of calls made
+    calls = []
+    real_1q, real_2q, real_cnot = statevec.apply_1q, statevec.apply_2q, statevec.apply_cnot
+
+    def wires_ok(psi, wires, widths):
+        assert psi.ndim == n  # one axis per qubit of the circuit
+        assert all(0 <= q < psi.ndim and psi.shape[q] in widths for q in wires), (psi.shape, wires)
+
+    def apply_1q(psi, g, q, out=None):
+        wires_ok(psi, (q,), (1, 2))
+        calls.append(("1q", q))
+        return real_1q(psi, g, q, out=out)
+
+    def apply_2q(psi, g, qa, qb, out=None):
+        wires_ok(psi, (qa, qb), (1, 2))
+        assert qa < qb
+        calls.append(("2q", qa, qb))
+        return real_2q(psi, g, qa, qb, out=out)
+
+    def apply_cnot(psi, control, *targets):
+        wires_ok(psi, (control, *targets), (2,))
+        assert targets and control not in targets and len(set(targets)) == len(targets)
+        calls.append(("cnot", control, *targets))
+        return real_cnot(psi, control, *targets)
+
+    for name, kernel in (("apply_1q", apply_1q), ("apply_2q", apply_2q), ("apply_cnot", apply_cnot)):
+        monkeypatch.setattr(statevec, name, kernel)
+    return calls
+
+
+@pytest.mark.parametrize("c", differential_cases())
+def test_simulate_keeps_the_kernel_contract(c, monkeypatch):
+    calls = check_kernel_contract(monkeypatch, c.n_qubits)
+    simulate(c)
+    assert bool(calls) == bool(c.gates)
+
+
+@pytest.mark.parametrize("method", ["symmetry", "baseline"])
+def test_pipeline_circuits_keep_the_kernel_contract(method, monkeypatch):
+    calls = check_kernel_contract(monkeypatch, 8)
+    result = run_full(config_from_dict({"dist": {"kind": "normal"}, "n_qubits": 8, "method": method, "num_layers": 2}))
+    # one call per gate, but one for the wrapper's whole fan-out of 7 CNOTs
+    assert len(calls) == len(result.circuit.gates) - (6 if method == "symmetry" else 0)
+
+
 @pytest.mark.parametrize(
     "name", ["wrapper-tail-on-untouched", "wrapper-tail-n3", "tail-cnots-out-of-order", "tail-target-missing", "cnot-fan-out-runs"]
 )
@@ -459,13 +539,6 @@ def test_flat_kernels_match_reference():
                     assert np.max(np.abs(got - ref_apply_2q(psi, g4, qa, qb))) <= 1e-15, (n, qa, qb)
                 cnot = statevec.apply_cnot(psi, qa, qb)
                 assert cnot.tobytes() == ref_apply_2q(psi, CNOT, qa, qb).tobytes()
-
-
-@pytest.mark.parametrize("qa, qb", [(1, 0), (2, 0), (1, 1)])
-def test_apply_2q_takes_ascending_wires_only(qa, qb):
-    psi = statevec.widen(np.ones((1, 1, 1)), range(3))
-    with pytest.raises(ValueError, match="wires must be ascending"):
-        statevec.apply_2q(psi, np.eye(4), qa, qb)
 
 
 def test_kernels_ignore_width_1_axes():
@@ -596,15 +669,6 @@ def test_cnot_fan_out_is_its_cnots_one_at_a_time():
                 assert got.tobytes() == ref.tobytes(), (shape, control, targets)
 
 
-def test_cnot_fan_out_refuses_bad_wires():
-    psi = np.ones((2, 2, 2)) / np.sqrt(8.0)
-    for targets in ((), (1, 1), (0, 2)):
-        with pytest.raises(ValueError, match="distinct targets other than its control"):
-            statevec.apply_cnot(psi, 0, *targets)
-    with pytest.raises(ValueError, match="need axes of width 2"):
-        statevec.apply_cnot(np.ones((2, 1, 2)), 0, 1, 2)  # a target never touched is not widened here
-
-
 def test_wrapper_fan_out_is_one_permutation(monkeypatch):
     n = 8
     wrapped = add_reflection_wrapper(prep_circuit(half_stack(n)))
@@ -619,20 +683,6 @@ def test_wrapper_fan_out_is_one_permutation(monkeypatch):
     psi = simulate(wrapped)
     assert calls == [(0, tuple(range(1, n)))]
     assert psi.tobytes() == psi[::-1].tobytes()  # exactly mirror symmetric
-
-
-def test_kernels_refuse_flat_vectors():
-    # one layout: a state has one axis per qubit, so a flat 2^n vector is
-    # refused, not read as a single wide qubit or indexed past its one axis
-    psi = np.ones(8) / np.sqrt(8.0)
-    with pytest.raises(ValueError, match="need axes of width 2"):
-        statevec.apply_2q(psi, np.eye(4), 1, 2)
-    with pytest.raises(ValueError, match="need axes of width 2"):
-        statevec.apply_1q(psi, np.eye(2), 0)
-    with pytest.raises(ValueError, match="need axes of width 2"):
-        statevec.apply_cnot(psi, 0, 1)
-    with pytest.raises(ValueError, match="need axes of width 2"):
-        statevec.apply_cnot(psi, 0, 1, 2)
 
 
 def test_simulate_cost_is_linear_in_the_state(monkeypatch):

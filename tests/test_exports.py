@@ -51,10 +51,12 @@ def test_test_oracles_live_with_the_tests():
 
 
 def test_metrics_and_circuit_import_only_what_they_run():
-    # the scoring functions need no circuit type, and circuit needs only
-    # the dense bound from mps
+    # the scoring functions score vectors that already exist, so they need
+    # nothing from symprep (the dense bound guards the allocations, in
+    # RunConfig, simulate and to_statevector), and circuit needs only that
+    # bound from mps
     src = pathlib.Path(symprep.__file__).parent
-    assert not [n for mod, n in _symprep_imports(src / "metrics.py") if mod == "circuit"]
+    assert list(_symprep_imports(src / "metrics.py")) == []
     assert [(mod, n) for mod, n in _symprep_imports(src / "circuit.py") if mod == "mps"] == [("mps", "DENSE_LIMIT")]
 
 

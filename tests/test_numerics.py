@@ -6,7 +6,7 @@ import json
 import numpy as np
 import pytest
 
-from symprep.circuit import CircuitError, GateOp, import_circuit
+from symprep.circuit import Circuit, CircuitError, GateOp, import_circuit
 from symprep.disentangler import DisentanglerError, MpdLayer
 from symprep.mps import (
     Mps,
@@ -114,8 +114,8 @@ def _accepts(name, error, scale):
     tensors = list(mps_from_statevector(v / np.linalg.norm(v)).tensors)
     tensors[2] = tensors[2] * scale
     try:
-        if name == "GateOp":
-            GateOp("unitary2", (0, 1), g)
+        if name == "Circuit":
+            Circuit(2, (GateOp("unitary2", (0, 1), g),))
         elif name == "import_circuit":
             entry = {"kind": "unitary2", "qubits": [0, 1], "matrix": g.ravel().tolist()}
             import_circuit(json.dumps({"format_version": 1, "n_qubits": 2, "gates": [entry]}))
@@ -137,7 +137,7 @@ def _accepts(name, error, scale):
 @pytest.mark.parametrize(
     "name, error",
     [
-        ("GateOp", CircuitError),
+        ("Circuit", CircuitError),
         ("import_circuit", CircuitError),
         ("MpdLayer", DisentanglerError),
         ("apply_gate_run", MpsError),

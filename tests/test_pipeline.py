@@ -182,6 +182,40 @@ def test_grid_past_the_float_range_is_a_config_error(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+# past Python's limit on the decimal digits str() prints (4,300 by default)
+_DIGITS = sys.get_int_max_str_digits()
+_LONG = 10**_DIGITS
+
+
+@pytest.mark.parametrize(
+    "doc, key",
+    [
+        (minimal_doc(n_qubits=-_LONG), "n_qubits"),
+        (minimal_doc(num_layers=-_LONG), "num_layers"),
+        (minimal_doc(seed=_LONG), "seed"),
+        ({"base": minimal_doc(seed=_LONG), "vary": {"num_layers": [1, 2]}}, "base.seed"),
+        ({"base": minimal_doc(), "vary": {"num_layers": [1, _LONG]}}, "vary.num_layers.1"),
+    ],
+    ids=["n_qubits", "num_layers", "seed", "sweep base", "sweep vary"],
+)
+def test_an_integer_too_long_to_print_is_a_config_error(doc, key):
+    # refused by its key before any constructor formats it; an accepted
+    # seed this long would fail only when the report is written
+    with pytest.raises(ConfigError, match=rf"^{key} is an integer of more than {_DIGITS} digits$"):
+        config_from_dict(doc)
+    assert config_from_dict(minimal_doc(seed=_LONG - 1)).seed == _LONG - 1  # exactly the limit's digits
+
+
+def test_a_config_file_with_an_integer_too_long_to_read(tmp_path, capsys):
+    # json.load's ValueError for it is not a JSONDecodeError
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(minimal_doc(n_qubits=0)).replace('"n_qubits": 0', f'"n_qubits": {"9" * (_DIGITS + 700)}'))
+    with pytest.raises(ConfigError, match="not valid JSON: Exceeds the limit"):
+        parse_config(str(path))
+    assert main(["run", "--config", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("config error:")
+
+
 def test_chi_work_is_an_unknown_key(tmp_path, capsys):
     # the working bond is derived inside build_stack, not configured
     doc = minimal_doc(chi_work=2)
