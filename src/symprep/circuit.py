@@ -15,7 +15,8 @@ and the padded gate is a real emitted operation visible in both.
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, field
+from typing import NamedTuple
 
 import numpy as np
 
@@ -46,66 +47,69 @@ class CircuitError(ValueError):
     """Raised on malformed circuits or simulation contract violations."""
 
 
-@dataclass(frozen=True)
-class GateOp:
-    """One gate: hadamard(q), cnot(control, target), unitary1(q, 2x2) or unitary2(q_low, q_high,
-    4x4), whose first wire is the matrix index's higher bit; its `Circuit` checks orthogonality."""
+class GateOp(NamedTuple):
+    """One gate record: hadamard(q), cnot(control, target), unitary1(q, 2x2) or unitary2(q_low,
+    q_high, 4x4), whose first wire is the matrix index's higher bit. Its `Circuit` checks it."""
 
     kind: str
     qubits: tuple
     matrix: np.ndarray | None = None
 
-    def __post_init__(self):
-        if self.kind not in _KINDS:
-            raise CircuitError(f"unknown gate kind {self.kind!r}")
-        if not isinstance(self.qubits, (tuple, list)) or not all(is_int(q) for q in self.qubits):
-            raise CircuitError(f"{self.kind} qubits must be a list of integers, got {self.qubits!r}")
-        object.__setattr__(self, "qubits", tuple(self.qubits))
-        want = 1 if self.kind in ("hadamard", "unitary1") else 2
-        if len(self.qubits) != want:
-            raise CircuitError(f"{self.kind} takes {want} qubit(s), got {self.qubits}")
-        if want == 2 and self.qubits[0] == self.qubits[1]:
-            raise CircuitError(f"{self.kind} needs distinct qubits, got {self.qubits}")
-        if self.kind == "unitary2" and not self.qubits[0] < self.qubits[1]:
-            raise CircuitError("unitary2 wires must be ordered (q_low, q_high)")
-        if self.kind in ("hadamard", "cnot"):
-            if self.matrix is not None:
-                raise CircuitError(f"{self.kind} takes no matrix")
-        else:
-            d = 2 if self.kind == "unitary1" else 4
-            m = self.matrix
-            if not (isinstance(m, np.ndarray) and m.dtype.kind in "iuf"):
-                # entries as given: a float conversion would read True and "1" as 1.0
-                m = np.asarray(m, dtype=object)
-                if m.shape == (d, d) and not all(map(is_finite_number, m.flat)):
-                    raise CircuitError(f"{self.kind} matrix entries must be finite numbers: {self.matrix!r}")
-            if m.shape != (d, d):
-                raise CircuitError(f"{self.kind} needs a {d}x{d} matrix, got {m.shape}")
-            object.__setattr__(self, "matrix", np.asarray(m, dtype=float))  # a view of float input
-
 
 @dataclass(frozen=True)
 class Circuit:
-    """Immutable gate list on n_qubits wires, applied in list order: wires in
-    range, matrices orthogonal (one batched check per size, naming the first bad gate)."""
+    """Immutable gate list on n_qubits wires, applied in list order, and the one gate door: each gate
+    is checked once, a canonical one (int tuple, float array) kept as the same object, and its
+    matrices orthogonal in one batched call per size, naming the first bad gate."""
 
     n_qubits: int
     gates: tuple
+    _unitary2: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if not is_int(self.n_qubits) or self.n_qubits < 1:
             raise CircuitError(f"n_qubits must be an integer >= 1, got {self.n_qubits!r}")
-        object.__setattr__(self, "gates", tuple(self.gates))
+        gates = []
         for g in self.gates:
             if not isinstance(g, GateOp):
                 raise CircuitError("gates must be GateOp instances")
-            if any(not 0 <= q < self.n_qubits for q in g.qubits):
-                raise CircuitError(f"gate {g.kind} addresses qubit out of range {g.qubits}")
-        for kind in ("unitary1", "unitary2"):  # one batched check per matrix size
-            idx = [i for i, g in enumerate(self.gates) if g.kind == kind]
-            if idx and not is_orthonormal(np.stack([self.gates[i].matrix for i in idx])):
-                bad = next(i for i in idx if not is_orthonormal(self.gates[i].matrix))
+            kind, qubits, m = g
+            if kind not in _KINDS:
+                raise CircuitError(f"unknown gate kind {kind!r}")
+            if not isinstance(qubits, (tuple, list)) or not all(is_int(q) for q in qubits):
+                raise CircuitError(f"{kind} qubits must be a list of integers, got {qubits!r}")
+            qubits = tuple(qubits)
+            want = 1 if kind in ("hadamard", "unitary1") else 2
+            if len(qubits) != want:
+                raise CircuitError(f"{kind} takes {want} qubit(s), got {qubits}")
+            if want == 2 and qubits[0] == qubits[1]:
+                raise CircuitError(f"{kind} needs distinct qubits, got {qubits}")
+            if kind == "unitary2" and not qubits[0] < qubits[1]:
+                raise CircuitError("unitary2 wires must be ordered (q_low, q_high)")
+            if kind in ("hadamard", "cnot"):
+                if m is not None:
+                    raise CircuitError(f"{kind} takes no matrix")
+            else:
+                d = 2 if kind == "unitary1" else 4
+                if not (isinstance(m, np.ndarray) and m.dtype.kind in "iuf"):
+                    # entries as given: a float conversion would read True and "1" as 1.0
+                    m = np.asarray(m, dtype=object)
+                    if m.shape == (d, d) and not all(map(is_finite_number, m.flat)):
+                        raise CircuitError(f"{kind} matrix entries must be finite numbers: {g.matrix!r}")
+                if m.shape != (d, d):
+                    raise CircuitError(f"{kind} needs a {d}x{d} matrix, got {m.shape}")
+                m = np.asarray(m, dtype=float)  # the same array for float input
+            if any(not 0 <= q < self.n_qubits for q in qubits):
+                raise CircuitError(f"gate {kind} addresses qubit out of range {qubits}")
+            gates.append(g if qubits is g.qubits and m is g.matrix else GateOp(kind, qubits, m))
+        object.__setattr__(self, "gates", tuple(gates))
+        for kind, d in (("unitary1", 2), ("unitary2", 4)):  # one batched check per matrix size
+            idx = [i for i, g in enumerate(gates) if g.kind == kind]
+            mats = np.stack([gates[i].matrix for i in idx]) if idx else np.empty((0, d, d))
+            if idx and not is_orthonormal(mats):
+                bad = next(i for i in idx if not is_orthonormal(gates[i].matrix))
                 raise CircuitError(f"gate {bad} ({kind}) matrix is not orthogonal within 1e-10")
+        object.__setattr__(self, "_unitary2", mats)  # the checked stack _cnot_prices prices
 
 
 @dataclass(frozen=True)
@@ -141,9 +145,9 @@ def prep_circuit(stack: DisentanglerStack) -> Circuit:
     return Circuit(n_qubits=n, gates=tuple(gates))
 
 
-def _reflection_tail(n: int) -> list:
-    # (kind, qubits) of the wrapper's last n gates on n wires: H on wire 0, then CNOT(0, j) for j = 1 .. n-1
-    return [("hadamard", (0,)), *(("cnot", (0, j)) for j in range(1, n))]
+def _reflection_tail(n: int) -> tuple:
+    # the wrapper's last n gates on n wires: H on wire 0, then CNOT(0, j) for j = 1 .. n-1
+    return (GateOp("hadamard", (0,)), *(GateOp("cnot", (0, j)) for j in range(1, n)))
 
 
 def add_reflection_wrapper(c: Circuit) -> Circuit:
@@ -156,15 +160,15 @@ def add_reflection_wrapper(c: Circuit) -> Circuit:
     if c.n_qubits < 2:
         raise CircuitError(f"inner circuit needs >= 2 qubits, got {c.n_qubits}")
     n = c.n_qubits + 1
-    gates = [GateOp(g.kind, tuple(q + 1 for q in g.qubits), g.matrix) for g in c.gates]
-    return Circuit(n_qubits=n, gates=(*gates, *(GateOp(*g) for g in _reflection_tail(n))))
+    gates = [g._replace(qubits=tuple(q + 1 for q in g.qubits)) for g in c.gates]
+    return Circuit(n_qubits=n, gates=(*gates, *_reflection_tail(n)))
 
 
 def _has_reflection_tail(c: Circuit) -> bool:
     """True when c ends with the tail add_reflection_wrapper appends, which
-    needs n >= 3 wires and n gates. A tail gate has no matrix, so kind and wires say it."""
+    needs n >= 3 wires and n gates. A checked H or CNOT has no matrix, so no array is compared."""
     n = c.n_qubits
-    return 3 <= n <= len(c.gates) and [(g.kind, g.qubits) for g in c.gates[-n:]] == _reflection_tail(n)
+    return 3 <= n <= len(c.gates) and c.gates[-n:] == _reflection_tail(n)
 
 
 def simulate(c: Circuit) -> np.ndarray:
@@ -214,19 +218,15 @@ _PRODUCT_TOL = 1e-9
 
 
 def _cnot_prices(c: Circuit) -> list:
-    # every unitary2 priced in one batched SVD of the realignments (rank 1
-    # for a product A (x) B) and one batched determinant
-    prices = [int(g.kind == "cnot") for g in c.gates]
-    idx = [i for i, g in enumerate(c.gates) if g.kind == "unitary2"]
-    if idx:
-        mats = np.stack([c.gates[i].matrix for i in idx])
-        realigned = mats.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(-1, 4, 4)
-        s = np.linalg.svd(realigned, compute_uv=False)
-        price = np.where(np.linalg.det(mats) < 0, 3, 2)
-        price[s[:, 1] <= _PRODUCT_TOL * s[:, 0]] = 0
-        for i, p in zip(idx, price.tolist()):
-            prices[i] = p
-    return prices
+    # the unitary2 stack Circuit checked, priced in one batched SVD of the
+    # realignments (rank 1 for a product A (x) B) and one batched determinant
+    mats = c._unitary2
+    realigned = mats.reshape(-1, 2, 2, 2, 2).transpose(0, 1, 3, 2, 4).reshape(-1, 4, 4)
+    s = np.linalg.svd(realigned, compute_uv=False)
+    price = np.where(np.linalg.det(mats) < 0, 3, 2)
+    price[s[:, 1] <= _PRODUCT_TOL * s[:, 0]] = 0
+    priced = iter(price.tolist())
+    return [next(priced) if g.kind == "unitary2" else int(g.kind == "cnot") for g in c.gates]
 
 
 def _counted_cnot_depth(c: Circuit, prices: list) -> int:
@@ -320,13 +320,12 @@ def import_circuit(text: str) -> Circuit:
                     raise CircuitError(f"matrix must be a flat list, got {m!r}")
                 v = [float(x) if isinstance(x, str) and _fmt17(float(x)) == x else x for x in m]
                 d = 2 if entry["kind"] == "unitary1" else 4
-                matrix = [v[i : i + d] for i in range(0, len(v), d)]  # GateOp checks shape and entries
+                matrix = [v[i : i + d] for i in range(0, len(v), d)]  # Circuit checks shape and entries
             gates.append(GateOp(entry["kind"], entry["qubits"], matrix))
-        n_qubits = doc["n_qubits"]
+        return Circuit(n_qubits=doc["n_qubits"], gates=tuple(gates))
     except KeyError as exc:
         raise CircuitError(f"circuit document lacks key {exc}") from exc
     except CircuitError:
         raise
     except (TypeError, ValueError, OverflowError) as exc:  # invalid JSON, or a wrong type, size or range
         raise CircuitError(f"malformed circuit document: {exc}") from exc
-    return Circuit(n_qubits=n_qubits, gates=tuple(gates))

@@ -23,7 +23,6 @@ __all__ = [
     "DENSE_LIMIT",
     "Mps",
     "mps_from_statevector",
-    "to_statevector",
     "truncate",
     "apply_gate_run",
     "is_left_canonical",
@@ -163,19 +162,6 @@ def mps_from_statevector(v, chi_max: int | None = None) -> Mps:
     if _amplitude(tensors, [(top >> (n - 1 - j)) & 1 for j in range(n)]) * v[top] < 0:
         tensors[0] = -tensors[0]
     return Mps(tensors, canonical="left")
-
-
-def to_statevector(m: Mps) -> np.ndarray:
-    """Full contraction to a dense vector; first qubit is the most
-    significant index bit."""
-    n = m.n_qubits
-    if n > DENSE_LIMIT:
-        raise MpsError(f"n={n} exceeds dense limit {DENSE_LIMIT}")
-    psi = m.tensors[0][:, 0, :]  # (2, chi)
-    for t in m.tensors[1:]:
-        psi = np.einsum("ka,sab->ksb", psi, t)
-        psi = psi.reshape(-1, t.shape[2])
-    return psi[:, 0]
 
 
 def is_left_canonical(m: Mps) -> bool:

@@ -102,7 +102,7 @@ def apply_1q(psi: np.ndarray, g: np.ndarray, q: int, out=None) -> np.ndarray:
 
 def apply_2q(psi: np.ndarray, g: np.ndarray, qa: int, qb: int, out=None) -> np.ndarray:
     """Apply a 4x4 gate to qubits qa < qb; qa indexes the gate's higher bit.
-    The wires come ascending, as `circuit.GateOp` orders a unitary2's. Either
+    The wires come ascending, as `circuit.Circuit` checks a unitary2's. Either
     wire may be fresh (width 1); both come back at width 2. The result is a
     new array, or the front of the flat float buffer out, which must not
     overlap psi."""

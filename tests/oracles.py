@@ -4,7 +4,8 @@
 definition (quadratic in 2^n, so n <= 12), against which the tests check
 `metrics.meyer_wallach_purity`. `residual` checks a disentangler stack
 densely, by simulating the circuit `prep_circuit` emits for it. `zero_state`
-is |0...0> in the layout `mps_from_statevector` reads.
+is |0...0> in the layout `mps_from_statevector` reads, and `to_statevector`
+contracts an MPS back to that dense vector.
 """
 
 import numpy as np
@@ -12,7 +13,7 @@ import numpy as np
 from symprep.circuit import CircuitError, prep_circuit, simulate
 from symprep.disentangler import DisentanglerStack
 from symprep.metrics import MetricsError
-from symprep.mps import Mps, to_statevector
+from symprep.mps import DENSE_LIMIT, Mps, MpsError
 
 _DIRECT_LIMIT = 12  # direct evaluation cost is quadratic in dimension
 
@@ -22,6 +23,19 @@ def zero_state(n: int) -> np.ndarray:
     v = np.zeros(2**n)
     v[0] = 1.0
     return v
+
+
+def to_statevector(m: Mps) -> np.ndarray:
+    """Full contraction to a dense vector; first qubit is the most
+    significant index bit."""
+    n = m.n_qubits
+    if n > DENSE_LIMIT:
+        raise MpsError(f"n={n} exceeds dense limit {DENSE_LIMIT}")
+    psi = m.tensors[0][:, 0, :]  # (2, chi)
+    for t in m.tensors[1:]:
+        psi = np.einsum("ka,sab->ksb", psi, t)
+        psi = psi.reshape(-1, t.shape[2])
+    return psi[:, 0]
 
 
 def residual(m: Mps, stack: DisentanglerStack) -> float:

@@ -25,7 +25,7 @@ import numpy as np
 
 import symprep as sp
 
-from oracles import meyer_wallach_direct, residual, zero_state
+from oracles import meyer_wallach_direct, residual, to_statevector, zero_state
 
 
 def _line(num: int, ok: bool, detail: str) -> bool:
@@ -105,7 +105,7 @@ def _truncation_saturation(amp: np.ndarray, p: np.ndarray, chi_max: int) -> int:
     kls = {}
     for chi in range(1, chi_max + 1):
         t, _ = sp.truncate(m, chi)
-        q = sp.to_statevector(t) ** 2
+        q = to_statevector(t) ** 2
         kls[chi] = max(0.0, sp.kl_divergence(p, q))
     threshold = 2.0 * kls[chi_max] + 1e-14  # absolute term covers the noise floor
     return min(chi for chi in kls if kls[chi] <= threshold)
@@ -253,7 +253,7 @@ def test_criterion_10_property_suites():
     for n in (4, 8, 12):
         v = rng.standard_normal(2**n)
         v /= np.linalg.norm(v)
-        worst = max(worst, float(np.max(np.abs(sp.to_statevector(sp.mps_from_statevector(v)) - v))))
+        worst = max(worst, float(np.max(np.abs(to_statevector(sp.mps_from_statevector(v)) - v))))
     checks.append(("mps round trip", worst <= 1e-10))
 
     # dense vs MPS gate application, n <= 6
@@ -268,7 +268,7 @@ def test_criterion_10_property_suites():
         m = sp.mps_from_statevector(zero_state(n))
         for g in gates:
             m = sp.apply_gate_run(m, [g.matrix], g.qubits[0] + 1)[0]
-        worst = max(worst, float(np.max(np.abs(sp.to_statevector(m) - dense))))
+        worst = max(worst, float(np.max(np.abs(to_statevector(m) - dense))))
     checks.append(("dense vs MPS simulator", worst <= 1e-10))
 
     # KL non-negative and Q in [0, 1] over 200 random states

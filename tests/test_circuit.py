@@ -21,10 +21,10 @@ from symprep.circuit import (
     simulate,
 )
 from symprep.disentangler import build_stack
-from symprep.mps import DENSE_LIMIT, apply_gate_run, mps_from_statevector, to_statevector
+from symprep.mps import DENSE_LIMIT, apply_gate_run, mps_from_statevector
 from symprep.pipeline import config_from_dict, run_full
 
-from oracles import zero_state
+from oracles import to_statevector, zero_state
 
 
 def ghz_circuit():
@@ -48,16 +48,16 @@ def half_stack(n_full, num_layers=1):
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
 def test_gateop_refuses_non_finite_matrices(bad):
-    # what simulate runs: a gate can carry no NaN or inf into the state, as
-    # a float array (its Circuit finds it not orthogonal) or as a nested
-    # list (GateOp finds it not finite)
+    # what simulate runs: a gate can carry no NaN or inf into the state. Its
+    # Circuit refuses it as a float array (not orthogonal) or as a nested
+    # list (not finite); the bare GateOp record checks nothing.
     for kind, g in (("unitary1", np.eye(2)), ("unitary2", np.eye(4))):
         g[0, 0] = bad
         qubits = tuple(range(g.shape[0] // 2))
         with pytest.raises(CircuitError, match="not orthogonal"):
             Circuit(2, (GateOp(kind, qubits, g),))
         with pytest.raises(CircuitError, match="must be finite numbers"):
-            GateOp(kind, qubits, g.tolist())
+            Circuit(2, (GateOp(kind, qubits, g.tolist()),))
 
 
 def test_circuit_checks_its_matrices_in_one_call_per_size(monkeypatch):
@@ -90,33 +90,119 @@ def test_circuit_checks_its_matrices_in_one_call_per_size(monkeypatch):
 
 
 def test_gateop_validation():
-    with pytest.raises(CircuitError):
-        GateOp("toffoli", (0, 1))
-    with pytest.raises(CircuitError):
-        GateOp("cnot", (1, 1))
-    with pytest.raises(CircuitError):
-        GateOp("hadamard", (0, 1))
-    with pytest.raises(CircuitError, match="hadamard takes no matrix"):
-        GateOp("hadamard", (0,), np.eye(2))
-    with pytest.raises(CircuitError):
-        GateOp("unitary2", (2, 1), np.eye(4))  # wires must be ordered
-    with pytest.raises(CircuitError):
-        Circuit(2, (GateOp("unitary2", (0, 1), np.eye(4) * 1.5),))  # not orthogonal
-    with pytest.raises(CircuitError):
-        GateOp("unitary1", (0,), np.eye(4))  # wrong shape
-    with pytest.raises(CircuitError):
-        Circuit(2, (GateOp("hadamard", (5,)),))  # out of range
-    with pytest.raises(CircuitError):
-        GateOp("cnot", (0.9, 1.2))  # qubits are integers, never truncated
-    with pytest.raises(CircuitError):
-        GateOp("hadamard", (True,))
+    # each malformed gate is a plain record until a Circuit checks it
+    def refused(gate, match="", n=3):
+        with pytest.raises(CircuitError, match=match):
+            Circuit(n, (gate,))
+
+    refused(GateOp("toffoli", (0, 1)), "unknown gate kind")
+    refused(GateOp("cnot", (1, 1)), "distinct")
+    refused(GateOp("hadamard", (0, 1)), "takes 1 qubit")
+    refused(GateOp("hadamard", (0,), np.eye(2)), "hadamard takes no matrix")
+    refused(GateOp("unitary2", (2, 1), np.eye(4)), "must be ordered")  # wires must be ordered
+    refused(GateOp("unitary2", (0, 1), np.eye(4) * 1.5), "not orthogonal", n=2)
+    refused(GateOp("unitary1", (0,), np.eye(4)), "needs a 2x2 matrix")  # wrong shape
+    refused(GateOp("hadamard", (5,)), "out of range", n=2)
+    refused(GateOp("cnot", (0.9, 1.2)), "list of integers")  # qubits are integers, never truncated
+    refused(GateOp("hadamard", (True,)), "list of integers")
     with pytest.raises(CircuitError):
         Circuit(2.5, ())
     with pytest.raises(CircuitError, match="gates must be GateOp instances"):
         Circuit(2, (("cnot", (0, 1)),))
     for entries in ([[True, False], [False, True]], [["1", "0"], ["0", "1"]]):
-        with pytest.raises(CircuitError, match="entries must be finite numbers"):
-            GateOp("unitary1", (0,), entries)  # never read as the identity
+        refused(GateOp("unitary1", (0,), entries), "entries must be finite numbers")  # never the identity
+
+
+def _door_entry(kind, qubits, matrix):
+    entry = {"kind": kind, "qubits": qubits}
+    if matrix is not None:  # the export's flat list; import cuts it into rows of the gate's size
+        entry["matrix"] = [x for row in matrix for x in row]
+    return entry
+
+
+GATE_DOOR = {  # a malformed gate on 3 wires: (kind, qubits, matrix as nested lists), the refusal
+    "unknown kind": (("toffoli", [0, 1], None), r"^unknown gate kind 'toffoli'$"),
+    "wire count": (("hadamard", [0, 1], None), r"^hadamard takes 1 qubit\(s\), got \(0, 1\)$"),
+    "float wires": (("cnot", [0.9, 1.2], None), r"^cnot qubits must be a list of integers, got \[0.9, 1.2\]$"),
+    "bool wire": (("hadamard", [True], None), r"^hadamard qubits must be a list of integers, got \[True\]$"),
+    "wires not a list": (("cnot", "01", None), r"^cnot qubits must be a list of integers, got '01'$"),
+    "repeated wires": (("cnot", [1, 1], None), r"^cnot needs distinct qubits, got \(1, 1\)$"),
+    "unitary2 wires descending": (("unitary2", [2, 1], np.eye(4).tolist()), r"^unitary2 wires must be ordered"),
+    "wire out of range": (("hadamard", [3], None), r"^gate hadamard addresses qubit out of range \(3,\)$"),
+    "matrix on H": (("hadamard", [0], np.eye(2).tolist()), r"^hadamard takes no matrix$"),
+    "matrix on CNOT": (("cnot", [0, 1], np.eye(2).tolist()), r"^cnot takes no matrix$"),
+    "no matrix": (("unitary1", [0], None), r"^unitary1 needs a 2x2 matrix, got \(\)$"),
+    "wrong shape 2x2": (("unitary1", [0], [[1, 0], [0, 1], [0, 0]]), r"^unitary1 needs a 2x2 matrix, got \(3, 2\)$"),
+    "wrong shape 4x4": (("unitary2", [0, 1], [[1, 0, 0, 0], [0, 1, 0, 0]]), r"needs a 4x4 matrix, got \(2, 4\)$"),
+    "NaN entry": (("unitary1", [0], [[np.nan, 0], [0, 1]]), r"^unitary1 matrix entries must be finite numbers"),
+    "inf entry": (("unitary2", [0, 1], [[np.inf, 0, 0, 0], *np.eye(4)[1:].tolist()]), "must be finite numbers"),
+    "bool entries": (("unitary1", [1], [[True, False], [False, True]]), "must be finite numbers"),
+    "string entries": (("unitary1", [1], [["1.0", "0.0"], ["0.0", "1.0"]]), "must be finite numbers"),
+    "not orthogonal": (("unitary2", [1, 2], (np.eye(4) * 1.5).tolist()),
+                       r"^gate 0 \(unitary2\) matrix is not orthogonal within 1e-10$"),
+}
+
+
+@pytest.mark.parametrize("case", GATE_DOOR)
+def test_gate_door_refuses_alike(case):
+    # Circuit is the one gate door: a gate built in the library and the same
+    # gate read from a document are refused with the same message
+    (kind, qubits, matrix), message = GATE_DOOR[case]
+    GateOp(kind, qubits, matrix)  # a plain record: it checks nothing
+    with pytest.raises(CircuitError, match=message) as direct:
+        Circuit(3, (GateOp(kind, qubits, matrix),))
+    doc = {"format_version": 1, "n_qubits": 3, "gates": [_door_entry(kind, qubits, matrix)]}
+    with pytest.raises(CircuitError) as imported:
+        import_circuit(json.dumps(doc))
+    assert str(imported.value) == str(direct.value)
+
+
+def test_canonical_gates_pass_through_by_identity():
+    # a gate with a tuple of ints and a float array of its size is kept as
+    # the same object; any other is rebuilt once, in canonical form
+    rng = np.random.default_rng(5)
+    gates = [random_gate(rng, "unitary2", (0, 1)), GateOp("hadamard", (2,)),
+             random_gate(rng, "unitary1", (1,)), GateOp("cnot", (2, 0))]
+    assert all(a is b for a, b in zip(Circuit(3, gates).gates, gates))
+    loose = [GateOp("cnot", [0, 1]), GateOp("unitary1", (0,), np.eye(2, dtype=int)),
+             GateOp("unitary2", [1, 2], np.eye(4).tolist()), GateOp("unitary1", (2,), np.eye(2, dtype=np.float32))]
+    c = Circuit(3, loose)
+    for g, raw in zip(c.gates, loose):
+        assert g is not raw and type(g.qubits) is tuple and all(type(q) is int for q in g.qubits)
+        assert g.matrix is None or (g.matrix.dtype == np.float64 and g.matrix.shape in ((2, 2), (4, 4)))
+    assert all(a is b for a, b in zip(Circuit(3, c.gates).gates, c.gates))
+    inner = prep_circuit(half_stack(8, num_layers=2))
+    wrapped = add_reflection_wrapper(inner)
+    assert all(w.matrix is g.matrix for w, g in zip(wrapped.gates, inner.gates))  # shifted, not copied
+
+
+def one_gate_price(m):
+    # one unitary2's CNOT price read off the gate alone (Vatan & Williams)
+    r = m.reshape(2, 2, 2, 2).transpose(0, 2, 1, 3).reshape(4, 4)
+    s = np.linalg.svd(r, compute_uv=False)
+    return 0 if s[1] <= 1e-9 * s[0] else (3 if np.linalg.det(m) < 0 else 2)
+
+
+def test_cnot_prices_price_the_checked_stack(monkeypatch):
+    # accounting prices the unitary2 stack its Circuit checked and stacks nothing itself
+    c = add_reflection_wrapper(prep_circuit(half_stack(8, num_layers=2)))
+    stats = accounting(c, num_layers=2)
+
+    def no_stack(*args, **kwargs):
+        raise AssertionError("np.stack called")
+
+    def priced(mats):
+        it = iter(mats)
+        return [one_gate_price(next(it)) if g.kind == "unitary2" else int(g.kind == "cnot") for g in c.gates]
+
+    monkeypatch.setattr(np, "stack", no_stack)
+    assert accounting(c, num_layers=2) == stats
+    prices = circuit._cnot_prices(c)
+    assert prices == priced(g.matrix for g in c.gates if g.kind == "unitary2")
+    flipped = c._unitary2.copy()
+    flipped[:, :, 0] *= -1  # det < 0, and the padded end gates are no longer products
+    object.__setattr__(c, "_unitary2", flipped)
+    assert circuit._cnot_prices(c) == priced(flipped) != prices
 
 
 def test_simulate_empty_and_ghz():
@@ -534,7 +620,7 @@ def test_flat_kernels_match_reference():
         for qa in range(n):
             assert np.max(np.abs(statevec.apply_1q(psi, g2, qa) - ref_apply_1q(psi, g2, qa))) <= 1e-15
             for qb in set(range(n)) - {qa}:
-                if qa < qb:  # the wire order GateOp gives a unitary2
+                if qa < qb:  # the wire order Circuit requires of a unitary2
                     got = statevec.apply_2q(psi, g4, qa, qb)
                     assert np.max(np.abs(got - ref_apply_2q(psi, g4, qa, qb))) <= 1e-15, (n, qa, qb)
                 cnot = statevec.apply_cnot(psi, qa, qb)

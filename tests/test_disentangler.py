@@ -21,13 +21,12 @@ from symprep.mps import (
     apply_gate_run,
     is_left_canonical,
     mps_from_statevector,
-    to_statevector,
     truncate,
 )
 from symprep.numerics import complete_isometry
 from symprep.pipeline import config_from_dict, encode
 
-from oracles import residual, zero_state
+from oracles import residual, to_statevector, zero_state
 
 
 def random_state(rng, n):

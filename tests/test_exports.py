@@ -45,7 +45,7 @@ def test_package_surface_is_the_modules_all():
 def test_test_oracles_live_with_the_tests():
     # only the tests call these, so they live in tests/oracles.py (SvdResult is gone)
     for mod, name in [("metrics", "meyer_wallach_direct"), ("circuit", "residual"),
-                      ("numerics", "SvdResult"), ("statevec", "zero_state")]:
+                      ("numerics", "SvdResult"), ("statevec", "zero_state"), ("mps", "to_statevector")]:
         module = importlib.import_module(f"symprep.{mod}")
         assert not hasattr(module, name) and not hasattr(symprep, name), f"{mod}.{name}"
 
@@ -53,8 +53,7 @@ def test_test_oracles_live_with_the_tests():
 def test_metrics_and_circuit_import_only_what_they_run():
     # the scoring functions score vectors that already exist, so they need
     # nothing from symprep (the dense bound guards the allocations, in
-    # RunConfig, simulate and to_statevector), and circuit needs only that
-    # bound from mps
+    # RunConfig and simulate), and circuit needs only that bound from mps
     src = pathlib.Path(symprep.__file__).parent
     assert list(_symprep_imports(src / "metrics.py")) == []
     assert [(mod, n) for mod, n in _symprep_imports(src / "circuit.py") if mod == "mps"] == [("mps", "DENSE_LIMIT")]

@@ -25,12 +25,11 @@ from symprep.mps import (
     is_left_canonical,
     mps_from_statevector,
     mps_to_json,
-    to_statevector,
     truncate,
 )
 
 from mps_json import mps_from_json
-from oracles import zero_state
+from oracles import to_statevector, zero_state
 
 # frozen oracle value: chi=2 truncation KL of the n=10 normal(0, 0.01)
 # state on [-0.5, 0.5] (midpoint grid), computed by dense_truncate below
