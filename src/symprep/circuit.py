@@ -22,7 +22,6 @@ import numpy as np
 
 from . import statevec
 from .disentangler import DisentanglerStack
-from .mps import DENSE_LIMIT
 from .numerics import is_finite_number, is_int, is_orthonormal
 
 __all__ = [
@@ -32,6 +31,7 @@ __all__ = [
     "GateStats",
     "prep_circuit",
     "add_reflection_wrapper",
+    "DENSE_LIMIT",
     "simulate",
     "accounting",
     "export_circuit",
@@ -54,6 +54,14 @@ class GateOp(NamedTuple):
     kind: str
     qubits: tuple
     matrix: np.ndarray | None = None
+
+    def __eq__(self, other):  # a bool for every gate: matrices compare by np.array_equal
+        if not isinstance(other, GateOp):
+            return NotImplemented
+        a, b = self.matrix, other.matrix
+        return self[:2] == other[:2] and (a is b if a is None or b is None else bool(np.array_equal(a, b)))
+
+    __ne__ = object.__ne__  # the negated __eq__, not tuple's elementwise !=
 
 
 @dataclass(frozen=True)
@@ -166,9 +174,13 @@ def add_reflection_wrapper(c: Circuit) -> Circuit:
 
 def _has_reflection_tail(c: Circuit) -> bool:
     """True when c ends with the tail add_reflection_wrapper appends, which
-    needs n >= 3 wires and n gates. A checked H or CNOT has no matrix, so no array is compared."""
+    needs n >= 3 wires and n gates."""
     n = c.n_qubits
     return 3 <= n <= len(c.gates) and c.gates[-n:] == _reflection_tail(n)
+
+
+# Dense simulation limit: 2^24 doubles = 128 MiB per state buffer.
+DENSE_LIMIT = 24
 
 
 def simulate(c: Circuit) -> np.ndarray:
@@ -309,8 +321,8 @@ def import_circuit(text: str) -> Circuit:
         doc = json.loads(text)
         if not isinstance(doc, dict):
             raise CircuitError("circuit document must be a JSON object")
-        if doc.get("format_version") != FORMAT_VERSION:
-            raise CircuitError(f"unsupported format_version {doc.get('format_version')!r}")
+        if not (is_int(version := doc.get("format_version")) and version == FORMAT_VERSION):  # not true, not 1.0
+            raise CircuitError(f"unsupported format_version {version!r}")
         gates = []
         for entry in doc["gates"]:
             matrix = None

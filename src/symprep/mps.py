@@ -4,10 +4,11 @@ Site tensors use the index layout (physical s, left bond a, right bond b)
 with explicit size-1 boundary bonds. The canonical form used throughout is
 the one the gate extraction needs: contracting any site tensor with itself
 over (physical, right bond) gives the identity on the left bond, and the
-whole norm sits in the first tensor (Frobenius norm 1). It is produced by a
-truncating sweep from the last site to the first that takes each tall
-unfolding's singular values and right vectors from the R factors of its row
-blocks, so the tall left factor is never formed.
+whole norm sits in the first tensor (Frobenius norm 1). It is produced by an
+exact sweep from the last site to the first that takes each tall unfolding's
+singular values and right vectors from the R factors of its row blocks, so
+the tall left factor is never formed. `truncate` is the one bond-dimension
+cut of a state.
 """
 
 from __future__ import annotations
@@ -20,7 +21,6 @@ from .numerics import is_int, is_orthonormal, svd
 
 __all__ = [
     "MpsError",
-    "DENSE_LIMIT",
     "Mps",
     "mps_from_statevector",
     "truncate",
@@ -28,9 +28,6 @@ __all__ = [
     "is_left_canonical",
     "mps_to_json",
 ]
-
-# Dense reconstruction limit: 2^24 doubles = 128 MiB.
-DENSE_LIMIT = 24
 
 # Singular values below this fraction of the largest are dropped when a
 # state is factorised or a gate recompressed (numerical-zero rank control).
@@ -95,17 +92,13 @@ class Mps:
         or 1, O(n * chi^2)."""
         if len(bits) != self.n_qubits or not all(is_int(b) and b in (0, 1) for b in bits):
             raise MpsError(f"need {self.n_qubits} bits, each the integer 0 or 1, got {bits!r}")
-        return _amplitude(self.tensors, bits)
+        v = self.tensors[0][bits[0], 0, :]
+        for t, b in zip(self.tensors[1:], bits[1:]):
+            v = v @ t[b]
+        return float(v[0])
 
     def __repr__(self):
         return f"Mps(n={self.n_qubits}, bond_dims={self.bond_dims}, canonical={self.canonical!r})"
-
-
-def _amplitude(tensors, bits) -> float:
-    v = tensors[0][bits[0], 0, :]
-    for t, b in zip(tensors[1:], bits[1:]):
-        v = v @ t[b]
-    return float(v[0])
 
 
 def _check_count(name: str, v) -> None:
@@ -120,15 +113,15 @@ def _kept(s: np.ndarray, chi: int | None = None) -> int:
     return k if chi is None else min(k, chi)
 
 
-def mps_from_statevector(v, chi_max: int | None = None) -> Mps:
-    """Decompose a normalized real statevector into canonical form.
+def mps_from_statevector(v) -> Mps:
+    """Decompose a normalized real statevector exactly into canonical form.
 
-    Sweeps from the last site to the first, truncating each bond at chi_max;
-    the state is renormalized once at the end. An unfolding m taller than
+    Sweeps from the last site to the first, keeping every singular value
+    the rank rule keeps; the state is renormalized once at the end, and it
+    rebuilds v, sign included, to rounding. An unfolding m taller than
     _QR_BLOCK rows is replaced by the stacked R's of its blocks, which have
     the same s and vt; the carry m @ vt[:k].T equals u[:, :k] * s[:k], so
-    no 2^n left factor is built. The global sign gauge keeps the amplitude
-    at the input's largest-|entry| index on the input's sign.
+    no 2^n left factor is built.
     """
     v = np.asarray(v, dtype=float).ravel()
     size = v.size
@@ -138,8 +131,6 @@ def mps_from_statevector(v, chi_max: int | None = None) -> Mps:
     nrm = float(np.linalg.norm(v))
     if not abs(nrm - 1.0) <= 1e-10:  # NaN fails too
         raise MpsError(f"statevector norm is {nrm:.12g}, need 1 within 1e-10")
-    if chi_max is not None:
-        _check_count("chi_max", chi_max)
 
     tensors: list = [None] * n
     m = v.reshape(2 ** (n - 1), 2)
@@ -149,18 +140,13 @@ def mps_from_statevector(v, chi_max: int | None = None) -> Mps:
         if m.shape[0] > _QR_BLOCK:
             r = np.linalg.qr(m.reshape(-1, _QR_BLOCK, 2 * r_prev), mode="r").reshape(-1, 2 * r_prev)
         _, s, vt = svd(r)
-        k = _kept(s, chi_max)
+        k = _kept(s)
         tensors[i] = vt[:k].reshape(k, 2, r_prev).transpose(1, 0, 2)
         carry = m @ vt[:k].T
         m = carry.reshape(carry.shape[0] // 2, 2 * k)
         r_prev = k
     tensors[0] = m.reshape(2, 1, r_prev)
     _renormalize_first(tensors)
-    # sign gauge: the dominant amplitude must keep the input's sign even
-    # after heavy truncation
-    top = int(np.argmax(np.abs(v)))
-    if _amplitude(tensors, [(top >> (n - 1 - j)) & 1 for j in range(n)]) * v[top] < 0:
-        tensors[0] = -tensors[0]
     return Mps(tensors, canonical="left")
 
 

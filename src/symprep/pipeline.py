@@ -25,7 +25,7 @@ from dataclasses import asdict, dataclass, fields, replace
 import numpy as np
 
 from . import __version__
-from .circuit import Circuit, GateStats, accounting, add_reflection_wrapper, prep_circuit, simulate
+from .circuit import DENSE_LIMIT, Circuit, GateStats, accounting, add_reflection_wrapper, prep_circuit, simulate
 from .disentangler import DisentanglerStack, build_stack
 from .dist import (
     FAMILIES,
@@ -40,7 +40,7 @@ from .dist import (
     sample_pdf,
 )
 from .metrics import classical_fidelity, kl_divergence, meyer_wallach_purity
-from .mps import DENSE_LIMIT, Mps, mps_from_statevector
+from .mps import Mps, mps_from_statevector
 from .numerics import is_int
 
 __all__ = [

@@ -10,10 +10,10 @@ contracts an MPS back to that dense vector.
 
 import numpy as np
 
-from symprep.circuit import CircuitError, prep_circuit, simulate
+from symprep.circuit import DENSE_LIMIT, CircuitError, prep_circuit, simulate
 from symprep.disentangler import DisentanglerStack
 from symprep.metrics import MetricsError
-from symprep.mps import DENSE_LIMIT, Mps, MpsError
+from symprep.mps import Mps, MpsError
 
 _DIRECT_LIMIT = 12  # direct evaluation cost is quadratic in dimension
 

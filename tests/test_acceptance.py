@@ -56,7 +56,7 @@ def test_criterion_01_exact_chi2_disentangling():
         for _ in range(13 if n < 10 else 9):
             v = rng.standard_normal(2**n)
             v /= np.linalg.norm(v)
-            m = sp.mps_from_statevector(v, chi_max=2)
+            m = sp.truncate(sp.mps_from_statevector(v), 2)[0]
             stack = sp.build_stack(m, 1)  # truncate(m, 2) is m, so its one layer is build_layer(m)
             worst = max(worst, residual(m, stack))
             count += 1

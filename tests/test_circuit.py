@@ -9,6 +9,7 @@ from scipy import stats
 
 from symprep import circuit, statevec
 from symprep.circuit import (
+    DENSE_LIMIT,
     Circuit,
     CircuitError,
     GateOp,
@@ -21,7 +22,7 @@ from symprep.circuit import (
     simulate,
 )
 from symprep.disentangler import build_stack
-from symprep.mps import DENSE_LIMIT, apply_gate_run, mps_from_statevector
+from symprep.mps import apply_gate_run, mps_from_statevector, truncate
 from symprep.pipeline import config_from_dict, run_full
 
 from oracles import to_statevector, zero_state
@@ -253,7 +254,7 @@ def test_prep_circuit_duality_matches_residual():
     rng = np.random.default_rng(41)
     v = rng.standard_normal(2**6)
     v /= np.linalg.norm(v)
-    m = mps_from_statevector(v, chi_max=4)
+    m = truncate(mps_from_statevector(v), 4)[0]
     stack = build_stack(m, num_layers=2)
     psi = simulate(prep_circuit(stack))
     target = to_statevector(m)
@@ -394,6 +395,21 @@ def test_export_json_roundtrip():
     c2 = import_circuit(doc)
     assert c2.n_qubits == c.n_qubits
     assert np.array_equal(simulate(c2), simulate(c))  # 17g entries round-trip
+
+
+def test_circuits_compare_by_matrix_entries():
+    # == is a bool for gates that carry matrices, entries compared exactly
+    c = add_reflection_wrapper(prep_circuit(half_stack(6, num_layers=1)))
+    c2 = import_circuit(export_circuit(c, "json"))
+    assert c2 == c and not c2 != c
+    assert c2.gates[0] == c.gates[0] and not c2.gates[0] != c.gates[0]
+    g = c.gates[0]
+    m = g.matrix.copy()
+    m[0, 0] = np.nextafter(m[0, 0], 2.0)
+    changed = g._replace(matrix=m)
+    assert changed != g and not changed == g
+    assert Circuit(c.n_qubits, (changed, *c.gates[1:])) != c
+    assert GateOp("hadamard", (0,)) != GateOp("unitary1", (0,), np.eye(2))
 
 
 def test_export_qasm_like_ghz():
@@ -815,6 +831,10 @@ def test_simulate_cost_is_linear_in_the_state(monkeypatch):
         "matrix entry not a number",
         "gate not an object",
         "format_version 2",
+        "format_version true",
+        "format_version 1.0",
+        "format_version string",
+        "no format_version",
         "not an object",
         "invalid JSON",
     ],
@@ -849,8 +869,10 @@ def test_import_malformed(case):
         doc["gates"].append({"kind": "unitary1", "qubits": [0], "matrix": ["one", "0", "0", "1"]})
     elif case == "gate not an object":
         doc["gates"][1] = ["cnot", 0, 1]
-    elif case == "format_version 2":
-        doc["format_version"] = 2
+    elif case.startswith("format_version"):  # only the integer 1, though True == 1.0 == 1
+        doc["format_version"] = {"2": 2, "true": True, "1.0": 1.0, "string": "1"}[case.split()[1]]
+    elif case == "no format_version":
+        del doc["format_version"]
     elif case == "not an object":
         doc = [doc]
     with pytest.raises(CircuitError) as err:

@@ -83,7 +83,7 @@ def test_layer_disentangles_ghz():
 def test_layer_gate_structure_bit_exact():
     rng = np.random.default_rng(31)
     v = random_state(rng, 6)
-    m = mps_from_statevector(v, chi_max=2)
+    m = truncate(mps_from_statevector(v), 2)[0]
     layer = build_layer(m)
     # end gate equals the last tensor exactly
     assert np.array_equal(layer.end, m.tensors[-1][:, :, 0])
@@ -112,7 +112,7 @@ def test_layer_gate_structure_bit_exact():
 
 def test_layer_gates_orthogonal():
     rng = np.random.default_rng(32)
-    m = mps_from_statevector(random_state(rng, 7), chi_max=2)
+    m = truncate(mps_from_statevector(random_state(rng, 7)), 2)[0]
     layer = build_layer(m)
     for g in layer.chain:
         assert np.allclose(g.T @ g, np.eye(4), atol=1e-10)
@@ -124,7 +124,7 @@ def test_layer_gates_orthogonal():
 )
 def test_layer_validation(case):
     rng = np.random.default_rng(37)
-    layer = build_layer(mps_from_statevector(random_state(rng, 5), chi_max=2))
+    layer = build_layer(truncate(mps_from_statevector(random_state(rng, 5)), 2)[0])
     MpdLayer(chain=layer.chain, end=layer.end)  # the extracted gates pass
     as_tuple = MpdLayer(chain=tuple(layer.chain), end=layer.end)  # a sequence of 4x4s converts
     assert isinstance(as_tuple.chain, np.ndarray) and as_tuple.chain.flags.c_contiguous
@@ -177,7 +177,7 @@ def test_batched_chain_matches_per_site_reference():
     rng = np.random.default_rng(38)
     left_bonds = set()
     for v in _differential_states(rng):
-        m = mps_from_statevector(v, chi_max=2)
+        m = truncate(mps_from_statevector(v), 2)[0]
         left_bonds.add(tuple(t.shape[1] for t in m.tensors[:-1]))
         reference = np.stack([_chain_gate_reference(t) for t in m.tensors[:-1]])
         chain = build_layer(m).chain
@@ -193,19 +193,19 @@ def test_chi2_exactness_random_states():
     worst = 0.0
     for n in range(3, 11):
         for _ in range(4):
-            m = mps_from_statevector(random_state(rng, n), chi_max=2)
+            m = truncate(mps_from_statevector(random_state(rng, n)), 2)[0]
             worst = max(worst, residual(m, single_layer_stack(m)))
     assert worst <= 1e-10, f"worst residual {worst:.3e}"
 
 
 def test_build_layer_validation():
     rng = np.random.default_rng(34)
-    m4 = mps_from_statevector(random_state(rng, 6), chi_max=4)
+    m4 = truncate(mps_from_statevector(random_state(rng, 6)), 4)[0]
     with pytest.raises(DisentanglerError):
         build_layer(m4)  # bond dim exceeds 2
     from symprep.mps import Mps
 
-    junk = Mps([t.copy() * 1.5 for t in mps_from_statevector(ghz(4), chi_max=2).tensors])
+    junk = Mps([t.copy() * 1.5 for t in mps_from_statevector(ghz(4)).tensors])
     with pytest.raises(DisentanglerError):
         build_layer(junk)  # not canonical
     flagged = Mps(junk.tensors, canonical="left")
@@ -217,7 +217,7 @@ def test_build_layer_validation():
 
 def test_build_stack_single_layer_chi2():
     rng = np.random.default_rng(35)
-    m = mps_from_statevector(random_state(rng, 5), chi_max=2)
+    m = truncate(mps_from_statevector(random_state(rng, 5)), 2)[0]
     stack = build_stack(m, num_layers=1)
     assert len(stack.layers) == 1
     assert stack.residual_infidelity <= 1e-10
@@ -226,7 +226,7 @@ def test_build_stack_single_layer_chi2():
 
 def test_build_stack_more_layers_help():
     rng = np.random.default_rng(36)
-    m = mps_from_statevector(random_state(rng, 6), chi_max=4)
+    m = truncate(mps_from_statevector(random_state(rng, 6)), 4)[0]
     one = build_stack(m, num_layers=1)
     two = build_stack(m, num_layers=2)
     assert two.residual_infidelity <= one.residual_infidelity + 1e-12
@@ -346,9 +346,9 @@ def test_default_chi_work_covers_the_input_bond(monkeypatch):
 
 
 def test_residual_qubit_mismatch():
-    m = mps_from_statevector(ghz(4), chi_max=2)
+    m = mps_from_statevector(ghz(4))
     stack = single_layer_stack(m)
-    m5 = mps_from_statevector(ghz(5), chi_max=2)
+    m5 = mps_from_statevector(ghz(5))
     with pytest.raises(CircuitError, match="qubit count mismatch"):
         residual(m5, stack)
 
@@ -366,7 +366,8 @@ def test_truncate_then_layer_pipeline_identity():
 
 
 def random_mps(rng, n, chi):
-    return mps_from_statevector(random_state(rng, n), chi_max=chi)
+    m = mps_from_statevector(random_state(rng, n))
+    return m if chi is None else truncate(m, chi)[0]
 
 
 def test_layer_mps_path_matches_dense_oracle():

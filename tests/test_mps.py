@@ -16,9 +16,10 @@ from scipy import stats
 
 from symprep import mps as mps_module
 from symprep import statevec
+from symprep.circuit import DENSE_LIMIT
+from symprep.dist import DistSpec, Grid, amplitudes, left_half, sample_pdf
 from symprep.numerics import complete_isometry, svd
 from symprep.mps import (
-    DENSE_LIMIT,
     Mps,
     MpsError,
     apply_gate_run,
@@ -70,7 +71,7 @@ def reference_truncate(m, chi):
     return tensors, err
 
 
-def reference_from_statevector(v, chi_max=None):
+def reference_from_statevector(v):
     # reference: the last-to-first sweep with the thin SVD of each whole
     # unfolding and the carry u[:, :k] * s[:k]; returns (Mps, spectra)
     n = v.size.bit_length() - 1
@@ -79,16 +80,12 @@ def reference_from_statevector(v, chi_max=None):
     for i in range(n - 1, 0, -1):
         u, s, vt = svd(m)
         spectra.append(s)
-        k = mps_module._kept(s, chi_max)
+        k = mps_module._kept(s)
         tensors[i] = vt[:k].reshape(k, 2, r_prev).transpose(1, 0, 2)
         carry = u[:, :k] * s[:k]
         m, r_prev = carry.reshape(carry.shape[0] // 2, 2 * k), k
     first = m.reshape(2, 1, r_prev)
     tensors[0] = first / np.linalg.norm(first)
-    top = int(np.argmax(np.abs(v)))
-    bits = [(top >> (n - 1 - j)) & 1 for j in range(n)]
-    if Mps(tensors).amplitude(bits) * v[top] < 0:
-        tensors[0] = -tensors[0]
     return Mps(tensors, canonical="left"), spectra
 
 
@@ -156,7 +153,7 @@ def test_random_roundtrip_small():
     rng = np.random.default_rng(21)
     v = rng.standard_normal(8)
     v /= np.linalg.norm(v)
-    m = mps_from_statevector(v, chi_max=4)
+    m = mps_from_statevector(v)
     assert np.max(np.abs(to_statevector(m) - v)) <= 1e-10
 
 
@@ -174,7 +171,7 @@ def test_canonical_identities_every_site():
     rng = np.random.default_rng(23)
     v = rng.standard_normal(2**7)
     v /= np.linalg.norm(v)
-    m = mps_from_statevector(v, chi_max=3)
+    m = truncate(mps_from_statevector(v), 3)[0]
     for t in m.tensors:
         gram = np.einsum("slr,smr->lm", t, t)
         assert np.allclose(gram, np.eye(t.shape[1]), atol=1e-10)
@@ -182,16 +179,30 @@ def test_canonical_identities_every_site():
     assert abs(np.linalg.norm(m.tensors[0]) - 1.0) <= 1e-10
 
 
-def test_global_sign_fix():
+def sign_fix_inputs():
+    # the benchmark's encoded states (the normal density's half and full
+    # amplitudes at n = 14 and 20) and random states of either sign
+    for n in (14, 20):
+        full = sample_pdf(DistSpec("normal", sigma2=0.01), Grid(-0.5, 0.5, n))
+        yield f"normal half n={n}", amplitudes(left_half(full))
+        yield f"normal full n={n}", amplitudes(full)
     rng = np.random.default_rng(24)
-    for _ in range(20):
-        v = rng.standard_normal(2**5)
-        v /= np.linalg.norm(v)
-        m = mps_from_statevector(v)
-        rec = to_statevector(m)
+    for n in range(3, 17):
+        for _ in range(3):
+            v = rng.standard_normal(2**n)
+            yield f"random n={n}", v / np.linalg.norm(v)
+
+
+def test_global_sign_fix():
+    # the exact encoder rebuilds its input, sign included, with no gauge step
+    negative = 0
+    for name, v in sign_fix_inputs():
+        rec = to_statevector(mps_from_statevector(v))
         top = int(np.argmax(np.abs(v)))
-        assert rec[top] * np.sign(v[top]) > 0  # same sign at the dominant entry
-        assert np.allclose(rec, v, atol=1e-10)
+        assert rec[top] * v[top] > 0, name  # same sign at the dominant entry
+        assert np.max(np.abs(rec - v)) <= 1e-12, name
+        negative += v[top] < 0
+    assert negative  # some dominant entries are negative
 
 
 def test_is_left_canonical_detects_scaling():
@@ -218,7 +229,6 @@ def test_truncate_noop_and_ghz():
 
 @pytest.mark.parametrize("value", [True, 2.5, 2.0, "2", 0])
 @pytest.mark.parametrize("call", [
-    pytest.param(lambda m, v: mps_from_statevector(ghz(4), chi_max=v), id="mps_from_statevector chi_max"),
     pytest.param(lambda m, v: truncate(m, v), id="truncate chi"),
     pytest.param(lambda m, v: apply_gate_run(m, [np.eye(4)], 2, chi_max=v), id="apply_gate_run chi_max"),
     pytest.param(lambda m, v: apply_gate_run(m, [np.eye(4)], v), id="apply_gate_run top"),
@@ -261,7 +271,7 @@ def test_truncate_bit_identical_to_reference():
     inputs = []
     for n in range(4, 13):
         v = rng.standard_normal(2**n)
-        inputs.append(mps_from_statevector(v / np.linalg.norm(v), chi_max=4))
+        inputs.append(truncate(mps_from_statevector(v / np.linalg.norm(v)), 4)[0])
     inputs += [m for _, m in rank_deficient_inputs()]
     for m in inputs:
         assert is_left_canonical(m) and max(m.bond_dims) == 4
@@ -313,7 +323,7 @@ def test_truncate_svd_calls(monkeypatch):
     monkeypatch.setattr(mps_module, "svd", counting)
     for n in range(4, 13):
         v = rng.standard_normal(2**n)
-        m = mps_from_statevector(v / np.linalg.norm(v), chi_max=4)
+        m = truncate(mps_from_statevector(v / np.linalg.norm(v)), 4)[0]
         calls.clear()
         truncate(m, 2)
         assert len(calls) == 2 * (n - 1), n
@@ -321,14 +331,13 @@ def test_truncate_svd_calls(monkeypatch):
 
 def from_statevector_cases():
     # unfoldings below and above the QR block; full-rank random states stop
-    # at n=16 uncapped (at n=20 their bonds reach 1024 and cost seconds)
+    # at n=16 (at n=20 their bonds reach 1024 and cost seconds)
     rng = np.random.default_rng(29)
     for n in range(3, 21):
         v = rng.standard_normal(2**n)
-        for chi in (None, 2, 4):
-            yield n, normal_amplitudes(n), chi
-            if chi is not None or n <= 16:
-                yield n, v / np.linalg.norm(v), chi
+        yield n, "normal", normal_amplitudes(n)
+        if n <= 16:
+            yield n, "random", v / np.linalg.norm(v)
 
 
 def test_from_statevector_matches_reference(monkeypatch):
@@ -342,20 +351,19 @@ def test_from_statevector_matches_reference(monkeypatch):
         return out
 
     monkeypatch.setattr(mps_module, "svd", recording)
-    for n, v, chi in from_statevector_cases():
+    for n, kind, v in from_statevector_cases():
         spectra.clear()
-        out = mps_from_statevector(v, chi_max=chi)
-        ref, ref_spectra = reference_from_statevector(v, chi)
-        case = (n, chi)
+        out = mps_from_statevector(v)
+        ref, ref_spectra = reference_from_statevector(v)
+        case = (n, kind)
         assert len(spectra) == n - 1, case
         assert out.bond_dims == ref.bond_dims, case
         # a cut between close singular values turns rounding into a rotation
-        # of the kept vectors, by up to s0 / gap times (Wedin); random states
-        # under a cap meet gaps near 1e-3 * s0, and amp is 1 where no bond
-        # is cut
+        # of the kept vectors, by up to s0 / gap times (Wedin); only the
+        # rank rule cuts here, and amp is 1 where no bond is cut
         amp = max([1.0] + [
             r[0] / (r[k - 1] - r[k]) for r in ref_spectra
-            for k in [mps_module._kept(r, chi)] if k < r.size
+            for k in [mps_module._kept(r)] if k < r.size
         ])
         for s, ref_s in zip(spectra, ref_spectra):
             assert s.shape == ref_s.shape, case
@@ -363,8 +371,6 @@ def test_from_statevector_matches_reference(monkeypatch):
         got, want = to_statevector(out), to_statevector(ref)
         assert np.max(np.abs(got - want)) <= 1e-12 * amp, case
         assert is_left_canonical(out), case
-        top = int(np.argmax(np.abs(v)))
-        assert got[top] * v[top] > 0, case  # the sign gauge
 
 
 @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
@@ -491,19 +497,17 @@ def test_from_statevector_validation():
         mps_from_statevector(np.ones(8))  # unnormalized
     with pytest.raises(MpsError):
         mps_from_statevector(np.ones(6) / np.sqrt(6.0))  # not a power of two
-    with pytest.raises(MpsError):
-        mps_from_statevector(ghz(4), chi_max=0)
 
 
 def test_json_roundtrip():
-    m = mps_from_statevector(normal_amplitudes(6), chi_max=3)
+    m = truncate(mps_from_statevector(normal_amplitudes(6)), 3)[0]
     m2 = mps_from_json(mps_to_json(m))
     assert m2.canonical == "left"
     assert all(np.array_equal(a, b) for a, b in zip(m.tensors, m2.tensors))
 
 
 def test_json_canonical_claim_is_checked():
-    m = mps_from_statevector(normal_amplitudes(6), chi_max=3)
+    m = truncate(mps_from_statevector(normal_amplitudes(6)), 3)[0]
     doc = json.loads(mps_to_json(m))
     doc["tensors"][3]["data"] = [2.0 * x for x in doc["tensors"][3]["data"]]
     with pytest.raises(MpsError):
