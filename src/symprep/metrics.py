@@ -100,7 +100,9 @@ def meyer_wallach_purity(v) -> float:
     O(n * 2^n).
 
     Qubit j's rho_j = [[p0, c], [c, p1]] comes from the two slices of the
-    state's (2^j, 2, rest) view: p0 and c as dot products, p1 = |v|^2 - p0.
+    state's (2^j, 2, rest) view: c as their dot product, p1 = |v|^2 - p0,
+    and every qubit's p0 from one halving fold of v * v, whose first half
+    after j halvings sums to qubit j's p0.
     A mirror-symmetric v = [b, b reversed] is scored on its half b, where
     |b|^2 = 1/2: qubit 0 has Tr rho_0^2 = 1/2 + 2 (b . b reversed)^2, and
     qubit j >= 1 averages b's qubit j-1 with its bit flip, so Tr rho_j^2 =
@@ -119,8 +121,10 @@ def meyer_wallach_purity(v) -> float:
     else:
         norm2 = float(v @ v)
         acc = 0.0
+        s = v * v  # folded in place: after j halvings, the populations of qubits j..n-1
         for j in range(n):
-            t = v.reshape(2**j, 2, -1)
-            p0, c = _slice_dot(t, 0, 0), _slice_dot(t, 0, 1)
+            h = s.size // 2
+            p0, c = float(s[:h].sum()), _slice_dot(v.reshape(2**j, 2, -1), 0, 1)
+            s = np.add(s[:h], s[h:], out=s[:h])
             acc += p0 * p0 + (norm2 - p0) ** 2 + 2.0 * c * c
     return 2.0 * (1.0 - acc / n)

@@ -5,10 +5,12 @@ with explicit size-1 boundary bonds. The canonical form used throughout is
 the one the gate extraction needs: contracting any site tensor with itself
 over (physical, right bond) gives the identity on the left bond, and the
 whole norm sits in the first tensor (Frobenius norm 1). It is produced by an
-exact sweep from the last site to the first that takes each tall unfolding's
-singular values and right vectors from the R factors of its row blocks, so
-the tall left factor is never formed. `truncate` is the one bond-dimension
-cut of a state.
+exact sweep from the last site to the first that never forms a tall left
+factor. While the unfolding is tall and narrow the sweep takes a group of
+sites at once: the group's row sites move into the columns, one batched QR
+of that matrix's row blocks reads it once, and the group's cuts run on the
+small R factor, which has the same Gram, while one GEMM carries the state
+to the next group. `truncate` is the one bond-dimension cut of a state.
 """
 
 from __future__ import annotations
@@ -39,6 +41,10 @@ _RANK_CUTOFF = 1e-14
 # (one batched QR on cache-sized blocks; s and vt are kept). 512 timed
 # fastest, by about 5%, on the n=19 and n=20 encodes over 256 to 4096.
 _QR_BLOCK = 512
+# A tall unfolding takes row sites into its columns up to this width, so one
+# QR pass serves a group of sites. 12 timed fastest on the n=19 and n=20
+# encodes, against 8, 16 and 32: a blocked QR's cost grows with its width.
+_GROUP_COLS = 12
 
 FORMAT_VERSION = 1
 
@@ -113,15 +119,30 @@ def _kept(s: np.ndarray, chi: int | None = None) -> int:
     return k if chi is None else min(k, chi)
 
 
+def _row_factor(m: np.ndarray) -> np.ndarray:
+    # m, or when taller than _QR_BLOCK the stacked R factors of its row
+    # blocks: the same m.T @ m, so the same s and vt
+    if m.shape[0] <= _QR_BLOCK:
+        return m
+    return np.linalg.qr(m.reshape(-1, _QR_BLOCK, m.shape[1]), mode="r").reshape(-1, m.shape[1])
+
+
 def mps_from_statevector(v) -> Mps:
     """Decompose a normalized real statevector exactly into canonical form.
 
     Sweeps from the last site to the first, keeping every singular value
     the rank rule keeps; the state is renormalized once at the end, and it
-    rebuilds v, sign included, to rounding. An unfolding m taller than
-    _QR_BLOCK rows is replaced by the stacked R's of its blocks, which have
-    the same s and vt; the carry m @ vt[:k].T equals u[:, :k] * s[:k], so
-    no 2^n left factor is built.
+    rebuilds v, sign included, to rounding. While the unfolding m (2^i rows)
+    has rows for _QR_BLOCK-row blocks to spare, the next g - 1 row sites
+    join its columns, up to _GROUP_COLS: big = m.reshape(2^(i-g+1), -1). At
+    each of the group's g cuts the unfolding's Gram is a partial trace of
+    big.T @ big, so the same loop body (SVD, rank rule, tensor, carry) run
+    on y, the R factor of big's stacked block R's (y.T @ y = big.T @ big),
+    gives each cut's exact s and vt; the g maps applied to the identity give
+    x, and big @ x is the carry. A site that forms no group (g = 1) runs the
+    loop body on m itself: the SVD of its blocks' stacked R's (m when it
+    fits one block) and the carry m @ vt[:k].T, equal to u[:, :k] * s[:k],
+    so no 2^n left factor is built.
     """
     v = np.asarray(v, dtype=float).ravel()
     size = v.size
@@ -134,18 +155,29 @@ def mps_from_statevector(v) -> Mps:
 
     tensors: list = [None] * n
     m = v.reshape(2 ** (n - 1), 2)
-    r_prev = 1
-    for i in range(n - 1, 0, -1):
-        r = m
-        if m.shape[0] > _QR_BLOCK:
-            r = np.linalg.qr(m.reshape(-1, _QR_BLOCK, 2 * r_prev), mode="r").reshape(-1, 2 * r_prev)
-        _, s, vt = svd(r)
-        k = _kept(s)
-        tensors[i] = vt[:k].reshape(k, 2, r_prev).transpose(1, 0, 2)
-        carry = m @ vt[:k].T
-        m = carry.reshape(carry.shape[0] // 2, 2 * k)
-        r_prev = k
-    tensors[0] = m.reshape(2, 1, r_prev)
+    i = n - 1
+    while i > 0:
+        # a group of g sites: the g - 1 row sites above site i move into the
+        # columns while those stay within _GROUP_COLS and the rows fill a block
+        c, g = m.shape[1], 1
+        while c << g <= _GROUP_COLS and m.shape[0] >> g >= _QR_BLOCK:
+            g += 1
+        big = m.reshape(-1, c << (g - 1))
+        w, x = big, None
+        if g > 1:  # the group's cuts see big only through big.T @ big
+            w = np.linalg.qr(_row_factor(big), mode="r")
+            x = np.eye(big.shape[1])
+        for _ in range(g):
+            w = w.reshape(-1, c)
+            _, s, vt = svd(_row_factor(w))
+            k = _kept(s)
+            tensors[i] = vt[:k].reshape(k, 2, c // 2).transpose(1, 0, 2)
+            w = w @ vt[:k].T
+            if x is not None:
+                x = x.reshape(-1, c) @ vt[:k].T
+            c, i = 2 * k, i - 1
+        m = (w if x is None else big @ x).reshape(-1, c)
+    tensors[0] = m.reshape(2, 1, c // 2)
     _renormalize_first(tensors)
     return Mps(tensors, canonical="left")
 

@@ -11,7 +11,9 @@ whose bits do not depend on the block lengths (`tests/test_circuit.py` checks
 this): width-1 axes leave the full-width state's amplitudes. A gate wire of
 width 1 holds only |0>, so the kernel multiplies by the gate's columns with
 that bit 0 alone and returns the wire at width 2, the bits of the gate on the
-widened state; `simulate` widens only before a CNOT and once at the end.
+widened state; when every gate wire is fresh that is one broadcast product, a
+single rounding per entry as in the GEMM. `simulate` widens only before a
+CNOT and once at the end.
 `apply_1q` and `apply_2q` can write their result into the front of a given
 flat buffer (`out`), with the same bits: `simulate` alternates two 2^n
 buffers, so a growing state allocates no new array per gate. A gate on wires
@@ -68,6 +70,8 @@ def _matmul(g: np.ndarray, view: np.ndarray, out=None) -> np.ndarray:
     # so one GEMM variant runs and no other BLAS code is paged in.
     left, d, right = view.shape
     res = None if out is None else out[: left * len(g) * right].reshape(left, -1, right)
+    if d == 1:  # every gate wire fresh: one product per entry, the GEMM's bits
+        return np.multiply(g.reshape(1, -1, 1), view, out=res)
     if right == 1:
         g = np.ascontiguousarray(g.T)
     elif right >= _SHORT or left < _ROWS:

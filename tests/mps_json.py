@@ -9,6 +9,7 @@ import json
 import numpy as np
 
 from symprep.mps import FORMAT_VERSION, Mps, MpsError, is_left_canonical
+from symprep.numerics import is_int
 
 
 def mps_from_json(text: str) -> Mps:
@@ -17,8 +18,9 @@ def mps_from_json(text: str) -> Mps:
     doc = json.loads(text)
     if not isinstance(doc, dict):
         raise MpsError("MPS document must be a JSON object")
-    if doc.get("format_version") != FORMAT_VERSION:
-        raise MpsError(f"unsupported format_version {doc.get('format_version')!r}")
+    version = doc.get("format_version")
+    if not is_int(version) or version != FORMAT_VERSION:
+        raise MpsError(f"unsupported format_version {version!r}")
     try:
         tensors = [
             np.asarray(entry["data"], dtype=float).reshape(entry["shape"])

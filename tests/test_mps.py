@@ -5,7 +5,9 @@ implementation kept inside this file, pinned to frozen constants.
 Reference code for truncate's sweep and the rank rule pins both bit for
 bit, on full-rank and on padded rank-deficient inputs. Reference code for
 mps_from_statevector's sweep, with the SVD of each whole unfolding and its
-u * s carry, checks the R-factor sweep within rounding.
+u * s carry, checks the grouped R-factor sweep within rounding, and the
+per-site loop (one blocked QR and one carry GEMM a site) pins an encode
+that forms no group bit for bit.
 """
 
 import json
@@ -492,6 +494,119 @@ def test_to_statevector_refuses_past_the_dense_limit():
         to_statevector(m)
 
 
+def per_site_from_statevector(v):
+    # reference: the encoder with no group, one blocked QR and one carry
+    # GEMM per site, written out; bit for bit what mps_from_statevector runs
+    # for an unfolding it does not group
+    n = v.size.bit_length() - 1
+    tensors = [None] * n
+    m, r_prev = v.reshape(2 ** (n - 1), 2), 1
+    blk = mps_module._QR_BLOCK
+    for i in range(n - 1, 0, -1):
+        r = m
+        if m.shape[0] > blk:
+            r = np.linalg.qr(m.reshape(-1, blk, 2 * r_prev), mode="r").reshape(-1, 2 * r_prev)
+        _, s, vt = svd(r)
+        k = mps_module._kept(s)
+        tensors[i] = vt[:k].reshape(k, 2, r_prev).transpose(1, 0, 2)
+        carry = m @ vt[:k].T
+        m, r_prev = carry.reshape(carry.shape[0] // 2, 2 * k), k
+    first = m.reshape(2, 1, r_prev)
+    tensors[0] = first / float(np.linalg.norm(first))
+    return tensors
+
+
+def grouped_cases():
+    # groups form from n = 11; the random state's bonds outgrow the column
+    # cap after its first group, and GHZ and |0...0> carry zero singular
+    # values
+    for n in (12, 14, 16, 20):
+        yield f"normal n={n}", normal_amplitudes(n)
+    v = np.random.default_rng(30).standard_normal(2**12)
+    yield "random n=12", v / np.linalg.norm(v)
+    yield "ghz n=14", ghz(14)
+    yield "zero n=14", zero_state(14)
+
+
+@pytest.mark.parametrize("name, v", [pytest.param(*c, id=c[0]) for c in grouped_cases()])
+def test_grouped_encode_matches_reference(monkeypatch, name, v):
+    spectra = []
+    real = mps_module.svd
+
+    def recording(a):
+        out = real(a)
+        spectra.append(out[1])
+        return out
+
+    monkeypatch.setattr(mps_module, "svd", recording)
+    out = mps_from_statevector(v)
+    ref, ref_spectra = reference_from_statevector(v)
+    assert out.bond_dims == ref.bond_dims
+    assert len(spectra) == len(ref_spectra)
+    for s, ref_s in zip(spectra, ref_spectra):
+        assert s.shape == ref_s.shape
+        assert np.max(np.abs(s - ref_s)) <= 1e-12
+    # each bond's vectors agree up to sign: undo the right bond's signs
+    # found at the site to the right, then read off the left bond's. Rounding
+    # turns a vector by up to s0 / gap times eps (Wedin), gap being its
+    # singular value's distance to the unfolding's others, so a vector
+    # within s0 / 10 of another gets 1e-13 * s0 / gap
+    n = out.n_qubits
+    flip = np.ones(1)
+    for i in range(n - 1, -1, -1):
+        got, want = out.tensors[i] * flip, ref.tensors[i]
+        tol = np.full(got.shape[1], 1e-12)
+        if i:  # site 0 has no left bond: no sign is free there
+            flip = np.where(np.einsum("sab,sab->a", got, want) < 0, -1.0, 1.0)
+            got = got * flip[:, None]
+            r = ref_spectra[n - 1 - i]
+            gaps = np.abs(r[:, None] - r[None, :]) + np.diag(np.full(r.size, np.inf))
+            with np.errstate(divide="ignore"):
+                tol = np.maximum(tol, 1e-13 * r[0] / gaps.min(axis=1)[: tol.size])
+        assert np.all(np.abs(got - want).max(axis=(0, 2)) <= tol), i
+    assert np.max(np.abs(to_statevector(out) - v)) <= 1e-12
+    assert is_left_canonical(out)
+
+
+def test_ungrouped_encode_is_the_per_site_loop(monkeypatch):
+    # no group forms up to n = 10 (no unfolding has two blocks of rows), nor
+    # at any n when no two sites fit the column cap
+    rng = np.random.default_rng(31)
+    inputs = [normal_amplitudes(n) for n in range(2, 21)]
+    inputs += [v / np.linalg.norm(v) for v in (rng.standard_normal(2**n) for n in range(2, 15))]
+    inputs += [ghz(n) for n in (8, 12)] + [zero_state(n) for n in (8, 12)]
+
+    def check(vs):
+        for v in vs:
+            got, want = mps_from_statevector(v).tensors, per_site_from_statevector(v)
+            assert all(np.array_equal(a, b) for a, b in zip(got, want)), v.size
+
+    check([v for v in inputs if v.size <= 2**10])
+    monkeypatch.setattr(mps_module, "_GROUP_COLS", 2)
+    check(inputs)
+
+
+def test_grouped_encode_reads_the_state_less(monkeypatch):
+    # QR calls, and entries they read, on inputs of more than 2^16 entries
+    calls = []
+    real = np.linalg.qr
+
+    def counting(a, mode="reduced"):
+        if a.size > 2**16:
+            calls.append(a.size)
+        return real(a, mode=mode)
+
+    monkeypatch.setattr(np.linalg, "qr", counting)
+    v = normal_amplitudes(20)
+    mps_from_statevector(v)
+    grouped = list(calls)
+    calls.clear()
+    per_site_from_statevector(v)
+    assert len(calls) >= 4
+    assert 2 * len(grouped) <= len(calls)
+    assert 2 * sum(grouped) <= sum(calls)
+
+
 def test_from_statevector_validation():
     with pytest.raises(MpsError):
         mps_from_statevector(np.ones(8))  # unnormalized
@@ -517,11 +632,17 @@ def test_json_canonical_claim_is_checked():
 
 
 @pytest.mark.parametrize(
-    "case", ["no tensors", "no shape", "no data", "shape mismatch", "huge data", "not an object"]
+    "case",
+    ["no tensors", "no shape", "no data", "shape mismatch", "huge data", "not an object",
+     "format_version true", "format_version 1.0"],
 )
 def test_json_malformed(case):
     doc = json.loads(mps_to_json(mps_from_statevector(ghz(4))))
-    if case == "no tensors":
+    if case == "format_version true":
+        doc["format_version"] = True
+    elif case == "format_version 1.0":
+        doc["format_version"] = 1.0
+    elif case == "no tensors":
         del doc["tensors"]
     elif case in ("no shape", "no data"):
         del doc["tensors"][1][case[3:]]
