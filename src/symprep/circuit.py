@@ -22,7 +22,7 @@ import numpy as np
 
 from . import statevec
 from .disentangler import DisentanglerStack
-from .numerics import is_finite_number, is_int, is_orthonormal
+from .numerics import is_finite_number, is_int, is_orthonormal, is_real_array
 
 __all__ = [
     "CircuitError",
@@ -48,8 +48,8 @@ class CircuitError(ValueError):
 
 
 class GateOp(NamedTuple):
-    """One gate record: hadamard(q), cnot(control, target), unitary1(q, 2x2) or unitary2(q_low,
-    q_high, 4x4), whose first wire is the matrix index's higher bit. Its `Circuit` checks it."""
+    """One gate record: hadamard(q), cnot(control, target), unitary1(q, 2x2) or unitary2(q, q+1,
+    4x4) on neighbouring wires, whose first is the matrix index's higher bit. Its `Circuit` checks it."""
 
     kind: str
     qubits: tuple
@@ -77,6 +77,8 @@ class Circuit:
     def __post_init__(self):
         if not is_int(self.n_qubits) or self.n_qubits < 1:
             raise CircuitError(f"n_qubits must be an integer >= 1, got {self.n_qubits!r}")
+        if not isinstance(self.gates, (tuple, list)):
+            raise CircuitError(f"gates must be a tuple or list of GateOp instances, got {type(self.gates).__name__}")
         gates = []
         for g in self.gates:
             if not isinstance(g, GateOp):
@@ -90,16 +92,16 @@ class Circuit:
             want = 1 if kind in ("hadamard", "unitary1") else 2
             if len(qubits) != want:
                 raise CircuitError(f"{kind} takes {want} qubit(s), got {qubits}")
+            if kind == "unitary2" and qubits[1] != qubits[0] + 1:
+                raise CircuitError(f"unitary2 acts on neighbouring wires (q, q+1), got {qubits}")
             if want == 2 and qubits[0] == qubits[1]:
                 raise CircuitError(f"{kind} needs distinct qubits, got {qubits}")
-            if kind == "unitary2" and not qubits[0] < qubits[1]:
-                raise CircuitError("unitary2 wires must be ordered (q_low, q_high)")
             if kind in ("hadamard", "cnot"):
                 if m is not None:
                     raise CircuitError(f"{kind} takes no matrix")
             else:
                 d = 2 if kind == "unitary1" else 4
-                if not (isinstance(m, np.ndarray) and m.dtype.kind in "iuf"):
+                if not is_real_array(m):
                     # entries as given: a float conversion would read True and "1" as 1.0
                     m = np.asarray(m, dtype=object)
                     if m.shape == (d, d) and not all(map(is_finite_number, m.flat)):
@@ -323,8 +325,13 @@ def import_circuit(text: str) -> Circuit:
             raise CircuitError("circuit document must be a JSON object")
         if not (is_int(version := doc.get("format_version")) and version == FORMAT_VERSION):  # not true, not 1.0
             raise CircuitError(f"unsupported format_version {version!r}")
+        if not isinstance(entries := doc["gates"], list):
+            raise CircuitError(f"malformed circuit document: gates must be a list, got {type(entries).__name__}")
         gates = []
-        for entry in doc["gates"]:
+        for k, entry in enumerate(entries):
+            if not isinstance(entry, dict):
+                raise CircuitError(f"malformed circuit document: gates[{k}] must be an object, "
+                                   f"got {type(entry).__name__}")
             matrix = None
             if "matrix" in entry:  # a flat list of export strings (17 significant digits) or numbers
                 m = entry["matrix"]

@@ -16,7 +16,7 @@ from typing import Callable
 
 import numpy as np
 
-from .numerics import is_finite_number, is_int
+from .numerics import is_finite_number, is_int, real_array
 
 __all__ = [
     "DistError",
@@ -270,7 +270,7 @@ class TargetDistribution:
     p: np.ndarray
 
     def __post_init__(self):
-        p = np.asarray(self.p, dtype=float)
+        p = real_array(self.p, DistError, "p")
         if p.shape != (self.grid.size,):
             raise DistError(
                 f"p has shape {p.shape}, grid needs ({self.grid.size},)"

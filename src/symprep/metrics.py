@@ -14,6 +14,8 @@ from __future__ import annotations
 
 import numpy as np
 
+from .numerics import real_array
+
 __all__ = [
     "MetricsError",
     "kl_divergence",
@@ -31,7 +33,7 @@ class MetricsError(ValueError):
 
 
 def _prob_vector(p, name: str) -> np.ndarray:
-    v = np.asarray(p, dtype=float)
+    v = real_array(p, MetricsError, name)
     if v.ndim != 1:
         raise MetricsError(f"{name} must be a vector")
     # two passes: the min fails on NaN, -inf and negatives, the sum on +inf
@@ -108,7 +110,7 @@ def meyer_wallach_purity(v) -> float:
     qubit j >= 1 averages b's qubit j-1 with its bit flip, so Tr rho_j^2 =
     1/2 + 8 c^2 with c the off-diagonal element of b's qubit j-1.
     """
-    v = np.asarray(v, dtype=float).ravel()
+    v = real_array(v, MetricsError, "statevector").ravel()
     n = int(v.size).bit_length() - 1
     if 2**n != v.size or n < 1:
         raise MetricsError(f"length {v.size} is not a power of two >= 2")

@@ -19,7 +19,7 @@ import json
 
 import numpy as np
 
-from .numerics import is_int, is_orthonormal, svd
+from .numerics import is_int, is_orthonormal, real_array, svd
 
 __all__ = [
     "MpsError",
@@ -65,7 +65,7 @@ class Mps:
     def __init__(self, tensors, canonical: str = "none"):
         if canonical not in ("left", "none"):
             raise MpsError(f"canonical must be 'left' or 'none', got {canonical!r}")
-        tensors = [np.asarray(t, dtype=float) for t in tensors]
+        tensors = [real_array(t, MpsError, f"site {i}") for i, t in enumerate(tensors)]
         n = len(tensors)
         if n < 2:
             raise MpsError(f"need at least 2 sites, got {n}")
@@ -144,7 +144,7 @@ def mps_from_statevector(v) -> Mps:
     fits one block) and the carry m @ vt[:k].T, equal to u[:, :k] * s[:k],
     so no 2^n left factor is built.
     """
-    v = np.asarray(v, dtype=float).ravel()
+    v = real_array(v, MpsError, "statevector").ravel()
     size = v.size
     n = int(size).bit_length() - 1
     if 2**n != size or n < 2:

@@ -5,8 +5,9 @@ signs are LAPACK's, deterministic per build. `complete_isometry` extends
 orthonormal columns, or a stack of them, to orthogonal matrices with the
 trailing columns of one full SVD, writing the supplied columns back
 bit-identically. No sign or determinant is fixed here: the one gauge rule
-lives in `disentangler._chain_gates`. `is_int` and `is_finite_number` are
-the one value rules.
+lives in `disentangler._chain_gates`. `is_int`, `is_finite_number` and
+`is_real_array` are the one value rules; `real_array` is the array doors' use
+of the last.
 """
 
 from __future__ import annotations
@@ -22,6 +23,8 @@ __all__ = [
     "is_orthonormal",
     "is_int",
     "is_finite_number",
+    "is_real_array",
+    "real_array",
 ]
 
 
@@ -65,6 +68,20 @@ def is_int(v) -> bool:
 def is_finite_number(v) -> bool:
     """True iff v is an int or float, not a bool, with |v| <= the largest float."""
     return isinstance(v, (int, float)) and not isinstance(v, bool) and abs(v) <= sys.float_info.max
+
+
+def is_real_array(a) -> bool:
+    """True iff a is a numpy array of integer or float dtype: not bool, complex, string or object."""
+    return isinstance(a, np.ndarray) and a.dtype.kind in "iuf"
+
+
+def real_array(a, error: type[ValueError], name: str) -> np.ndarray:
+    """np.asarray(a) as floats, or `error` naming `name` when that is not `is_real_array`: a float
+    conversion would read a complex entry as its real part, and True or "0.5" as a number."""
+    arr = np.asarray(a)
+    if not is_real_array(arr):
+        raise error(f"{name} entries must be real numbers, got dtype {arr.dtype}")
+    return arr.astype(float, copy=False)
 
 
 def complete_isometry(v) -> np.ndarray:

@@ -5,7 +5,7 @@ two-qubit gates the first listed wire is the higher-significance bit of the
 4x4 gate index. A state is an n-axis array, one axis per qubit, in which an
 untouched qubit's axis may have width 1 (`widen` appends its zero |1> slice).
 The kernels check no wire or shape: `simulate` passes n-axis states and the
-gates of a checked `Circuit` (in-range, distinct wires, a unitary2's ascending).
+gates of a checked `Circuit` (in-range, distinct wires, a unitary2's (q, q+1)).
 A gate is one BLAS call on a (left, d, right) view of the state, d = 2 or 4,
 whose bits do not depend on the block lengths (`tests/test_circuit.py` checks
 this): width-1 axes leave the full-width state's amplitudes. A gate wire of
@@ -16,9 +16,8 @@ single rounding per entry as in the GEMM. `simulate` widens only before a
 CNOT and once at the end.
 `apply_1q` and `apply_2q` can write their result into the front of a given
 flat buffer (`out`), with the same bits: `simulate` alternates two 2^n
-buffers, so a growing state allocates no new array per gate. A gate on wires
-apart, never one `prep_circuit` emits, first copies the qubits between them
-out of the way. `apply_cnot` is an exact permutation, one copy of the state
+buffers, so a growing state allocates no new array per gate. `apply_cnot`,
+whose wires may lie apart, is an exact permutation, one copy of the state
 with the control=1 slice written with every target axis reversed, so the
 reflection wrapper's fan-out, which `simulate` finds as `accounting` does,
 costs one copy however many targets it has; every other CNOT runs alone.
@@ -105,26 +104,14 @@ def apply_1q(psi: np.ndarray, g: np.ndarray, q: int, out=None) -> np.ndarray:
 
 
 def apply_2q(psi: np.ndarray, g: np.ndarray, qa: int, qb: int, out=None) -> np.ndarray:
-    """Apply a 4x4 gate to qubits qa < qb; qa indexes the gate's higher bit.
-    The wires come ascending, as `circuit.Circuit` checks a unitary2's. Either
-    wire may be fresh (width 1); both come back at width 2. The result is a
-    new array, or the front of the flat float buffer out, which must not
+    """Apply a 4x4 gate to neighbouring qubits qa and qb = qa + 1, as
+    `circuit.Circuit` checks a unitary2's; qa indexes the gate's higher bit.
+    Either wire may be fresh (width 1); both come back at width 2. The result
+    is a new array, or the front of the flat float buffer out, which must not
     overlap psi."""
     left, right = _blocks(psi, qa, qb)
     wa, wb = psi.shape[qa], psi.shape[qb]
-    g = g[:, _LIVE[wa, wb]]
-    shape = _wide_shape(psi, (qa, qb))
-    if qb == qa + 1:
-        return _matmul(g, psi.reshape(left, wa * wb, right), out).reshape(shape)
-    # wires apart: copy the wide qubits between them out of the way and back
-    v = psi.reshape(left, wa, -1, wb, right).transpose(0, 2, 1, 3, 4)
-    t = _matmul(g, np.ascontiguousarray(v).reshape(-1, wa * wb, right))
-    t = t.reshape(left, -1, 2, 2, right).transpose(0, 2, 1, 3, 4)
-    if out is None:
-        return np.ascontiguousarray(t).reshape(shape)
-    res = out[: t.size].reshape(t.shape)
-    res[...] = t
-    return res.reshape(shape)
+    return _matmul(g[:, _LIVE[wa, wb]], psi.reshape(left, wa * wb, right), out).reshape(_wide_shape(psi, (qa, qb)))
 
 
 def apply_cnot(psi: np.ndarray, control: int, *targets: int) -> np.ndarray:

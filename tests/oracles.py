@@ -5,7 +5,8 @@ definition (quadratic in 2^n, so n <= 12), against which the tests check
 `metrics.meyer_wallach_purity`. `residual` checks a disentangler stack
 densely, by simulating the circuit `prep_circuit` emits for it. `zero_state`
 is |0...0> in the layout `mps_from_statevector` reads, and `to_statevector`
-contracts an MPS back to that dense vector.
+contracts an MPS back to that dense vector. `NOT_REAL` is a point mass, |00>
+as a state, in each numpy dtype kind the array doors refuse.
 """
 
 import numpy as np
@@ -16,6 +17,13 @@ from symprep.metrics import MetricsError
 from symprep.mps import Mps, MpsError
 
 _DIRECT_LIMIT = 12  # direct evaluation cost is quadratic in dimension
+
+NOT_REAL = {  # what a float conversion reads as [1, 0, 0, 0], dropping 0.5j with a ComplexWarning
+    "complex": np.array([1, 0.5j, 0, 0]),
+    "bool": np.array([True, False, False, False]),
+    "string": np.array(["1", "0", "0", "0"]),
+    "object": np.array([1.0, 0.0, 0.0, 0.0], dtype=object),
+}
 
 
 def zero_state(n: int) -> np.ndarray:

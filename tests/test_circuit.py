@@ -100,7 +100,7 @@ def test_gateop_validation():
     refused(GateOp("cnot", (1, 1)), "distinct")
     refused(GateOp("hadamard", (0, 1)), "takes 1 qubit")
     refused(GateOp("hadamard", (0,), np.eye(2)), "hadamard takes no matrix")
-    refused(GateOp("unitary2", (2, 1), np.eye(4)), "must be ordered")  # wires must be ordered
+    refused(GateOp("unitary2", (2, 1), np.eye(4)), "neighbouring wires")  # wires must be (q, q+1)
     refused(GateOp("unitary2", (0, 1), np.eye(4) * 1.5), "not orthogonal", n=2)
     refused(GateOp("unitary1", (0,), np.eye(4)), "needs a 2x2 matrix")  # wrong shape
     refused(GateOp("hadamard", (5,)), "out of range", n=2)
@@ -112,6 +112,12 @@ def test_gateop_validation():
         Circuit(2, (("cnot", (0, 1)),))
     for entries in ([[True, False], [False, True]], [["1", "0"], ["0", "1"]]):
         refused(GateOp("unitary1", (0,), entries), "entries must be finite numbers")  # never the identity
+
+
+@pytest.mark.parametrize("gates", [None, 5, iter([GateOp("hadamard", (0,))])], ids=["None", "int", "iterator"])
+def test_circuit_needs_a_sequence_of_gates(gates):
+    with pytest.raises(CircuitError, match=rf"^gates must be a tuple or list of GateOp instances, got {type(gates).__name__}$"):
+        Circuit(3, gates)
 
 
 def _door_entry(kind, qubits, matrix):
@@ -128,7 +134,12 @@ GATE_DOOR = {  # a malformed gate on 3 wires: (kind, qubits, matrix as nested li
     "bool wire": (("hadamard", [True], None), r"^hadamard qubits must be a list of integers, got \[True\]$"),
     "wires not a list": (("cnot", "01", None), r"^cnot qubits must be a list of integers, got '01'$"),
     "repeated wires": (("cnot", [1, 1], None), r"^cnot needs distinct qubits, got \(1, 1\)$"),
-    "unitary2 wires descending": (("unitary2", [2, 1], np.eye(4).tolist()), r"^unitary2 wires must be ordered"),
+    "unitary2 wires apart": (("unitary2", [0, 2], np.eye(4).tolist()),
+                             r"^unitary2 acts on neighbouring wires \(q, q\+1\), got \(0, 2\)$"),
+    "unitary2 wires descending": (("unitary2", [2, 1], np.eye(4).tolist()),
+                                  r"^unitary2 acts on neighbouring wires \(q, q\+1\), got \(2, 1\)$"),
+    "unitary2 wires repeated": (("unitary2", [1, 1], np.eye(4).tolist()),
+                                r"^unitary2 acts on neighbouring wires \(q, q\+1\), got \(1, 1\)$"),
     "wire out of range": (("hadamard", [3], None), r"^gate hadamard addresses qubit out of range \(3,\)$"),
     "matrix on H": (("hadamard", [0], np.eye(2).tolist()), r"^hadamard takes no matrix$"),
     "matrix on CNOT": (("cnot", [0, 1], np.eye(2).tolist()), r"^cnot takes no matrix$"),
@@ -503,9 +514,11 @@ def random_circuit(rng, n):
         kind = ("hadamard", "cnot", "unitary1", "unitary2")[int(rng.integers(4))]
         if kind in ("hadamard", "unitary1"):
             qubits = (int(rng.integers(n)),)
-        else:
+        elif kind == "cnot":
             qubits = tuple(int(q) for q in rng.choice(n, 2, replace=False))
-            qubits = tuple(sorted(qubits)) if kind == "unitary2" else qubits
+        else:  # a unitary2 acts on (q, q+1)
+            q = int(rng.integers(n - 1))
+            qubits = (q, q + 1)
         gates.append(random_gate(rng, kind, qubits))
     return Circuit(n, gates)
 
@@ -523,10 +536,10 @@ def named_circuits(rng):
     return {
         "empty": Circuit(5, ()),
         "cnot-down-and-up": Circuit(5, (h, cx[0], u(3, 4), cx[1], cx[2])),
-        "middle-qubit-first": Circuit(6, (u(2, 3), u(3, 4), u(1, 2), u(0, 5))),
-        "unitary1-on-untouched": Circuit(5, (u(0, 1), u(3), u(4), u(1, 3))),
-        # gates on two already-wide wires with untouched wires between or after them
-        "wide-pair-untouched-around": Circuit(7, (u(2, 3), u(2, 3), u(5, 6), u(3, 5), u(1), u(1, 5))),
+        "middle-qubit-first": Circuit(6, (u(2, 3), u(3, 4), u(1, 2), u(0, 1), u(4, 5))),
+        "unitary1-on-untouched": Circuit(5, (u(0, 1), u(3), u(4), u(2, 3), u(1, 2))),
+        # gates on two already-wide wires with untouched wires before and after them
+        "wide-pair-untouched-around": Circuit(7, (u(2, 3), u(2, 3), u(5, 6), u(5, 6), u(1), u(1, 2))),
         "staircase": Circuit(6, (*(u(q, q + 1) for q in range(5)), u(4, 5), u(0, 1))),
         "cnot-fan-out-runs": Circuit(5, (u(0, 1), u(2, 3), h, *fan, u(3, 4), fan[0], fan[1])),
         "fan-out-on-untouched": Circuit(5, (u(1), fan[1], fan[2], fan[4])),
@@ -572,7 +585,7 @@ def check_kernel_contract(monkeypatch, n):
 
     def apply_2q(psi, g, qa, qb, out=None):
         wires_ok(psi, (qa, qb), (1, 2))
-        assert qa < qb
+        assert qb == qa + 1
         calls.append(("2q", qa, qb))
         return real_2q(psi, g, qa, qb, out=out)
 
@@ -626,8 +639,9 @@ def test_only_the_wrapper_tail_is_one_permutation(name, monkeypatch):
 
 
 def test_flat_kernels_match_reference():
-    # every wire pair on full-width states: wires apart, and the left (wire
-    # 0) and right (wire n-1) blocks of length 1; qa > qb for apply_cnot
+    # on full-width states, with left (wire 0) and right (wire n-1) blocks of
+    # length 1: every wire pair for apply_cnot, qa > qb and wires apart too,
+    # and every neighbouring pair for apply_2q
     rng = np.random.default_rng(17)
     for n in range(2, 9):
         psi = rng.standard_normal((2,) * n)
@@ -636,7 +650,7 @@ def test_flat_kernels_match_reference():
         for qa in range(n):
             assert np.max(np.abs(statevec.apply_1q(psi, g2, qa) - ref_apply_1q(psi, g2, qa))) <= 1e-15
             for qb in set(range(n)) - {qa}:
-                if qa < qb:  # the wire order Circuit requires of a unitary2
+                if qb == qa + 1:  # the wires Circuit requires of a unitary2
                     got = statevec.apply_2q(psi, g4, qa, qb)
                     assert np.max(np.abs(got - ref_apply_2q(psi, g4, qa, qb))) <= 1e-15, (n, qa, qb)
                 cnot = statevec.apply_cnot(psi, qa, qb)
@@ -649,7 +663,9 @@ def test_kernels_ignore_width_1_axes():
     rng = np.random.default_rng(29)
     for _ in range(300):
         n = int(rng.integers(2, 9))
-        qubits = tuple(sorted(int(q) for q in rng.choice(n, int(rng.integers(1, 3)), replace=False)))
+        k = int(rng.integers(1, 3))  # one wire, or a neighbouring pair
+        lo = int(rng.integers(n - k + 1))
+        qubits = tuple(range(lo, lo + k))
         shape = tuple(2 if q in qubits or rng.random() < 0.5 else 1 for q in range(n))
         psi = rng.standard_normal(shape)
         g = np.linalg.qr(rng.standard_normal((2 ** len(qubits),) * 2))[0]
@@ -662,17 +678,16 @@ def test_kernels_ignore_width_1_axes():
 def test_fresh_gate_wires_match_the_widened_state(pattern):
     # a fresh (width-1) gate wire holds only |0>: the kernel multiplies by the
     # gate's columns with that bit 0 and returns the wire at width 2, bit for
-    # bit the gate on the widened state; adjacent wires and wires apart, with
-    # n up to 12 so short right blocks take the expanded-gate GEMM
+    # bit the gate on the widened state; n up to 12 so short right blocks
+    # take the expanded-gate GEMM
     rng = np.random.default_rng(31)
     for _ in range(150):
         n = int(rng.integers(2, 13))
         if pattern == "1q fresh":
             qubits, fresh = (int(rng.integers(n)),), {0}
         else:
-            apart = n > 2 and rng.random() < 0.3
-            qa = int(rng.integers(n - 2 if apart else n - 1))
-            qubits = (qa, int(rng.integers(qa + 2, n)) if apart else qa + 1)
+            qa = int(rng.integers(n - 1))
+            qubits = (qa, qa + 1)
             fresh = {"upper fresh": {0}, "lower fresh": {1}, "both fresh": {0, 1}}[pattern]
         all_wide = rng.random() < 0.5  # the other wires; long left blocks need many wide ones
         shape = [2 if all_wide else int(rng.integers(1, 3)) for _ in range(n)]
@@ -690,17 +705,16 @@ def test_fresh_gate_wires_match_the_widened_state(pattern):
 def test_kernels_write_into_a_buffer_bit_for_bit():
     # with out given, the result is the front of that flat buffer, with the
     # bits of a fresh result and the rest of the buffer untouched; every
-    # _matmul branch: right blocks of 1, short and long, lone left rows,
-    # fresh wires and wires apart
+    # _matmul branch: right blocks of 1, short and long, lone left rows and
+    # fresh wires
     rng = np.random.default_rng(41)
     for _ in range(200):
         n = int(rng.integers(2, 13))
-        apart = n > 2 and rng.random() < 0.3
         if rng.random() < 0.3:
             qubits = (int(rng.integers(n)),)
         else:
-            qa = int(rng.integers(n - 2 if apart else n - 1))
-            qubits = (qa, int(rng.integers(qa + 2, n)) if apart else qa + 1)
+            qa = int(rng.integers(n - 1))
+            qubits = (qa, qa + 1)
         shape = tuple(int(rng.integers(1, 3)) if q in qubits or rng.random() < 0.3 else 2 for q in range(n))
         psi = rng.standard_normal(shape)
         g = np.linalg.qr(rng.standard_normal((2 ** len(qubits),) * 2))[0]
@@ -731,8 +745,8 @@ def test_short_right_blocks_match_matmul(d):
 
 
 def test_emitted_two_qubit_gates_act_on_adjacent_wires():
-    # so simulate never reaches apply_2q's copy for wires apart on the
-    # circuits the pipeline emits, with or without the wrapper
+    # every unitary2 the pipeline emits, with or without the wrapper, is on
+    # (q, q+1): the circuits pass Circuit's neighbour rule by construction
     rng = np.random.default_rng(31)
     for n in range(3, 9):
         psi = rng.standard_normal(2**n)
@@ -816,6 +830,8 @@ def test_simulate_cost_is_linear_in_the_state(monkeypatch):
     "case",
     [
         "no gates",
+        "gates not a list",
+        "gate a number",
         "no kind",
         "no qubits",
         "qubits not a list",
@@ -843,6 +859,10 @@ def test_import_malformed(case):
     doc = json.loads(export_circuit(ghz_circuit(), "json"))
     if case == "no gates":
         del doc["gates"]
+    elif case == "gates not a list":
+        doc["gates"] = 5
+    elif case == "gate a number":
+        doc["gates"] = [5]
     elif case in ("no kind", "no qubits"):
         del doc["gates"][1][case[3:]]
     elif case == "qubits not a list":
@@ -880,3 +900,5 @@ def test_import_malformed(case):
     if case in ("matrix entry not a number", "gate not an object", "invalid JSON"):
         # a wrong type the gate checks cannot see is mapped, not raised raw
         assert "malformed circuit document" in str(err.value)
+    if case in ("gates not a list", "gate a number", "gate not an object"):  # named, not "'int' object is not iterable"
+        assert "gates" in str(err.value)

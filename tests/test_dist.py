@@ -17,6 +17,8 @@ from symprep.dist import (
     sample_pdf,
 )
 
+from oracles import NOT_REAL
+
 
 def test_grid_point_formulas():
     g = Grid(-0.5, 0.5, 3, "midpoint")
@@ -295,6 +297,12 @@ def test_target_validation():
         TargetDistribution(grid, np.full(3, 1 / 3))
     with pytest.raises(DistError, match="not 1"):
         TargetDistribution(grid, np.full(4, 0.25 + 1e-12))
+
+
+@pytest.mark.parametrize("kind", NOT_REAL)
+def test_target_refuses_non_real_arrays(kind):
+    with pytest.raises(DistError, match=rf"^p entries must be real numbers, got dtype {NOT_REAL[kind].dtype}$"):
+        TargetDistribution(Grid(0.0, 1.0, 2), NOT_REAL[kind])
 
 
 def test_left_half_needs_three_qubits():

@@ -52,11 +52,11 @@ def test_test_oracles_live_with_the_tests():
 
 def test_metrics_and_circuit_import_only_what_they_run():
     # the scoring functions score vectors that already exist, so they need
-    # nothing from symprep (the dense bound guards the allocations, in
-    # RunConfig and simulate), and circuit, which keeps that bound beside
-    # simulate, needs nothing from mps
+    # nothing from symprep but the array value rule (the dense bound guards
+    # the allocations, in RunConfig and simulate), and circuit, which keeps
+    # that bound beside simulate, needs nothing from mps
     src = pathlib.Path(symprep.__file__).parent
-    assert list(_symprep_imports(src / "metrics.py")) == []
+    assert list(_symprep_imports(src / "metrics.py")) == [("numerics", "real_array")]
     assert [(mod, n) for mod, n in _symprep_imports(src / "circuit.py") if mod == "mps"] == []
 
 

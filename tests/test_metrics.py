@@ -13,7 +13,7 @@ from symprep.metrics import (
     meyer_wallach_purity,
 )
 
-from oracles import meyer_wallach_direct
+from oracles import NOT_REAL, meyer_wallach_direct
 
 
 def random_state(rng, n):
@@ -259,6 +259,23 @@ def test_meyer_wallach_refuses_non_finite_states(fn, bad):
     for w in (v, np.full(8, bad)):
         with pytest.raises(MetricsError, match="not normalized"):
             fn(w)
+
+
+@pytest.mark.parametrize("kind", NOT_REAL)
+@pytest.mark.parametrize("fn", [kl_divergence, classical_fidelity])
+def test_probability_doors_refuse_non_real_arrays(fn, kind):
+    point = np.array([1.0, 0.0, 0.0, 0.0])
+    message = f"entries must be real numbers, got dtype {NOT_REAL[kind].dtype}$"
+    with pytest.raises(MetricsError, match="^p " + message):
+        fn(NOT_REAL[kind], point)
+    with pytest.raises(MetricsError, match="^q " + message):
+        fn(point, NOT_REAL[kind])
+
+
+@pytest.mark.parametrize("kind", NOT_REAL)
+def test_meyer_wallach_refuses_non_real_arrays(kind):
+    with pytest.raises(MetricsError, match=rf"^statevector entries must be real numbers, got dtype {NOT_REAL[kind].dtype}$"):
+        meyer_wallach_purity(NOT_REAL[kind])
 
 
 @pytest.mark.parametrize("case, match", [

@@ -32,7 +32,7 @@ from symprep.mps import (
 )
 
 from mps_json import mps_from_json
-from oracles import to_statevector, zero_state
+from oracles import NOT_REAL, to_statevector, zero_state
 
 # frozen oracle value: chi=2 truncation KL of the n=10 normal(0, 0.01)
 # state on [-0.5, 0.5] (midpoint grid), computed by dense_truncate below
@@ -605,6 +605,21 @@ def test_grouped_encode_reads_the_state_less(monkeypatch):
     assert len(calls) >= 4
     assert 2 * len(grouped) <= len(calls)
     assert 2 * sum(grouped) <= sum(calls)
+
+
+@pytest.mark.parametrize("kind", NOT_REAL)
+def test_from_statevector_refuses_non_real_arrays(kind):
+    # a complex, bool, string or object array is not read as real numbers
+    with pytest.raises(MpsError, match=rf"^statevector entries must be real numbers, got dtype {NOT_REAL[kind].dtype}$"):
+        mps_from_statevector(NOT_REAL[kind])
+
+
+@pytest.mark.parametrize("kind", NOT_REAL)
+def test_mps_refuses_non_real_sites(kind):
+    # the site is kept as given, not cast to float64, so it is refused by name
+    tensors = [np.array([1.0, 0.0]).reshape(2, 1, 1), NOT_REAL[kind][:2].reshape(2, 1, 1)]
+    with pytest.raises(MpsError, match=rf"^site 1 entries must be real numbers, got dtype {tensors[1].dtype}$"):
+        Mps(tensors)
 
 
 def test_from_statevector_validation():

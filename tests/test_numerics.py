@@ -21,6 +21,7 @@ from symprep.numerics import (
     complete_isometry,
     is_finite_number,
     is_int,
+    is_real_array,
     svd,
 )
 
@@ -160,3 +161,6 @@ def test_value_rules():
     assert is_finite_number(2) and is_finite_number(-1.5e308) and is_finite_number(np.float64(0.1))
     bad = (True, "1", None, float("nan"), float("inf"), -float("inf"), 10**400, [1.0])
     assert not any(is_finite_number(v) for v in bad)
+    assert all(is_real_array(np.ones(2, dtype=t)) for t in (int, np.uint8, np.float32, float))
+    assert not any(is_real_array(np.ones(2, dtype=t)) for t in (bool, complex, str, object))
+    assert not any(is_real_array(v) for v in ([1.0, 0.0], 1.0))  # not yet an array
